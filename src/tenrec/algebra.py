@@ -5,8 +5,9 @@ whose third index runs along "tubes".  The tube-wise product of two such
 arrays equals independent matrix products between the frontal slices of
 their DFTs along the third mode, which is how every product here is
 evaluated.  Arrays are real in the spatial domain; the Fourier-domain
-slices come in conjugate pairs, so decompositions only ever factor the
-first ``I3 // 2 + 1`` slices and mirror the rest.
+slices come in conjugate pairs, so decompositions take the real FFT
+(``rfft``), factor its ``I3 // 2 + 1`` half-spectrum slices and return to
+real space with ``irfft``.
 
 N-way arrays enter through mode-pair unfolding: two chosen modes become
 the slice axes and the remaining modes are flattened into tubes with the
@@ -145,38 +146,28 @@ def identity_tensor(n, tubes):
     return out
 
 
-def _half_slices(i3):
-    # Slices 0..half-1 determine a conjugate-symmetric stack.
-    return i3 // 2 + 1
+def _mirror_index(i3):
+    """Half-spectrum slice that holds each of the ``I3`` Fourier slices.
 
-
-def _mirror_fourier(stack_half, i3):
-    """Extend per-slice Fourier data from the first half to all I3 slices."""
-    full = np.empty(stack_half.shape[:-1] + (i3,), dtype=stack_half.dtype)
-    half = stack_half.shape[-1]
-    full[..., :half] = stack_half
-    for k in range(half, i3):
-        full[..., k] = stack_half[..., i3 - k].conj()
-    return full
+    Slice ``k`` and slice ``I3 - k`` are conjugate mirrors and share their
+    singular values, so column ``k`` of a per-slice result is column
+    ``min(k, I3 - k)`` of its half-spectrum counterpart.
+    """
+    k = np.arange(i3)
+    return np.minimum(k, i3 - k)
 
 
 def fourier_singular_values(z):
-    """Per-Fourier-slice singular values of a 3-way array.
+    """Per-Fourier-slice singular values of a real 3-way array.
 
     Returns an ``(R, I3)`` matrix with ``R = min(I1, I2)``; each column is
-    non-increasing.  Only the first ``I3 // 2 + 1`` slices are factored,
-    the rest are conjugate mirrors with identical singular values.
+    non-increasing.  Only the ``I3 // 2 + 1`` half-spectrum slices of the
+    real FFT are factored; the rest are conjugate mirrors with identical
+    singular values.
     """
     z = _require_3way(z)
-    i3 = z.shape[2]
-    zbar = np.fft.fft(z, axis=2)
-    half = _half_slices(i3)
-    vals_half = np.linalg.svd(np.moveaxis(zbar[:, :, :half], 2, 0), compute_uv=False)
-    vals = np.empty((i3, vals_half.shape[1]))
-    vals[:half] = vals_half
-    for k in range(half, i3):
-        vals[k] = vals_half[i3 - k]
-    return vals.T
+    vals = np.linalg.svd(np.moveaxis(np.fft.rfft(z, axis=2), 2, 0), compute_uv=False)
+    return vals.T[:, _mirror_index(z.shape[2])]
 
 
 @dataclass
@@ -200,9 +191,10 @@ class TubalFactorization:
 def t_svd(z):
     """Factor a real 3-way array as ``u * s * v^H``.
 
-    Each Fourier-domain frontal slice is factored by a complex SVD with
-    singular values sorted non-increasing; slices past ``I3 // 2 + 1`` are
-    conjugate mirrors of earlier ones and are not factored again.
+    Each half-spectrum slice of the real FFT along the third mode is
+    factored by a complex SVD with singular values sorted non-increasing;
+    ``irfft`` returns the factors to real space, which fills in the
+    conjugate-mirror slices without factoring them again.
 
     Raises
     ------
@@ -214,32 +206,14 @@ def t_svd(z):
     if not np.all(np.isfinite(z)):
         raise ValueError("t_svd input must be finite")
     i1, i2, i3 = z.shape
-    zbar = np.fft.fft(z, axis=2)
-    half = _half_slices(i3)
-
-    ubar_h = np.empty((i1, i1, half), dtype=complex)
-    sbar_h = np.zeros((i1, i2, half), dtype=complex)
-    vbar_h = np.empty((i2, i2, half), dtype=complex)
-    r = min(i1, i2)
-    for k in range(half):
-        u, s, vh = np.linalg.svd(zbar[:, :, k], full_matrices=True)
-        ubar_h[:, :, k] = u
-        sbar_h[:r, :r, k] = np.diag(s)
-        vbar_h[:, :, k] = vh.conj().T
-
-    ubar = _mirror_fourier(ubar_h, i3)
-    sbar = _mirror_fourier(sbar_h, i3)
-    vbar = _mirror_fourier(vbar_h, i3)
+    ubar, s, vhbar = np.linalg.svd(np.moveaxis(np.fft.rfft(z, axis=2), 2, 0))
+    sbar = np.zeros((s.shape[0], i1, i2))
+    diag = np.arange(s.shape[1])
+    sbar[:, diag, diag] = s
+    vbar = vhbar.conj().transpose(0, 2, 1)
     return TubalFactorization(
-        u=np.fft.ifft(ubar, axis=2).real,
-        s=np.fft.ifft(sbar, axis=2).real,
-        v=np.fft.ifft(vbar, axis=2).real,
+        *(np.moveaxis(np.fft.irfft(f, n=i3, axis=0), 0, 2) for f in (ubar, sbar, vbar))
     )
-
-
-def _rank_threshold(sigma):
-    top = sigma.max(initial=0.0)
-    return RANK_RTOL * top
 
 
 def tubal_rank(z, rtol=None):

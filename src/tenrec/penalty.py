@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _half_slices, _mirror_fourier, fourier_singular_values, _require_3way
+from .algebra import _mirror_index, fourier_singular_values, _require_3way
 
 
 def _validate_params(lam, gamma, epsilon):
@@ -181,6 +181,11 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False):
     only depends on ``w`` through the mean of each mirror pair of
     columns; the pair means are what the shrinkage uses.
 
+    Only the ``I3 // 2 + 1`` half-spectrum slices of the real FFT are
+    factored.  Each is rebuilt from its singular triplets up to the last
+    index kept in any slice, and ``irfft`` returns the result to real
+    space, which fills in the mirror slices.
+
     Returns
     -------
     (l, sigma_new, sigma_old)
@@ -198,23 +203,19 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False):
         raise ValueError(f"weight shape {w.shape} does not match ({r}, {i3})")
     w_sym = 0.5 * (w + w[:, (-np.arange(i3)) % i3])
 
-    ybar = np.fft.fft(y, axis=2)
-    half = _half_slices(i3)
-    stack = np.moveaxis(ybar[:, :, :half], 2, 0)
-    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    ybar = np.fft.rfft(y, axis=2)
+    half = ybar.shape[2]
+    u, s, vh = np.linalg.svd(np.moveaxis(ybar, 2, 0), full_matrices=False)
     s_new = shrink_singular_values(s, w_sym[:, :half].T, rho / i3, epsilon, strict=strict)
-    lbar_half = np.einsum("kir,kr,krj->ijk", u, s_new, vh)
-    lbar = _mirror_fourier(lbar_half, i3)
-    l = np.fft.ifft(lbar, axis=2).real
+    # The weights vary per index, so the kept set need not be a prefix:
+    # rebuild through the last index kept in any slice.
+    kept = np.flatnonzero(s_new.any(axis=0))
+    k = kept[-1] + 1 if kept.size else 0
+    lbar = (u[:, :, :k] * s_new[:, None, :k]) @ vh[:, :k, :]
+    l = np.fft.irfft(np.moveaxis(lbar, 0, 2), n=i3, axis=2)
 
-    sigma_new = np.empty((r, i3))
-    sigma_old = np.empty((r, i3))
-    sigma_new[:, :half] = s_new.T
-    sigma_old[:, :half] = s.T
-    for k in range(half, i3):
-        sigma_new[:, k] = s_new[i3 - k]
-        sigma_old[:, k] = s[i3 - k]
-    return l, sigma_new, sigma_old
+    mirror = _mirror_index(i3)
+    return l, s_new.T[:, mirror], s.T[:, mirror]
 
 
 def prox_lgamma_norm(y, lam_bar, gamma, rho, epsilon, strict=False):

@@ -189,20 +189,28 @@ class TestTsvd:
         assert not fac.s.any()
         assert np.allclose(fac.compose(), 0)
 
-    def test_reconstruction_and_orthogonality(self):
-        z = np.random.default_rng(15).standard_normal((6, 5, 4))
+    # Even I3 has a Nyquist slice, odd I3 has none, and I3 = 1 is the DC
+    # slice alone; the real inverse FFT treats each differently.
+    @pytest.mark.parametrize("i3", [4, 5, 1])
+    def test_reconstruction_and_orthogonality(self, i3):
+        z = np.random.default_rng(15).standard_normal((6, 5, i3))
         fac = t_svd(z)
         rec = fac.compose()
         assert np.linalg.norm(rec - z) <= 1e-10 * max(np.linalg.norm(z), 1.0)
-        eye_u = identity_tensor(6, 4)
-        eye_v = identity_tensor(5, 4)
+        eye_u = identity_tensor(6, i3)
+        eye_v = identity_tensor(5, i3)
         assert np.linalg.norm(t_product(conj_transpose(fac.u), fac.u) - eye_u) <= 1e-8
         assert np.linalg.norm(t_product(conj_transpose(fac.v), fac.v) - eye_v) <= 1e-8
 
-    def test_fourier_slices_nonincreasing(self):
-        z = np.random.default_rng(16).standard_normal((5, 5, 6))
+    @pytest.mark.parametrize("i3", [6, 5, 1])
+    def test_fourier_slices_nonincreasing(self, i3):
+        z = np.random.default_rng(16).standard_normal((5, 5, i3))
         sigma = fourier_singular_values(z)
         assert np.all(np.diff(sigma, axis=0) <= 1e-12)
+        # column-wise oracle: every Fourier slice factored on its own
+        zbar = dft_mode3(z)
+        ref = [np.linalg.svd(zbar[:, :, i], compute_uv=False) for i in range(i3)]
+        assert np.allclose(sigma, np.array(ref).T, rtol=1e-12, atol=1e-12)
 
     def test_rank_one_construction(self):
         rng = np.random.default_rng(17)

@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tenrec
 from tenrec import gen_lowrank, load_tensor, save_tensor, tubal_rank
 from tenrec.cli import main
 
@@ -208,9 +211,12 @@ class TestEval:
 
 
 def test_entry_point_runs():
+    # the child imports the same package as this test, installed or not
+    package_root = str(Path(tenrec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tenrec.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "synth" in proc.stdout

@@ -300,6 +300,34 @@ class TestShrink:
             assert abs(grid_min_shrink(y, w, rho, eps) - ref) <= 2e-6
 
 
+def oracle_prox(y, w, rho, eps, strict=False):
+    """Full-spectrum reference for weighted_log_prox.
+
+    Every one of the I3 Fourier slices is factored, all singular triplets
+    are rebuilt with einsum, and the complex inverse FFT's real part is
+    the result.
+    """
+    i3 = y.shape[2]
+    w_sym = 0.5 * (w + w[:, (-np.arange(i3)) % i3])
+    ybar = np.fft.fft(y, axis=2)
+    u, s, vh = np.linalg.svd(np.moveaxis(ybar, 2, 0), full_matrices=False)
+    s_new = shrink_singular_values(s, w_sym.T, rho / i3, eps, strict=strict)
+    l = np.fft.ifft(np.einsum("kir,kr,krj->ijk", u, s_new, vh), axis=2).real
+    return l, s_new.T, s.T
+
+
+def assert_matches_oracle(y, w, rho, eps, strict=False):
+    got = weighted_log_prox(y, w, rho, eps, strict=strict)
+    ref = oracle_prox(y, w, rho, eps, strict=strict)
+    for a, b in zip(got, ref):
+        assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1.0)
+    # mirror-pair columns are one value, not two near-equal ones
+    mirror = (-np.arange(y.shape[2])) % y.shape[2]
+    for sigma in got[1:]:
+        assert np.array_equal(sigma, sigma[:, mirror])
+    return got
+
+
 class TestProx:
     def test_zero_input(self):
         lam = np.full((3, 2), 0.7)
@@ -359,6 +387,41 @@ class TestProx:
                     sigma_old[j, i], w[j, i], rho / 3, eps, strict=True
                 )
                 assert abs(strict - oracle) <= 1e-5
+
+    @pytest.mark.parametrize("i3", [1, 2, 5, 6])
+    @pytest.mark.parametrize("i1, i2", [(4, 7), (7, 4)])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_matches_full_spectrum_oracle(self, i1, i2, i3, strict):
+        rng = np.random.default_rng(100 * i1 + i3)
+        y = rng.standard_normal((i1, i2, i3))
+        rho, eps = 2.0, 0.1
+        # thresholds spread around the median singular value, so some
+        # values are kept and some are shrunk to zero
+        t = np.median(fourier_singular_values(y))
+        w = rng.uniform(0.5, 1.5, size=(min(i1, i2), i3)) * (rho / i3) * (t / 2) ** 2
+        _, sigma_new, _ = assert_matches_oracle(y, w, rho, eps, strict=strict)
+        assert 0 < np.count_nonzero(sigma_new) < sigma_new.size
+
+    @pytest.mark.parametrize("i3", [1, 2, 5, 6])
+    def test_kept_set_not_a_prefix(self, i3):
+        rng = np.random.default_rng(14)
+        y = rng.standard_normal((5, 6, i3))
+        rho, eps = 2.0, 0.1
+        # only index 2 escapes a heavy weight: one value kept per slice,
+        # but the rebuild must reach index 2
+        w = np.full((5, i3), 1e6)
+        w[2] = 0.0
+        _, sigma_new, sigma_old = assert_matches_oracle(y, w, rho, eps)
+        assert not np.delete(sigma_new, 2, axis=0).any()
+        assert np.allclose(sigma_new[2], sigma_old[2], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("i3", [1, 2, 5, 6])
+    def test_all_shrunk_is_exact_zero(self, i3):
+        y = np.random.default_rng(15).standard_normal((4, 7, i3))
+        l, sigma_new, sigma_old = assert_matches_oracle(y, np.full((4, i3), 1e6), 2.0, 0.1)
+        assert not l.any()
+        assert not sigma_new.any()
+        assert sigma_old.all()
 
     def test_output_is_real_and_finite(self):
         y = np.random.default_rng(13).standard_normal((6, 3, 4))
