@@ -63,18 +63,23 @@ def unfold_mode_pair(t, mode1, mode2):
     Returns
     -------
     ndarray of shape (I_mode1, I_mode2, prod of remaining extents)
+        A read-only view of ``t`` when the unfolding needs no data
+        movement (pair (0, 1) of a C-contiguous 3-way array), otherwise a
+        new C-contiguous array.
     """
     t = np.asarray(t)
     _check_mode_pair(t.ndim, mode1, mode2)
     rest = [m for m in range(t.ndim) if m not in (mode1, mode2)]
     moved = np.transpose(t, (mode1, mode2, *rest))
-    return moved.reshape(
-        (t.shape[mode1], t.shape[mode2], -1), order="F"
-    ).copy()
+    return _view_or_copy(moved.reshape((t.shape[mode1], t.shape[mode2], -1), order="F"), t)
 
 
 def fold_mode_pair(t3, mode1, mode2, shape):
-    """Invert :func:`unfold_mode_pair` back to the original shape."""
+    """Invert :func:`unfold_mode_pair` back to the original shape.
+
+    Like the unfolding, returns a read-only view of ``t3`` when no data
+    has to move and a new C-contiguous array otherwise.
+    """
     shape = tuple(int(s) for s in shape)
     _check_mode_pair(len(shape), mode1, mode2)
     t3 = _require_3way(t3, "unfolded input")
@@ -88,7 +93,21 @@ def fold_mode_pair(t3, mode1, mode2, shape):
         )
     moved = t3.reshape((expected[0], expected[1], *rest_extents), order="F")
     inverse = np.argsort((mode1, mode2, *rest))
-    return np.transpose(moved, inverse).copy()
+    return _view_or_copy(np.transpose(moved, inverse), t3)
+
+
+def _view_or_copy(arr, source):
+    """``arr`` as a read-only view when it is a C-contiguous view of
+    ``source``, else as a C-contiguous copy.
+
+    A caller that writes into the result then fails instead of writing
+    into ``source``.
+    """
+    arr = np.ascontiguousarray(arr)
+    if np.may_share_memory(arr, source):
+        arr = arr.view()
+        arr.flags.writeable = False
+    return arr
 
 
 def dft_mode3(z):

@@ -18,6 +18,7 @@ import numpy as np
 from .algebra import fold_mode_pair, fourier_singular_values, unfold_mode_pair
 from .config import SolverConfig
 from .penalty import (
+    SliceBasis,
     WeightState,
     shrink_singular_values,
     update_lambda_bar,
@@ -31,7 +32,8 @@ SUBPROBLEM_RTOL = 1e-9
 
 
 class PairState:
-    """Per-mode-pair variables: surrogate, multiplier, weights, target."""
+    """Per-mode-pair variables: surrogate, multiplier, weights, target,
+    and the warm start of the surrogate's shrinkage."""
 
     def __init__(self, pair, beta, m):
         self.pair = pair
@@ -44,19 +46,24 @@ class PairState:
         # Fourier-slice singular values of m, sorted per column; carried
         # between sweeps so only the shrinkage step has to factor slices.
         self.sigma = fourier_singular_values(m)
+        self.basis = SliceBasis()
 
 
-def update_m_pair(m, z_unf, q, w_new, mu, rho1, epsilon, strict=False):
+def update_m_pair(m, z_unf, q, w_new, mu, rho1, epsilon, strict=False, basis=None):
     """Shrinkage step on one pair's surrogate.
 
     The argument ``m + (mu*z + q - mu*m)/rho1`` is the proximal-linearized
     point; its Fourier-slice singular values are shrunk under the fixed
-    weights ``w_new`` with quadratic scale ``rho1``.
+    weights ``w_new`` with quadratic scale ``rho1``.  ``basis`` is the
+    pair's :class:`~tenrec.penalty.SliceBasis` warm start, or None.
 
-    Returns (m_new, sigma_new, sigma_arg).
+    Returns (m_new, sigma_new, sigma_arg).  After a truncated
+    factorization ``sigma_arg`` is NaN past the values it computed (see
+    :func:`~tenrec.penalty.weighted_log_prox`); the solvers read it only
+    to count strict-mode flips, and a NaN never counts as one.
     """
     arg = m + (mu * z_unf + q - mu * m) / rho1
-    return weighted_log_prox(arg, w_new, rho1, epsilon, strict=strict)
+    return weighted_log_prox(arg, w_new, rho1, epsilon, strict=strict, basis=basis)
 
 
 def update_z(observed, mask, z_prev, pairs, m_new, q_old, mu, rho):
@@ -159,7 +166,8 @@ def complete(observed, mask, config=None, ground_truth=None, track_descent=False
             w_new = update_weights(st.sigma, st.weights, cfg.gamma, rho, cfg.epsilon)
             z_unf = unfold_mode_pair(z, st.pair[0], st.pair[1])
             m_new, sigma_new, sigma_arg = update_m_pair(
-                st.m, z_unf, st.q, w_new, mu, rho1, cfg.epsilon, strict=cfg.strict_prox
+                st.m, z_unf, st.q, w_new, mu, rho1, cfg.epsilon,
+                strict=cfg.strict_prox, basis=st.basis,
             )
             lam_new = update_lambda_bar(w_new, st.weights.lam_bar, cfg.gamma, rho)
             updates[st.label] = (m_new, sigma_new, w_new, lam_new)

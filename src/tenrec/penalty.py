@@ -12,6 +12,18 @@ which is the form the solvers use: the weight has a closed-form minimiser
 and, with the weight held fixed, the remaining singular-value subproblem
 has a closed-form shrinkage.
 
+The singular-value proximal step, :func:`weighted_log_prox`, factors the
+half-spectrum Fourier slices of its argument.  A solver calls it once per
+mode pair and sweep, and the shrinkage usually keeps only a few values per
+slice.  Given the previous call's leading left singular vectors (a
+:class:`SliceBasis`), the prox computes only the leading triplets, by
+warm-started block power steps with a Rayleigh-Ritz step.  It takes that
+result only when a certificate proves it exact to rounding: the Ritz
+triplets up to the last kept one have converged, and a bound on the part
+of each slice outside the basis shows that every value left out would
+have been shrunk to zero.  Otherwise it falls back to the full SVD of
+every slice, whose vectors then seed the next call.
+
 Unlike the l1 or nuclear norms, none of the penalties here satisfy the
 triangle inequality; "norm" is used loosely throughout.
 """
@@ -157,7 +169,7 @@ def shrink_singular_values(y, w, rho, epsilon, strict=False):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
     alpha = w / rho
-    above = y > 2.0 * np.sqrt(alpha) - epsilon
+    above = y > _shrink_threshold(w, rho, epsilon)
     disc = np.where(above, (y + epsilon) ** 2 - 4.0 * alpha, 0.0)
     cand = np.maximum(0.5 * (y - epsilon + np.sqrt(disc)), 0.0)
     out = np.where(above, cand, 0.0)
@@ -170,7 +182,7 @@ def shrink_singular_values(y, w, rho, epsilon, strict=False):
     return out
 
 
-def weighted_log_prox(y, w, rho, epsilon, strict=False):
+def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     """Singular-value shrinkage of a 3-way array under fixed weights.
 
     Solves ``argmin_L (rho/2)*||L - Y||_F^2 + sum_{j,i} w[j,i] *
@@ -186,11 +198,29 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False):
     index kept in any slice, and ``irfft`` returns the result to real
     space, which fills in the mirror slices.
 
+    With a :class:`SliceBasis` whose ``u`` holds ``p`` columns per slice,
+    only the leading ``p`` triplets are computed: block power steps from
+    ``u``, each followed by a Rayleigh-Ritz step, until every Ritz triplet
+    up to the last kept one has a residual ``||A v - s u|| <= RITZ_RTOL *
+    sigma_max``.  A certificate then proves that those Ritz values are the
+    leading singular values to rounding and that every value the
+    shrinkage zeroes, including the uncomputed ones past ``p``, lies at or
+    below its threshold (see :func:`_certified`).  If the iteration cannot
+    converge within ``POWER_STEPS`` steps or the certificate fails, every
+    slice is factored in full instead.  The call then leaves in ``basis``
+    the leading vectors for the next call, or ``None`` where truncation
+    would not pay or could not be certified (see :func:`_next_basis`).
+    The truncated result agrees with the full factorization to rounding,
+    not bit for bit.  Without a basis every slice is factored in full.
+
     Returns
     -------
     (l, sigma_new, sigma_old)
         The shrunk array and the R x I3 matrices of shrunk and original
-        Fourier-slice singular values.
+        Fourier-slice singular values.  After a truncated factorization,
+        ``sigma_old`` holds the ``p`` Ritz values of each slice and NaN
+        past them, where no value was computed; ``sigma_new`` is zero
+        there, as the certificate proves.
     """
     y = np.asarray(y, dtype=float)
     y = _require_3way(y)
@@ -203,19 +233,195 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False):
         raise ValueError(f"weight shape {w.shape} does not match ({r}, {i3})")
     w_sym = 0.5 * (w + w[:, (-np.arange(i3)) % i3])
 
-    ybar = np.fft.rfft(y, axis=2)
-    half = ybar.shape[2]
-    u, s, vh = np.linalg.svd(np.moveaxis(ybar, 2, 0), full_matrices=False)
-    s_new = shrink_singular_values(s, w_sym[:, :half].T, rho / i3, epsilon, strict=strict)
+    half = i3 // 2 + 1
+    a = np.moveaxis(np.fft.rfft(y, axis=2), 2, 0)
+    w_half = w_sym[:, :half].T
+    thr = _shrink_threshold(w_half, rho / i3, epsilon)
+    factors = None
+    u_prev = None if basis is None else basis.u
+    if u_prev is not None and u_prev.shape[:2] == (half, i1) and u_prev.shape[2] < r:
+        factors = _ritz_triplets(a, u_prev, thr)
+    truncated = factors is not None
+    if not truncated:
+        factors = np.linalg.svd(a, full_matrices=False)
+    u, s, vh = factors
+    p = s.shape[1]
+    s_new = shrink_singular_values(s, w_half[:, :p], rho / i3, epsilon, strict=strict)
     # The weights vary per index, so the kept set need not be a prefix:
     # rebuild through the last index kept in any slice.
     kept = np.flatnonzero(s_new.any(axis=0))
     k = kept[-1] + 1 if kept.size else 0
+    if basis is not None:
+        basis.u = _next_basis(u, s, k, thr, truncated)
     lbar = (u[:, :, :k] * s_new[:, None, :k]) @ vh[:, :k, :]
     l = np.fft.irfft(np.moveaxis(lbar, 0, 2), n=i3, axis=2)
 
+    sigma_new = np.zeros((half, r))
+    sigma_new[:, :p] = s_new
+    sigma_old = np.full((half, r), np.nan)
+    sigma_old[:, :p] = s
     mirror = _mirror_index(i3)
-    return l, s_new.T[:, mirror], s.T[:, mirror]
+    return l, sigma_new.T[:, mirror], sigma_old.T[:, mirror]
+
+
+class SliceBasis:
+    """Warm start that :func:`weighted_log_prox` carries from call to call.
+
+    ``u`` is ``None`` or a ``(I3 // 2 + 1, I1, p)`` array of leading left
+    singular vectors of the half-spectrum slices from the previous call;
+    the prox reads it and replaces it.
+    """
+
+    def __init__(self):
+        self.u = None
+
+
+# Columns kept past the last kept index: the subspace iteration converges
+# at the rate sigma_{p+1}/sigma_k and the certificate needs the gap.
+OVERSAMPLE = 5
+# Block power steps after the warm-started Rayleigh-Ritz step before the
+# truncated factorization gives up.
+POWER_STEPS = 5
+# Truncation is tried only while the basis spans at most this fraction of
+# the slice rank.  Measured per call with a warm basis on 2 cores, the
+# truncated prox beats the full one up to about p/R = 0.3 on slices from
+# 30 x 30 to 200 x 200 and loses beyond it (at p/R >= 0.5 it takes 1.3-3.7x
+# as long on the slices of a 16 x 16 x 12 x 8 tensor).
+MAX_WIDTH_FRACTION = 0.3
+# Ritz triplets count as converged at this residual, relative to the
+# largest singular value of any slice.
+RITZ_RTOL = 1e-13
+
+
+def _shrink_threshold(w, rho, epsilon):
+    """Values at or below ``2*sqrt(w/rho) - eps`` shrink to zero."""
+    return 2.0 * np.sqrt(w / rho) - epsilon
+
+
+def _kept_end(s, thr):
+    """Per slice, one past the last index whose value exceeds its threshold."""
+    above = s > thr[:, :s.shape[1]]
+    return np.where(above.any(axis=1), s.shape[1] - np.argmax(above[:, ::-1], axis=1), 0)
+
+
+def _ritz_triplets(a, q, thr):
+    """Leading ``p`` singular triplets of each slice of ``a``, or ``None``.
+
+    Starts from the orthonormal columns ``q`` (``half x I1 x p``); each
+    round takes the SVD of ``B = Q^H A`` and checks the residuals
+    ``A v_j - s_j u_j`` of the triplets up to the last kept one against
+    ``RITZ_RTOL`` times the largest value of any slice, and ``A V`` is then
+    the next block power step.  Returns ``(u, s, vh)`` once those triplets
+    have converged and :func:`_certified` holds; ``None`` when that cannot
+    happen within ``POWER_STEPS`` power steps, or when the certificate
+    fails twice on converged triplets.
+    """
+    # C-contiguous slices for the products and the norm below.
+    a = np.ascontiguousarray(a)
+    half, i1, i2 = a.shape
+    p = q.shape[2]
+    # Squared Frobenius norm per slice, over the interleaved real and
+    # imaginary parts.
+    parts = a.reshape(half, -1).view(float)
+    a_sq = np.einsum("ij,ij->i", parts, parts)
+    # Rounding in ||A||^2 - ||B||^2, in R and in the orthonormality of Q.
+    margin = 16 * (i1 + i2) * np.finfo(float).eps * a_sq
+    refused = False
+    for step in range(POWER_STEPS + 1):
+        if step:
+            q = np.linalg.qr(av)[0]
+        ub, s, vh = np.linalg.svd(q.conj().transpose(0, 2, 1) @ a, full_matrices=False)
+        u = q @ ub
+        av = a @ vh.conj().transpose(0, 2, 1)
+        res = np.linalg.norm(av - u * s[:, None, :], axis=1)
+        res[np.arange(p) >= _kept_end(s, thr)[:, None]] = 0.0
+        if res.max() > RITZ_RTOL * s[:, 0].max():
+            continue
+        # ||R||_F^2 = ||A||_F^2 - ||B||_F^2 for R = (I - QQ^H) A.
+        tail_sq = np.maximum(a_sq - np.sum(s**2, axis=1), 0.0) + margin
+        ok = _certified(s, res, tail_sq, thr)
+        for i in np.flatnonzero(~ok):
+            # Tighter bounds from the Schatten-4 and -8 norms of R:
+            # ||R||_2^2 <= ||(R R^H)^m||_F^(1/m) for m = 1, 2.
+            resid = a[i] - (u[i] * s[i]) @ vh[i]
+            gram = resid @ resid.conj().T if i1 <= i2 else resid.conj().T @ resid
+            for m in (1, 2):
+                tail_sq[i] = np.linalg.norm(gram) ** (1 / m) * (1 + 1e-10) + margin[i]
+                if _certified(s[i:i + 1], res[i:i + 1], tail_sq[i:i + 1], thr[i:i + 1])[0]:
+                    ok[i] = True
+                    break
+                gram = gram @ gram
+            if not ok[i]:
+                break
+        if ok.all():
+            return u, s, vh
+        # One more power step can still tighten the bound on R; a second
+        # refusal means the values past the basis sit too close to their
+        # thresholds for more steps to pay.
+        if refused:
+            return None
+        refused = True
+    return None
+
+
+def _certified(s, res, tail_sq, thr):
+    """Per slice: do the Ritz values decide the shrinkage exactly?
+
+    ``s`` holds the ``p < R`` Ritz values of each slice and ``tail_sq`` an
+    upper bound ``b^2`` on ``||R||_2^2``, ``R = (I - QQ^H) A``.  ``res``
+    holds the residual norms of the triplets below ``k``, one past the
+    last kept index, and zero from ``k`` on; ``e`` is their Frobenius
+    norm.  In the basis of the first ``k`` right Ritz vectors and their
+    complement, ``A^H A`` has diagonal blocks with eigenvalues in
+    ``[s_j^2, s_j^2 + e^2]`` and at most ``h = s_k^2 + b^2``, and an
+    off-diagonal block of norm at most ``e*b``.  So:
+
+    - every singular value outside the first ``k`` has
+      ``sigma^2 <= h + e*b``, which must not exceed any threshold from
+      ``k`` on;
+    - when ``s_{k-1}^2`` clears ``h`` by ``2*e*b``, the first ``k``
+      singular values are the Ritz values to within ``e^2 + e*b``, and
+      each one not kept must stay at or below its threshold.
+
+    Ritz values never exceed the singular values, so a kept Ritz value is
+    kept by the full factorization too.  Strict mode only zeroes more
+    values.
+    """
+    half, p = s.shape
+    k = _kept_end(s, thr)
+    s_full = np.zeros(thr.shape)
+    s_full[:, :p] = s
+    rows = np.arange(half)
+    below = np.arange(thr.shape[1]) < k[:, None]
+    e_sq = np.sum(res**2, axis=1)
+    cross = np.sqrt(e_sq * tail_sq)
+    hidden = s_full[rows, k] ** 2 + tail_sq
+    separated = (k == 0) | (s_full[rows, k - 1] ** 2 >= hidden + 2 * cross)
+    bound_sq = np.where(below, s_full**2 + (e_sq + cross)[:, None], (hidden + cross)[:, None])
+    proven = (thr >= 0) & (bound_sq <= thr**2)
+    return separated & np.all((below & (s_full > thr)) | proven, axis=1)
+
+
+def _next_basis(u, s, k, thr, truncated):
+    """Leading left vectors for the next call, or ``None`` for a full SVD.
+
+    The width is ``k + OVERSAMPLE``, and truncation is tried only while
+    that is at most ``MAX_WIDTH_FRACTION`` of the slice rank.  After a
+    full SVD the exact spectrum must also pass the certificate with the
+    Schatten-8 norm of its tail, the best bound a perfect subspace would
+    give: a slice whose values past the basis sit too close to their
+    thresholds would fail the certificate again and pay for both paths.
+    """
+    width = k + OVERSAMPLE
+    if width > MAX_WIDTH_FRACTION * thr.shape[1]:
+        return None
+    if truncated:
+        return u[:, :, :min(width, u.shape[2])]
+    tail_sq = np.sum(s[:, width:] ** 8, axis=1) ** 0.25
+    head = s[:, :width]
+    if not _certified(head, np.zeros(head.shape), tail_sq, thr).all():
+        return None
+    return u[:, :, :width].copy()
 
 
 def prox_lgamma_norm(y, lam_bar, gamma, rho, epsilon, strict=False):

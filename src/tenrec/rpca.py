@@ -126,7 +126,8 @@ def decompose(observed, config=None, ground_truth=None, track_descent=False):
             w_new = update_weights(st.sigma, st.weights, cfg.gamma, rho, cfg.epsilon)
             l_unf = unfold_mode_pair(l, st.pair[0], st.pair[1])
             g_new, sigma_new, sigma_arg = update_m_pair(
-                st.m, l_unf, st.q, w_new, mu, rho1, cfg.epsilon, strict=cfg.strict_prox
+                st.m, l_unf, st.q, w_new, mu, rho1, cfg.epsilon,
+                strict=cfg.strict_prox, basis=st.basis,
             )
             lam_new = update_lambda_bar(w_new, st.weights.lam_bar, cfg.gamma, rho)
             updates[st.label] = (g_new, sigma_new, w_new, lam_new)

@@ -68,6 +68,26 @@ class TestUnfoldFold:
         t = np.random.default_rng(0).standard_normal((3, 4, 5))
         assert np.array_equal(unfold_mode_pair(t, 0, 1), t)
 
+    def test_pair_12_of_3way_is_read_only_view(self):
+        t = np.random.default_rng(0).standard_normal((3, 4, 5))
+        u = unfold_mode_pair(t, 0, 1)
+        assert np.shares_memory(u, t) and np.array_equal(u, t)
+        assert not u.flags.writeable and t.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0, 0] = 1.0
+        f = fold_mode_pair(u, 0, 1, t.shape)
+        assert np.shares_memory(f, t) and np.array_equal(f, t) and not f.flags.writeable
+        # every pair that moves data is a fresh, writeable copy
+        for shape in [(3, 4, 5), (3, 4, 5, 2)]:
+            t = np.random.default_rng(1).standard_normal(shape)
+            for m1, m2 in mode_pairs(len(shape)):
+                if (m1, m2) == (0, 1) and len(shape) == 3:
+                    continue
+                u = unfold_mode_pair(t, m1, m2)
+                f = fold_mode_pair(u, m1, m2, shape)
+                assert not np.shares_memory(u, t) and u.flags.writeable
+                assert not np.shares_memory(f, u) and f.flags.writeable
+
     def test_documented_index_example(self):
         # shape (2,3,4,5), modes (0,2): element [0,1,0,1] lands at [0,0,4]
         t = np.random.default_rng(1).standard_normal((2, 3, 4, 5))

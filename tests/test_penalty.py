@@ -18,6 +18,7 @@ from tenrec import (
     weighted_log_prox,
 )
 from tenrec.algebra import dft_mode3, fourier_singular_values
+from tenrec.penalty import SliceBasis
 
 
 def omega_objective(omega, z, lam, gamma, eps):
@@ -316,8 +317,8 @@ def oracle_prox(y, w, rho, eps, strict=False):
     return l, s_new.T, s.T
 
 
-def assert_matches_oracle(y, w, rho, eps, strict=False):
-    got = weighted_log_prox(y, w, rho, eps, strict=strict)
+def assert_matches_oracle(y, w, rho, eps, strict=False, basis=None):
+    got = weighted_log_prox(y, w, rho, eps, strict=strict, basis=basis)
     ref = oracle_prox(y, w, rho, eps, strict=strict)
     for a, b in zip(got, ref):
         assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1.0)
@@ -433,6 +434,166 @@ class TestProx:
         y[0, 0, 0] = np.inf
         with pytest.raises(ValueError):
             weighted_log_prox(y, np.ones((2, 2)), 1.0, 0.1)
+
+
+def gapped_instance(i1, i2, i3, rank, seed, noise=1e-3):
+    """Low tubal rank plus small noise, and a uniform weight whose shrink
+    threshold sits in the gap between the signal and the noise values."""
+    rng = np.random.default_rng(seed)
+    y = t_product(rng.standard_normal((i1, rank, i3)), rng.standard_normal((rank, i2, i3)))
+    y = y / np.max(np.abs(y)) + noise * rng.standard_normal((i1, i2, i3))
+    sigma = fourier_singular_values(y)
+    threshold = np.sqrt(sigma[rank - 1].min() * sigma[rank].max())
+    rho, eps = 2.0, 1e-3
+    w = np.full((min(i1, i2), i3), ((threshold + eps) / 2) ** 2 * rho / i3)
+    return y, w, rho, eps
+
+
+def assert_truncated_matches_oracle(y, w, rho, eps, basis, strict=False):
+    """The warm-started prox took the truncated path and agrees with the
+    full-spectrum reference to rounding."""
+    l, sigma_new, sigma_old = weighted_log_prox(y, w, rho, eps, strict=strict, basis=basis)
+    ref_l, ref_new, ref_old = oracle_prox(y, w, rho, eps, strict=strict)
+    scale = max(np.max(np.abs(ref_l)), 1.0)
+    assert np.max(np.abs(l - ref_l)) <= 1e-12 * scale
+    assert np.max(np.abs(sigma_new - ref_new)) <= 1e-12 * max(np.max(ref_old), 1.0)
+    # sigma_old: NaN past the computed p, never a value
+    computed = ~np.isnan(sigma_old)
+    p = int(computed[:, 0].sum())
+    assert 0 < p < sigma_old.shape[0]
+    assert computed[:p].all() and not computed[p:].any()
+    kept = sigma_new > 0
+    assert np.allclose(sigma_old[kept], ref_old[kept], rtol=1e-12, atol=0)
+    # Ritz values never exceed the singular values they approximate
+    assert np.all(sigma_old[:p] <= ref_old[:p] * (1 + 1e-12))
+    return l, sigma_new, sigma_old
+
+
+class TestTruncatedProx:
+    @pytest.mark.parametrize("i3", [1, 2, 5, 6])
+    @pytest.mark.parametrize("i1, i2", [(28, 36), (36, 28)])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_warm_started_sequence_matches_full_spectrum_oracle(self, i1, i2, i3, strict):
+        y, w, rho, eps = gapped_instance(i1, i2, i3, 2, seed=i1 + i3)
+        drift = np.random.default_rng(i3).standard_normal(y.shape)
+        basis = SliceBasis()
+        # the first call factors every slice in full and leaves a basis
+        _, sigma_new, sigma_old = weighted_log_prox(y, w, rho, eps, strict=strict, basis=basis)
+        assert not np.isnan(sigma_old).any()
+        assert basis.u.shape == (i3 // 2 + 1, i1, 2 + 5)
+        for step in range(1, 4):
+            y_step = y + 1e-3 * step * drift
+            _, sigma_new, _ = assert_truncated_matches_oracle(y_step, w, rho, eps, basis, strict)
+            assert 0 < np.count_nonzero(sigma_new) < sigma_new.size
+
+    @pytest.mark.parametrize("i3", [1, 2, 5, 6])
+    def test_kept_set_not_a_prefix(self, i3):
+        y, w, rho, eps = gapped_instance(36, 40, i3, 3, seed=20 + i3)
+        # only index 2 escapes a heavy weight: the rebuild must reach it
+        w = np.full_like(w, 1e6)
+        w[2] = 0.0
+        basis = SliceBasis()
+        weighted_log_prox(y, w, rho, eps, basis=basis)
+        _, sigma_new, _ = assert_truncated_matches_oracle(y, w, rho, eps, basis)
+        assert not np.delete(sigma_new, 2, axis=0).any()
+        assert sigma_new[2].all()
+
+    @pytest.mark.parametrize("i3", [1, 2, 5, 6])
+    def test_all_shrunk_is_exact_zero(self, i3):
+        y, w, rho, eps = gapped_instance(24, 30, i3, 2, seed=30 + i3)
+        w = np.full_like(w, 1e6)
+        basis = SliceBasis()
+        weighted_log_prox(y, w, rho, eps, basis=basis)
+        l, sigma_new, _ = assert_truncated_matches_oracle(y, w, rho, eps, basis)
+        assert not l.any()
+        assert not sigma_new.any()
+
+    def test_empty_or_mismatched_basis_factors_in_full(self):
+        y, w, rho, eps = gapped_instance(28, 36, 5, 2, seed=40)
+        ref = weighted_log_prox(y, w, rho, eps)
+        empty = SliceBasis()
+        mismatched = SliceBasis()
+        mismatched.u = np.linalg.qr(np.ones((3, 30, 7), dtype=complex))[0]
+        for basis in (empty, mismatched):
+            got = weighted_log_prox(y, w, rho, eps, basis=basis)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+            assert basis.u.shape == (3, 28, 2 + 5)
+
+    def test_basis_too_narrow_for_kept_set_falls_back(self):
+        y, w, rho, eps = gapped_instance(36, 44, 5, 4, seed=41)
+        # four values survive per slice, but the basis spans only two
+        slices = np.moveaxis(np.fft.rfft(y, axis=2), 2, 0)
+        narrow = SliceBasis()
+        narrow.u = np.linalg.svd(slices)[0][:, :, :2]
+        _, sigma_new, sigma_old = assert_matches_oracle(y, w, rho, eps, basis=narrow)
+        assert np.count_nonzero(sigma_new[:, 0]) == 4
+        assert not np.isnan(sigma_old).any()
+        # the fallback's own factors seed the next call
+        assert narrow.u.shape == (3, 36, 4 + 5)
+
+    @staticmethod
+    def flat_tail_instance():
+        """One 40 x 48 slice: three clear values, then a flat tail just
+        below the threshold, which no norm bound on the residual can
+        certify; the basis holds the exact leading vectors."""
+        rng = np.random.default_rng(42)
+        i1, i2 = 40, 48
+        left = np.linalg.qr(rng.standard_normal((i1, i1)))[0]
+        right = np.linalg.qr(rng.standard_normal((i2, i1)))[0]
+        rho, eps = 2.0, 1e-3
+        threshold = 1.0
+        sigma = np.concatenate([[10.0, 8.0, 6.0], np.linspace(0.99, 0.98, i1 - 3)])
+        y = ((left * sigma) @ right.T)[:, :, None]
+        w = np.full((i1, 1), ((threshold + eps) / 2) ** 2 * rho)
+        basis = SliceBasis()
+        basis.u = left[None, :, :3 + 5].astype(complex)
+        return y, w, rho, eps, basis
+
+    def test_uncertified_tail_falls_back(self):
+        y, w, rho, eps, basis = self.flat_tail_instance()
+        _, sigma_new, sigma_old = assert_matches_oracle(y, w, rho, eps, basis=basis)
+        assert np.count_nonzero(sigma_new) == 3
+        assert not np.isnan(sigma_old).any()
+        # the exact spectrum shows the same tail, so no basis is kept
+        assert basis.u is None
+
+    def test_uncertified_tail_stops_after_one_retry(self, monkeypatch):
+        # the Ritz triplets converge at once; after the certificate fails
+        # on them, one more power step is tried before the full SVD
+        y, w, rho, eps, basis = self.flat_tail_instance()
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        weighted_log_prox(y, w, rho, eps, basis=basis)
+        assert shapes == [(1, 8, 48), (1, 8, 48), (1, 40, 48)]
+
+
+    def test_basis_missing_a_kept_direction_falls_back(self):
+        # the basis lacks the third singular direction; the Ritz values it
+        # finds have zero residual, and per index every keep/zero decision
+        # of the Ritz values is right, but the third kept value is 4.5
+        # where it should be 5
+        rng = np.random.default_rng(43)
+        i1, i2 = 40, 48
+        left = np.linalg.qr(rng.standard_normal((i1, i1)))[0]
+        right = np.linalg.qr(rng.standard_normal((i2, i1)))[0]
+        sigma = np.concatenate([[10.0, 9.0, 5.0, 4.5], np.linspace(1.0, 0.5, i1 - 4)])
+        y = ((left * sigma) @ right.T)[:, :, None]
+        rho, eps = 2.0, 1e-3
+        threshold = np.full(i1, 6.0)
+        threshold[:3] = 4.0
+        threshold[3] = 5.2
+        w = (((threshold + eps) / 2) ** 2 * rho)[:, None]
+        basis = SliceBasis()
+        basis.u = left[None, :, [0, 1, 3, 4, 5, 6, 7, 8]].astype(complex)
+        _, sigma_new, sigma_old = assert_matches_oracle(y, w, rho, eps, basis=basis)
+        assert np.count_nonzero(sigma_new) == 3
+        assert not np.isnan(sigma_old).any()
 
 
 class TestWeightUpdates:
