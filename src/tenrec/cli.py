@@ -329,10 +329,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TensorFormatError) as exc:
+    except (ValueError, TensorFormatError) as exc:  # np.linalg.LinAlgError is a ValueError
         return _error(str(exc))
     except FileNotFoundError as exc:
         return _error(f"file not found: {exc.filename}")
+    except MemoryError:
+        return _error("out of memory")
 
 
 if __name__ == "__main__":

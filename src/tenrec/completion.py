@@ -1,12 +1,16 @@
-"""Low-rank tensor completion by proximal alternating linearized updates.
+"""Low-rank tensor completion, and the sweep both solvers share.
 
 The model couples every mode-pair unfolding of the estimate to an
 auxiliary low-rank surrogate through an augmented Lagrangian.  One sweep
-updates, per pair: the singular-value weights, the surrogate (a weighted
-log-penalty shrinkage), and the weight targets; then the estimate itself
-(observed entries are copied from the data, unobserved entries take a
-penalty-weighted average of the surrogates), and finally the multipliers.
-The constraint penalties may grow geometrically between sweeps.
+(:func:`run_sweeps`) updates, per pair: the singular-value weights, the
+surrogate (a weighted log-penalty shrinkage), and the weight targets;
+then the solver's data block, and finally the multipliers.  The
+constraint penalties may grow geometrically between sweeps.  For
+completion the data block is the estimate itself: observed entries are
+copied from the data, unobserved entries take a beta-weighted average of
+the surrogates.  Robust PCA (:mod:`tenrec.rpca`) runs the same sweep with
+its L/E/N block: completion is robust PCA with E = N = 0 plus a mask
+projection.
 """
 
 from __future__ import annotations
@@ -66,20 +70,26 @@ def update_m_pair(m, z_unf, q, w_new, mu, rho1, epsilon, strict=False, basis=Non
     return weighted_log_prox(arg, w_new, rho1, epsilon, strict=strict, basis=basis)
 
 
-def update_z(observed, mask, z_prev, pairs, m_new, q_old, mu, rho):
+def pair_pull(numerator, weight, shape, pairs, betas, m_new, q_old, mu):
+    """Add ``sum(beta * fold(mu*M - Q))`` to ``numerator`` and ``sum(beta*mu)``
+    to ``weight``: the pairs' pull on a data block's estimate."""
+    for pair, beta, m, q in zip(pairs, betas, m_new, q_old):
+        numerator = numerator + beta * fold_mode_pair(mu * m - q, pair[0], pair[1], shape)
+        weight += beta * mu
+    return numerator, weight
+
+
+def update_z(observed, mask, z_prev, pairs, betas, m_new, q_old, mu, rho):
     """Closed-form estimate update.
 
     Observed entries are fixed to the data; unobserved entries average the
-    folded surrogates minus multipliers, anchored to the previous iterate.
+    folded surrogates minus multipliers, each pair weighted by its beta,
+    anchored to the previous iterate.  This is the exact minimiser of the
+    beta-weighted Lagrangian (:func:`lagrangian_value`) plus the proximal
+    term ``(rho/2)*||z - z_prev||^2`` over the unobserved entries.
     """
-    shape = observed.shape
-    numerator = rho * z_prev
-    total_mu = 0.0
-    for pair, m, q in zip(pairs, m_new, q_old):
-        numerator = numerator + fold_mode_pair(mu * m - q, pair[0], pair[1], shape)
-        total_mu += mu
-    fill = numerator / (total_mu + rho)
-    return np.where(mask, observed, fill)
+    numerator, weight = pair_pull(rho * z_prev, rho, observed.shape, pairs, betas, m_new, q_old, mu)
+    return np.where(mask, observed, numerator / weight)
 
 
 def update_multiplier(q, z_new_unf, m_new, mu):
@@ -93,26 +103,75 @@ def _penalty_energy(sigma, w, lam_bar, gamma, epsilon):
     return float(np.sum(w * t) + 0.5 * gamma * np.sum((w - lam_bar) ** 2))
 
 
-def _sorted_desc(sigma):
-    return -np.sort(-sigma, axis=0)
+def _constraint_quad(x, st, m, mu):
+    # One pair's constraint quadratic (mu/2)*||unfold(x) - M + Q/mu||^2.
+    return 0.5 * mu * float(np.sum((unfold_mode_pair(x, *st.pair) - m + st.q / mu) ** 2))
 
 
-def lagrangian_value(z, states, mu, gamma, epsilon):
+def coupling(x, states, m_list, mu):
+    """Beta-weighted constraint quadratics of all pairs at the estimate ``x``:
+    the part of a data step's objective that ties it to the surrogates."""
+    return sum(st.beta * _constraint_quad(x, st, m, mu) for st, m in zip(states, m_list))
+
+
+def pair_lagrangian(total, x, states, mu, gamma, epsilon, updates=None):
+    """Add each pair's beta * (penalty block + constraint quadratic) to
+    ``total``; ``updates`` (the pair steps' staged (M, sigma, w, lam_bar))
+    replace the committed pair variables, except the multipliers."""
+    for i, st in enumerate(states):
+        m, sigma, w, lam_bar = updates[i] if updates is not None else (
+            st.m, st.sigma, st.weights.w, st.weights.lam_bar)
+        quad = _constraint_quad(x, st, m, mu)
+        total += st.beta * (_penalty_energy(sigma, w, lam_bar, gamma, epsilon) + quad)
+    return total
+
+
+def lagrangian_value(z, states, mu, gamma, epsilon, updates=None):
     """Pair-weighted augmented Lagrangian at the current variables.
 
     Each pair contributes beta * (penalty block + constraint quadratic);
     the indicator of the observation constraint is zero by construction.
-    With uniform beta this value is non-increasing across one sweep of the
-    updates (multipliers and penalty scalars held fixed).
+    ``updates`` stages the pair variables (see :func:`pair_lagrangian`).
+    This value is non-increasing across one sweep of the updates
+    (multipliers and penalty scalars held fixed).
     """
-    total = 0.0
-    for st in states:
-        z_unf = unfold_mode_pair(z, st.pair[0], st.pair[1])
-        quad = 0.5 * mu * float(np.sum((z_unf - st.m + st.q / mu) ** 2))
-        total += st.beta * (
-            _penalty_energy(st.sigma, st.weights.w, st.weights.lam_bar, gamma, epsilon) + quad
+    return pair_lagrangian(0.0, z, states, mu, gamma, epsilon, updates)
+
+
+class _MaskedEstimate:
+    """Completion's data block for :func:`run_sweeps`: the masked z step."""
+
+    def __init__(self, observed, mask, cfg):
+        self.observed, self.mask, self.cfg = observed, mask, cfg
+        self.x = np.where(mask, observed, 0.0)
+
+    def lagrangian(self, states, mu, updates=None):
+        z = self.x if updates is None else self.staged
+        return lagrangian_value(z, states, mu, self.cfg.gamma, self.cfg.epsilon, updates)
+
+    def step(self, states, m_new, mu, rho, monitor):
+        z = self.x
+        self.staged = update_z(
+            self.observed, self.mask, z, [st.pair for st in states], [st.beta for st in states],
+            m_new, [st.q for st in states], mu, rho,
         )
-    return total
+        if monitor is not None:
+            monitor["subproblems"]["z"] = (
+                coupling(z, states, m_new, mu),
+                coupling(self.staged, states, m_new, mu)
+                + 0.5 * rho * float(np.sum((self.staged - z) ** 2)),
+            )
+        return self.staged
+
+    def commit(self):
+        self.x = self.staged
+        return {}
+
+    def grow(self, growth):
+        pass
+
+    def tensors(self):
+        return {"Z": self.x}
 
 
 def complete(observed, mask, config=None, ground_truth=None, track_descent=False):
@@ -140,13 +199,24 @@ def complete(observed, mask, config=None, ground_truth=None, track_descent=False
         raise ValueError("completion needs at least a 2-way tensor")
     if not np.all(np.isfinite(observed[mask])):
         raise ValueError("observed entries must be finite")
+    return run_sweeps(cfg, _MaskedEstimate(observed, mask, cfg), ground_truth, track_descent)
 
-    z = np.where(mask, observed, 0.0)
+
+def run_sweeps(cfg, block, ground_truth, track_descent):
+    """The sweeps of both solvers, until no entry of the estimate moves more
+    than ``cfg.tol``; ``track_descent`` as in :func:`complete`.
+
+    ``block`` is the solver's data block.  It holds the estimate ``x`` the
+    pairs are coupled to and provides ``step(states, m_new, mu, rho,
+    monitor)`` (stage its variables; returns the new estimate),
+    ``lagrangian(states, mu, updates=None)`` (at the staged point when
+    given the pair updates), ``commit()`` (adopt the staged variables;
+    returns extra trace columns), ``grow(growth)`` and ``tensors()``.
+    """
     states = [
-        PairState(pair, beta, unfold_mode_pair(z, pair[0], pair[1]))
-        for pair, beta in cfg.pair_weights(observed.ndim)
+        PairState(pair, beta, unfold_mode_pair(block.x, pair[0], pair[1]))
+        for pair, beta in cfg.pair_weights(block.x.ndim)
     ]
-
     trace = []
     notes = {"descent_violations": 0, "subproblem_violations": 0, "strict_flips": 0}
     mu, rho = cfg.mu0, cfg.rho0
@@ -156,88 +226,34 @@ def complete(observed, mask, config=None, ground_truth=None, track_descent=False
     iterations = 0
     for it in range(1, cfg.max_iter + 1):
         iterations = it
-        rho1 = cfg.gamma1 * mu
-        monitor = {"subproblems": {}} if track_descent else None
+        monitor = None
         if track_descent:
-            monitor["lag_before"] = lagrangian_value(z, states, mu, cfg.gamma, cfg.epsilon)
-
-        updates = {}
-        for st in states:
-            w_new = update_weights(st.sigma, st.weights, cfg.gamma, rho, cfg.epsilon)
-            z_unf = unfold_mode_pair(z, st.pair[0], st.pair[1])
-            m_new, sigma_new, sigma_arg = update_m_pair(
-                st.m, z_unf, st.q, w_new, mu, rho1, cfg.epsilon,
-                strict=cfg.strict_prox, basis=st.basis,
-            )
-            lam_new = update_lambda_bar(w_new, st.weights.lam_bar, cfg.gamma, rho)
-            updates[st.label] = (m_new, sigma_new, w_new, lam_new)
-            if cfg.strict_prox:
-                default_vals = shrink_singular_values(
-                    sigma_arg, w_new, rho1 / st.m.shape[2], cfg.epsilon
-                )
-                notes["strict_flips"] += int(np.count_nonzero(default_vals != sigma_new))
-            if track_descent:
-                t_star = np.log1p(st.sigma / cfg.epsilon)
-                w_obj = lambda w: float(np.sum(w * t_star)) + 0.5 * cfg.gamma * float(
-                    np.sum((w - st.weights.lam_bar) ** 2)
-                )
-                monitor["subproblems"][st.label] = {
-                    "w": (
-                        w_obj(st.weights.w),
-                        w_obj(w_new) + 0.5 * rho * float(np.sum((w_new - st.weights.w) ** 2)),
-                    ),
-                    "lam": (
-                        0.5 * cfg.gamma * float(np.sum((w_new - st.weights.lam_bar) ** 2)),
-                        0.5 * cfg.gamma * float(np.sum((w_new - lam_new) ** 2))
-                        + 0.5 * rho * float(np.sum((lam_new - st.weights.lam_bar) ** 2)),
-                    ),
-                }
-
-        pairs = [st.pair for st in states]
-        m_list = [updates[st.label][0] for st in states]
-        q_list = [st.q for st in states]
-        z_new = update_z(observed, mask, z, pairs, m_list, q_list, mu, rho)
+            monitor = {"subproblems": {}, "lag_before": block.lagrangian(states, mu)}
+        updates = [_pair_step(st, block.x, mu, rho, cfg, notes, monitor) for st in states]
+        x = block.x
+        x_new = block.step(states, [u[0] for u in updates], mu, rho, monitor)
 
         if track_descent:
-            z_before = sum(
-                0.5 * mu * float(np.sum((unfold_mode_pair(z, *st.pair) - m + st.q / mu) ** 2))
-                for st, m in zip(states, m_list)
-            )
-            z_after = sum(
-                0.5 * mu * float(np.sum((unfold_mode_pair(z_new, *st.pair) - m + st.q / mu) ** 2))
-                for st, m in zip(states, m_list)
-            ) + 0.5 * rho * float(np.sum((z_new - z) ** 2))
-            monitor["subproblems"]["z"] = (z_before, z_after)
-            lag_after = 0.0
-            for st in states:
-                m_new, sigma_new, w_new, lam_new = updates[st.label]
-                quad = 0.5 * mu * float(
-                    np.sum((unfold_mode_pair(z_new, *st.pair) - m_new + st.q / mu) ** 2)
-                )
-                lag_after += st.beta * (
-                    _penalty_energy(sigma_new, w_new, lam_new, cfg.gamma, cfg.epsilon) + quad
-                )
-            monitor["lag_after"] = lag_after
-            if lag_after > monitor["lag_before"] * (1 + DESCENT_RTOL) + 1e-12:
+            monitor["lag_after"] = block.lagrangian(states, mu, updates)
+            if monitor["lag_after"] > monitor["lag_before"] * (1 + DESCENT_RTOL) + 1e-12:
                 notes["descent_violations"] += 1
-            _count_subproblem_violations(notes, monitor["subproblems"])
+            notes["subproblem_violations"] += _count_violations(monitor["subproblems"])
 
-        diff = float(np.max(np.abs(z_new - z))) if z.size else 0.0
+        diff = float(np.max(np.abs(x_new - x))) if x.size else 0.0
 
-        for st in states:
-            m_new, sigma_new, w_new, lam_new = updates[st.label]
-            z_new_unf = unfold_mode_pair(z_new, st.pair[0], st.pair[1])
-            st.q = update_multiplier(st.q, z_new_unf, m_new, mu)
+        for st, (m_new, sigma_new, w_new, lam_new) in zip(states, updates):
+            st.q = update_multiplier(st.q, unfold_mode_pair(x_new, *st.pair), m_new, mu)
             st.m = m_new
-            st.sigma = _sorted_desc(sigma_new)
+            st.sigma = -np.sort(-sigma_new, axis=0)
             st.weights = WeightState(w_new, lam_new)
-        z = z_new
+        columns = block.commit()
 
         row = {
             "iter": it,
             "inf_norm_diff": diff,
-            "lagrangian": lagrangian_value(z, states, mu, cfg.gamma, cfg.epsilon),
+            "lagrangian": block.lagrangian(states, mu),
             "seconds": time.perf_counter() - started,
+            **columns,
         }
         if track_descent:
             row.update(monitor)
@@ -245,6 +261,7 @@ def complete(observed, mask, config=None, ground_truth=None, track_descent=False
 
         mu *= cfg.growth
         rho *= cfg.growth
+        block.grow(cfg.growth)
         if diff <= cfg.tol:
             converged = True
             break
@@ -253,10 +270,10 @@ def complete(observed, mask, config=None, ground_truth=None, track_descent=False
     if ground_truth is not None:
         ref = np.asarray(ground_truth, dtype=float)
         denom = max(float(np.linalg.norm(ref)), 1e-300)
-        metrics["rel_error"] = float(np.linalg.norm(z - ref)) / denom
+        metrics["rel_error"] = float(np.linalg.norm(block.x - ref)) / denom
 
     return RecoveryReport(
-        tensors={"Z": z},
+        tensors=block.tensors(),
         trace=trace,
         metrics=metrics,
         converged=converged,
@@ -266,9 +283,43 @@ def complete(observed, mask, config=None, ground_truth=None, track_descent=False
     )
 
 
-def _count_subproblem_violations(notes, subproblems):
-    for label, entry in subproblems.items():
-        checks = [entry] if label == "z" else [entry["w"], entry["lam"]]
-        for before, after in checks:
+def _pair_step(st, x, mu, rho, cfg, notes, monitor):
+    """Weights, surrogate shrinkage and weight targets of one pair; returns
+    the staged (M, sigma, w, lam_bar)."""
+    rho1 = cfg.gamma1 * mu
+    w_old, lam_old = st.weights.w, st.weights.lam_bar
+    w_new = update_weights(st.sigma, st.weights, cfg.gamma, rho, cfg.epsilon)
+    m_new, sigma_new, sigma_arg = update_m_pair(
+        st.m, unfold_mode_pair(x, st.pair[0], st.pair[1]), st.q, w_new, mu, rho1, cfg.epsilon,
+        strict=cfg.strict_prox, basis=st.basis,
+    )
+    lam_new = update_lambda_bar(w_new, lam_old, cfg.gamma, rho)
+    if cfg.strict_prox:
+        default_vals = shrink_singular_values(sigma_arg, w_new, rho1 / st.m.shape[2], cfg.epsilon)
+        notes["strict_flips"] += int(np.count_nonzero(default_vals != sigma_new))
+    if monitor is not None:
+        gamma, eps = cfg.gamma, cfg.epsilon
+        monitor["subproblems"][st.label] = {
+            "w": (
+                _penalty_energy(st.sigma, w_old, lam_old, gamma, eps),
+                _penalty_energy(st.sigma, w_new, lam_old, gamma, eps)
+                + 0.5 * rho * float(np.sum((w_new - w_old) ** 2)),
+            ),
+            "lam": (
+                0.5 * gamma * float(np.sum((w_new - lam_old) ** 2)),
+                0.5 * gamma * float(np.sum((w_new - lam_new) ** 2))
+                + 0.5 * rho * float(np.sum((lam_new - lam_old) ** 2)),
+            ),
+        }
+    return m_new, sigma_new, w_new, lam_new
+
+
+def _count_violations(subproblems):
+    # A pair's entry maps its w and lam_bar checks; a data step's entry is
+    # one (before, after) check.
+    count = 0
+    for entry in subproblems.values():
+        for before, after in entry.values() if isinstance(entry, dict) else [entry]:
             if after > before * (1 + SUBPROBLEM_RTOL) + 1e-12:
-                notes["subproblem_violations"] += 1
+                count += 1
+    return count

@@ -24,10 +24,6 @@ class RecoveryReport:
     wall_seconds: float = 0.0
     notes: dict = field(default_factory=dict)
 
-    @property
-    def descent_violations(self):
-        return self.notes.get("descent_violations", 0)
-
 
 TRACE_COLUMNS_COMPLETION = ("iter", "inf_norm_diff", "lagrangian", "seconds")
 TRACE_COLUMNS_RPCA = TRACE_COLUMNS_COMPLETION + ("E_l1", "N_fro", "residual_fro")

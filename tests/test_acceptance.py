@@ -247,9 +247,20 @@ def test_a7_descent_frozen_growth():
     assert rep2.notes["subproblem_violations"] == 0
     for row in rep2.trace:
         assert row["lag_after"] <= row["lag_before"] * (1 + 1e-8) + 1e-12
-    print("A7 descent (frozen growth, 100 sweeps each): PASS "
+    print(f"A7 descent (frozen growth, completion {rep1.iterations} and robust-pca "
+          f"{rep2.iterations} of 100 sweeps): PASS "
           f"(completion flips={rep1.notes['strict_flips']}, "
           f"robust-pca flips={rep2.notes['strict_flips']})")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "false convergence: strict mode zeroes in sweep 1 the 33 values the branch rule "
+    "keeps, z stays at the masked data and inf_norm_diff = 0.0 meets tol = 1e-300"))
+def test_a7_completion_runs_every_sweep():
+    gt, mask, observed = lrtc_instance()
+    cfg = lrtc_config().updated(growth=1.0, max_iter=100, tol=1e-300, strict_prox=True)
+    report = complete(observed, mask, cfg, track_descent=True)
+    assert report.iterations == 100
 
 
 def _read_rows(path, drop="seconds"):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tenrec
+import tenrec.completion
 from tenrec import gen_lowrank, load_tensor, save_tensor, tubal_rank
 from tenrec.cli import main
 
@@ -208,6 +209,25 @@ class TestEval:
         a = tmp_path / "a.tns"
         save_tensor(a, np.zeros((3, 3)))
         assert main(["eval", str(a), str(tmp_path / "nope.tns")]) == 1
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, MemoryError])
+@pytest.mark.parametrize("command, extra", [
+    ("complete", ["--sr", "0.5"] + COMPLETE_FLAGS),
+    ("denoise", ["--sp-fraction", "0.05", "--gaussian-sigma", "0.02"]),
+])
+def test_solver_failure_is_one_json_error_line(tmp_path, capsys, monkeypatch, command, extra,
+                                               error):
+    def failing_prox(*args, **kwargs):
+        raise error("raised inside the prox")
+
+    monkeypatch.setattr(tenrec.completion, "weighted_log_prox", failing_prox)
+    _, path = make_instance(tmp_path)
+    code = main([command, str(path), "--out", str(tmp_path / "run")] + extra)
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert list(json.loads(lines[0])) == ["error"]
 
 
 def test_entry_point_runs():

@@ -73,7 +73,7 @@ class TestUpdatePieces:
         pairs = [(0, 1)]
         m = [unfold_mode_pair(z, 0, 1)]
         q = [np.zeros_like(m[0])]
-        z_new = update_z(obs, mask, z, pairs, m, q, 0.9, 0.1)
+        z_new = update_z(obs, mask, z, pairs, [1.0], m, q, 0.9, 0.1)
         assert np.allclose(z_new, z, atol=1e-12)
 
     def test_z_update_large_rho_limit(self):
@@ -82,7 +82,7 @@ class TestUpdatePieces:
         z = rng.standard_normal(obs.shape)
         m = [rng.standard_normal((12, 12, 6))]
         q = [rng.standard_normal((12, 12, 6))]
-        z_new = update_z(obs, mask, z, [(0, 1)], m, q, 1.0, 1e12)
+        z_new = update_z(obs, mask, z, [(0, 1)], [1.0], m, q, 1.0, 1e12)
         assert np.allclose(z_new[~mask], z[~mask], atol=1e-9)
         assert np.array_equal(z_new[mask], obs[mask])
 
@@ -95,14 +95,43 @@ class TestUpdatePieces:
         pairs = [(0, 1), (0, 2), (1, 2)]
         m = [rng.standard_normal(unfold_mode_pair(z, *p).shape) for p in pairs]
         q = [rng.standard_normal(unfold_mode_pair(z, *p).shape) for p in pairs]
+        betas = [0.5, 0.3, 0.2]
         mu, rho = 0.7, 0.2
-        z_new = update_z(obs, mask, z, pairs, m, q, mu, rho)
+        z_new = update_z(obs, mask, z, pairs, betas, m, q, mu, rho)
 
         num = rho * z.copy()
-        for p, mp, qp in zip(pairs, m, q):
-            num += fold_mode_pair(mu * mp - qp, p[0], p[1], shape)
-        expected = np.where(mask, obs, num / (3 * mu + rho))
+        den = rho
+        for p, b, mp, qp in zip(pairs, betas, m, q):
+            num += b * fold_mode_pair(mu * mp - qp, p[0], p[1], shape)
+            den += b * mu
+        expected = np.where(mask, obs, num / den)
         assert np.allclose(z_new, expected, atol=1e-12)
+
+    def test_z_update_minimises_weighted_subproblem(self):
+        # the beta-weighted constraint quadratics plus the proximal term,
+        # over the unobserved entries
+        rng = np.random.default_rng(17)
+        shape = (4, 3, 5)
+        obs = rng.standard_normal(shape)
+        mask = rng.random(shape) < 0.4
+        z = rng.standard_normal(shape)
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        betas = [0.6, 0.3, 0.1]
+        m = [rng.standard_normal(unfold_mode_pair(z, *p).shape) for p in pairs]
+        q = [rng.standard_normal(unfold_mode_pair(z, *p).shape) for p in pairs]
+        mu, rho = 0.7, 0.2
+        z_new = update_z(obs, mask, z, pairs, betas, m, q, mu, rho)
+
+        def obj(x):
+            value = 0.5 * rho * np.sum((x - z) ** 2)
+            for p, b, mp, qp in zip(pairs, betas, m, q):
+                value += b * 0.5 * mu * np.sum((unfold_mode_pair(x, *p) - mp + qp / mu) ** 2)
+            return value
+
+        base = obj(z_new)
+        for _ in range(100):
+            step = np.where(mask, 0.0, 0.01 * rng.standard_normal(shape))
+            assert base <= obj(z_new + step) + 1e-12
 
     def test_multiplier_update(self):
         rng = np.random.default_rng(8)
@@ -188,6 +217,12 @@ class TestSolve:
         report = complete(obs, mask, SMALL_CFG.updated(beta=None, max_iter=5, tol=1e-14))
         assert report.iterations == 5
 
+    def test_beta_weights_change_the_estimate(self):
+        gt, mask, obs = small_instance(seed=15)
+        runs = [complete(obs, mask, SMALL_CFG.updated(beta=beta, max_iter=30, tol=1e-300))
+                for beta in ((0.9, 0.1, 0.0), (0.5, 0.5, 0.0))]
+        assert not np.array_equal(runs[0].tensors["Z"], runs[1].tensors["Z"])
+
     def test_beta_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(beta=(0.5, 0.5)).pair_weights(3)
@@ -204,6 +239,31 @@ class TestDescent:
         assert report.notes["subproblem_violations"] == 0
         for row in report.trace:
             assert row["lag_after"] <= row["lag_before"] * (1 + 1e-8) + 1e-12
+
+    def test_z_monitor_weights_pairs_by_beta(self, monkeypatch):
+        import tenrec.completion as completion_mod
+
+        steps = []
+
+        def recording(observed, mask, z_prev, pairs, betas, m_new, q_old, mu, rho):
+            z_new = update_z(observed, mask, z_prev, pairs, betas, m_new, q_old, mu, rho)
+            steps.append((z_prev, z_new, pairs, betas, m_new, q_old, mu, rho))
+            return z_new
+
+        monkeypatch.setattr(completion_mod, "update_z", recording)
+        gt, mask, obs = small_instance(seed=18)
+        cfg = SMALL_CFG.updated(beta=(0.7, 0.3, 0.0), growth=1.0, max_iter=3, tol=1e-300)
+        report = complete(obs, mask, cfg, track_descent=True)
+        assert len(steps) == report.iterations == 3
+        for row, (z, z_new, pairs, betas, m, q, mu, rho) in zip(report.trace, steps):
+            def coupling(x):
+                return sum(b * 0.5 * mu * np.sum((unfold_mode_pair(x, *p) - mp + qp / mu) ** 2)
+                           for p, b, mp, qp in zip(pairs, betas, m, q))
+
+            before, after = row["subproblems"]["z"]
+            assert before == pytest.approx(coupling(z), rel=1e-12)
+            assert after == pytest.approx(
+                coupling(z_new) + 0.5 * rho * np.sum((z_new - z) ** 2), rel=1e-12)
 
     def test_subproblem_objectives_recorded(self):
         gt, mask, obs = small_instance(seed=17)

@@ -197,23 +197,15 @@ class TestSolve:
             decompose(np.zeros((3, 3, 2)), SolverConfig(growth=0.5))
 
     def test_surrogate_update_shared_with_completion(self):
-        # both solvers run the identical weight/shrinkage machinery: the
-        # robust-PCA surrogate step is the completion surrogate step with
-        # (L, R, G) in place of (Z, Q, M)
-        import tenrec.completion as completion_mod
-        import tenrec.rpca as rpca_mod
-
-        assert rpca_mod.update_m_pair is completion_mod.update_m_pair
-        assert rpca_mod.update_weights is completion_mod.update_weights
-        assert rpca_mod.update_lambda_bar is completion_mod.update_lambda_bar
-
+        # the robust-PCA surrogate step is the completion surrogate step
+        # with (L, R, G) in place of (Z, Q, M)
         rng = np.random.default_rng(13)
         l = rng.standard_normal((6, 5, 4))
         g = unfold_mode_pair(l, 0, 1) + 0.1 * rng.standard_normal((6, 5, 4))
         r = 0.05 * rng.standard_normal((6, 5, 4))
         w = np.full((5, 4), 0.7)
         mu, rho1, eps = 0.9, 0.99, 0.1
-        g_new, _, _ = rpca_mod.update_m_pair(g, unfold_mode_pair(l, 0, 1), r, w, mu, rho1, eps)
+        g_new, _, _ = update_m_pair(g, unfold_mode_pair(l, 0, 1), r, w, mu, rho1, eps)
         arg = g + (mu * unfold_mode_pair(l, 0, 1) + r - mu * g) / rho1
         from tenrec.penalty import weighted_log_prox
 

@@ -1,12 +1,15 @@
-"""How the solvers reach the singular-value prox.
+"""How the solvers reach the singular-value prox and their traced steps.
 
-Both solvers must call ``penalty.weighted_log_prox`` through the module
-names that ``perfbench/tracing.py`` wraps, and the warm-started truncated
-factorization that the pairs carry between sweeps must not change what a
-run reports.
+Both solvers must call ``penalty.weighted_log_prox`` and their data-block
+steps through the module names that ``perfbench/tracing.py`` wraps, and
+the warm-started truncated factorization that the pairs carry between
+sweeps must not change what a run reports.
 """
 
+import importlib
+import importlib.util
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,15 @@ from tenrec import NoiseSpec, SolverConfig, add_mixed_noise, complete, decompose
 from tenrec.penalty import weighted_log_prox
 
 SHAPE = (40, 40, 8)
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def traced_names():
+    """The benchmark tracer's (module, function) keys, read from its source."""
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return set(module.TRACED)
 
 
 def completion_run(strict=False, max_iter=300):
@@ -91,3 +103,31 @@ def test_strict_run_matches_full_factorization(monkeypatch, run):
         for key in ref:
             if key != "seconds":
                 assert got[key] == pytest.approx(ref[key], rel=1e-9, abs=1e-12)
+
+
+def test_every_traced_name_exists():
+    for module, name in traced_names():
+        assert callable(getattr(importlib.import_module(f"tenrec.{module}"), name))
+
+
+@pytest.mark.parametrize("run, names", [
+    (completion_run, [("completion", "update_z"), ("completion", "lagrangian_value")]),
+    (decomposition_run, [("rpca", "update_l"), ("rpca", "update_e"), ("rpca", "update_n"),
+                         ("rpca", "_lagrangian")]),
+])
+def test_traced_data_block_runs_once_per_sweep(monkeypatch, run, names):
+    assert set(names) <= traced_names()
+    calls = {name: 0 for _, name in names}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module, name in names:
+        original = getattr(importlib.import_module(f"tenrec.{module}"), name)
+        wrap_everywhere(monkeypatch, original, counting(name, original))
+    report = run(max_iter=12)()
+    assert report.iterations == 12
+    assert calls == {name: 12 for _, name in names}
