@@ -9,18 +9,12 @@ metrics, and a flat binary tensor file format.
 __version__ = "0.1.0"
 
 from .algebra import (
-    TubalFactorization,
-    conj_transpose,
-    dft_mode3,
     fold_mode_pair,
     fourier_singular_values,
-    identity_tensor,
-    idft_mode3,
     mode_pairs,
     multi_rank,
     n_tubal_rank,
     t_product,
-    t_svd,
     tnn,
     tubal_rank,
     unfold_mode_pair,
@@ -33,9 +27,7 @@ from .penalty import (
     lgamma_norm,
     log_weighted_norm,
     mlcp,
-    mlcp_tensor,
     mlcp_weight_minimizer,
-    prox_lgamma_norm,
     shrink_singular_values,
     update_lambda_bar,
     update_weights,
@@ -52,41 +44,33 @@ __all__ = [
     "SamplingMask",
     "SolverConfig",
     "TensorFormatError",
-    "TubalFactorization",
     "WeightState",
     "add_mixed_noise",
     "build_config",
     "complete",
-    "conj_transpose",
     "decompose",
-    "dft_mode3",
     "ergas",
     "evaluate_all",
     "fold_mode_pair",
     "fourier_singular_values",
     "gen_lowrank",
     "gen_mask",
-    "identity_tensor",
-    "idft_mode3",
     "lgamma_norm",
     "load_config_file",
     "load_tensor",
     "log_weighted_norm",
     "make_rng",
     "mlcp",
-    "mlcp_tensor",
     "mlcp_weight_minimizer",
     "mode_pairs",
     "multi_rank",
     "n_tubal_rank",
-    "prox_lgamma_norm",
     "psnr",
     "save_tensor",
     "shrink_singular_values",
     "soft_threshold",
     "ssim",
     "t_product",
-    "t_svd",
     "tnn",
     "tubal_rank",
     "unfold_mode_pair",

@@ -6,8 +6,8 @@ and the wall time.  Config precedence is built-in defaults, then a
 ``key = value`` config file, then command-line flags.
 
 Exit codes: 0 on success (including runs where convergence was not
-requested), 1 on runtime errors, 2 on usage errors, 3 when a solver
-finished without reaching its tolerance.
+requested), 1 on runtime errors and 2 on usage errors (each with one JSON
+error line on stderr), 3 when a solver finished without reaching its tolerance.
 """
 
 from __future__ import annotations
@@ -50,14 +50,28 @@ def _warn(message):
     sys.stderr.write(json.dumps({"warning": message}) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports each usage error as one JSON error line and exits 2."""
+
+    def error(self, message):
+        sys.exit(_error(f"{self.prog}: {message}", EXIT_USAGE))
+
+
 def _parse_shape(text):
     try:
         shape = tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse shape {text!r}")
+        raise argparse.ArgumentTypeError(f"cannot parse shape {text!r}")
     if not shape or any(s < 1 for s in shape):
-        raise ValueError(f"shape extents must be positive, got {text!r}")
+        raise argparse.ArgumentTypeError(f"shape extents must be positive, got {text!r}")
     return shape
+
+
+def _parse_floats(text):
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse comma list of numbers {text!r}")
 
 
 def _add_config_flags(parser):
@@ -71,7 +85,7 @@ def _add_config_flags(parser):
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--max-iter", type=int, default=None, dest="max_iter")
     parser.add_argument(
-        "--beta", type=str, default=None,
+        "--beta", type=_parse_floats, default=None,
         help="comma list of pair weights in lexicographic pair order",
     )
     parser.add_argument("--penalty-tau", type=float, default=None, dest="penalty_tau")
@@ -86,13 +100,11 @@ def _resolve_config(args):
     overrides = {}
     for key in (
         "gamma", "epsilon", "mu0", "rho0", "gamma1", "growth", "tol",
-        "max_iter", "penalty_tau", "tau1", "tau2", "tau1_scale", "strict_prox",
+        "max_iter", "beta", "penalty_tau", "tau1", "tau2", "tau1_scale", "strict_prox",
     ):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
-    if getattr(args, "beta", None) is not None:
-        overrides["beta"] = tuple(float(tok) for tok in args.beta.split(","))
     return build_config(file_options, overrides)
 
 
@@ -112,11 +124,10 @@ def _write_manifest(path, command, config, inputs, outputs, seed, wall_seconds):
 
 
 def cmd_synth(args):
-    shape = _parse_shape(args.shape)
-    if len(shape) != 3:
+    if len(args.shape) != 3:
         return _error("synth generates 3-way tensors; pass --shape I1,I2,I3", EXIT_USAGE)
     started = time.perf_counter()
-    t = gen_lowrank(shape, args.rank, args.seed)
+    t = gen_lowrank(args.shape, args.rank, args.seed)
     if args.peak is not None:
         if args.peak <= 0:
             return _error(f"--peak must be positive, got {args.peak}", EXIT_USAGE)
@@ -128,10 +139,10 @@ def cmd_synth(args):
     save_tensor(out, t)
     _write_manifest(
         str(out) + ".manifest.json", "synth",
-        {"shape": list(shape), "rank": args.rank, "peak": args.peak},
+        {"shape": list(args.shape), "rank": args.rank, "peak": args.peak},
         {}, {"tensor": str(out)}, args.seed, time.perf_counter() - started,
     )
-    print(f"wrote {out} shape={shape} rank<={args.rank}")
+    print(f"wrote {out} shape={args.shape} rank<={args.rank}")
     return EXIT_OK
 
 
@@ -208,8 +219,7 @@ def cmd_denoise(args):
         return _error(f"--sp-fraction must lie in [0, 1), got {args.sp_fraction}", EXIT_USAGE)
     ground_truth = load_tensor(args.gt) if args.gt else None
     if noise_requested:
-        noniid = tuple(float(tok) for tok in args.noniid.split(",")) if args.noniid else None
-        spec = NoiseSpec(args.sp_fraction, args.gaussian_sigma, noniid, args.seed)
+        spec = NoiseSpec(args.sp_fraction, args.gaussian_sigma, args.noniid, args.seed)
         try:
             spec.validate()
         except ValueError as exc:
@@ -276,14 +286,15 @@ def cmd_eval(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tenrec",
         description="Tensor completion and robust decomposition with a capped log penalty",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a random low-tubal-rank tensor")
-    p_synth.add_argument("--shape", required=True, help="comma list, e.g. 30,30,20")
+    p_synth.add_argument("--shape", type=_parse_shape, required=True,
+                         help="comma list, e.g. 30,30,20")
     p_synth.add_argument("--rank", type=int, required=True)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--peak", type=float, default=None,
@@ -306,7 +317,8 @@ def build_parser():
     p_denoise.add_argument("input", help="tensor file (.tns)")
     p_denoise.add_argument("--sp-fraction", type=float, default=0.0, dest="sp_fraction")
     p_denoise.add_argument("--gaussian-sigma", type=float, default=0.0, dest="gaussian_sigma")
-    p_denoise.add_argument("--noniid", type=str, default=None, help="lo,hi per-slice range")
+    p_denoise.add_argument("--noniid", type=_parse_floats, default=None,
+                           help="lo,hi per-slice range")
     p_denoise.add_argument("--gt", type=Path, default=None)
     p_denoise.add_argument("--seed", type=int, default=0)
     p_denoise.add_argument("--out", required=True)

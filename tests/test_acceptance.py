@@ -26,11 +26,10 @@ from tenrec import (
     save_tensor,
     shrink_singular_values,
     t_product,
-    t_svd,
     unfold_mode_pair,
     fold_mode_pair,
 )
-from tenrec.algebra import fourier_singular_values, mode_pairs
+from tenrec.algebra import fourier_singular_values, mode_pairs, t_svd
 from tenrec.cli import main
 from tenrec.penalty import lgamma_norm
 

@@ -2,21 +2,23 @@ import numpy as np
 import pytest
 
 from tenrec import (
-    conj_transpose,
-    dft_mode3,
     fold_mode_pair,
-    identity_tensor,
-    idft_mode3,
     mode_pairs,
     multi_rank,
     n_tubal_rank,
     t_product,
-    t_svd,
     tnn,
     tubal_rank,
     unfold_mode_pair,
 )
-from tenrec.algebra import fourier_singular_values
+from tenrec.algebra import (
+    conj_transpose,
+    dft_mode3,
+    fourier_singular_values,
+    identity_tensor,
+    idft_mode3,
+    t_svd,
+)
 
 
 def oracle_unfold(t, k1, k2):

@@ -230,6 +230,25 @@ def test_solver_failure_is_one_json_error_line(tmp_path, capsys, monkeypatch, co
     assert list(json.loads(lines[0])) == ["error"]
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("complete", ["--sr", "0.5", "--beta", "1,x,0"]),
+    ("complete", ["--sr", "abc"]),
+    ("denoise", ["--noniid", "0.1,y"]),
+    ("synth", ["--shape", "8,a,5", "--rank", "2"]),
+])
+def test_usage_error_is_one_json_error_line(tmp_path, capsys, command, flags):
+    _, path = make_instance(tmp_path)
+    argv = [command] + ([] if command == "synth" else [str(path)])
+    with pytest.raises(SystemExit) as err:
+        main(argv + flags + ["--out", str(tmp_path / "run")])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert list(json.loads(lines[0])) == ["error"]
+
+
 def test_entry_point_runs():
     # the child imports the same package as this test, installed or not
     package_root = str(Path(tenrec.__file__).resolve().parents[1])

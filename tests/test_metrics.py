@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tenrec
 from tenrec import ergas, psnr, ssim
-from tenrec.metrics import evaluate_all
+from tenrec.metrics import SSIM_SIGMA, _filter, _gaussian_window, evaluate_all
 
 
 class TestPsnr:
@@ -59,6 +65,74 @@ class TestSsim:
         light = ssim(ref + 0.01 * rng.standard_normal(ref.shape), ref)
         heavy = ssim(ref + 0.3 * rng.standard_normal(ref.shape), ref)
         assert heavy < light < 1.0
+
+
+def oracle_filter(x, size):
+    """Valid-mode sum over every size x size window, weighted by the 2-D Gaussian."""
+    t = np.arange(size) - (size - 1) / 2.0
+    g = np.exp(-(t**2) / (2.0 * SSIM_SIGMA**2))
+    window = np.outer(g, g) / np.outer(g, g).sum()
+    n1, n2 = x.shape[0] - size + 1, x.shape[1] - size + 1
+    out = np.zeros((n1, n2) + x.shape[2:])
+    for a in range(size):
+        for b in range(size):
+            out += window[a, b] * x[a:a + n1, b:b + n2]
+    return out
+
+
+def oracle_ssim(x, ref, size, peak=1.0):
+    x = x.reshape(x.shape[0], x.shape[1], -1)
+    ref = ref.reshape(x.shape)
+    c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
+    mu1, mu2 = oracle_filter(x, size), oracle_filter(ref, size)
+    s11 = oracle_filter(x * x, size) - mu1**2
+    s22 = oracle_filter(ref * ref, size) - mu2**2
+    s12 = oracle_filter(x * ref, size) - mu1 * mu2
+    num = (2 * mu1 * mu2 + c1) * (2 * s12 + c2)
+    den = (mu1**2 + mu2**2 + c1) * (s11 + s22 + c2)
+    return float(np.mean(num / den))
+
+
+# (shape, window): the window is 11 clipped to the smaller slice extent,
+# and an even extent drops to the next odd size
+SSIM_CASES = [((30, 30), 11), ((7, 7), 7), ((12, 9), 9), ((8, 10), 7), ((10, 9, 3, 2), 9)]
+
+
+class TestSsimFilter:
+    @pytest.mark.parametrize("shape, size", SSIM_CASES)
+    def test_separable_filter_matches_window_sum(self, shape, size):
+        x = np.random.default_rng(12).random(shape)
+        bands = x.reshape(shape[0], shape[1], -1)
+        got = _filter(bands, _gaussian_window(size, SSIM_SIGMA))
+        want = oracle_filter(bands, size)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape, size", SSIM_CASES)
+    def test_ssim_matches_window_sum(self, shape, size):
+        rng = np.random.default_rng(13)
+        ref = rng.random(shape)
+        x = ref + 0.1 * rng.standard_normal(shape)
+        want = oracle_ssim(x, ref, size)
+        assert abs(ssim(x, ref) - want) <= 1e-12 * abs(want)
+
+
+def test_import_and_evaluate_load_no_scipy():
+    # a fresh interpreter, so modules loaded by other tests do not count
+    package_root = str(Path(tenrec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import tenrec, tenrec.cli\n"
+        "ref = np.random.default_rng(0).random((12, 12, 3)) + 0.1\n"
+        "tenrec.evaluate_all(ref + 0.01, ref)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestErgas:

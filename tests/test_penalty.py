@@ -3,22 +3,18 @@ import pytest
 
 from tenrec import (
     WeightState,
-    conj_transpose,
     lgamma_norm,
     log_weighted_norm,
     mlcp,
-    mlcp_tensor,
     mlcp_weight_minimizer,
-    prox_lgamma_norm,
     shrink_singular_values,
     t_product,
-    t_svd,
     update_lambda_bar,
     update_weights,
     weighted_log_prox,
 )
-from tenrec.algebra import dft_mode3, fourier_singular_values
-from tenrec.penalty import SliceBasis
+from tenrec.algebra import conj_transpose, dft_mode3, fourier_singular_values, t_svd
+from tenrec.penalty import SliceBasis, mlcp_tensor, prox_lgamma_norm
 
 
 def omega_objective(omega, z, lam, gamma, eps):
