@@ -3,11 +3,13 @@
 Every run writes a JSON manifest next to its outputs recording the
 command, the fully resolved configuration, input/output paths, the seed
 and the wall time.  Config precedence is built-in defaults, then a
-``key = value`` config file, then command-line flags.
+``key = value`` config file, then command-line flags: each ``SolverConfig``
+field is both a config key and a flag (``max_iter`` is ``--max-iter``).
 
 Exit codes: 0 on success (including runs where convergence was not
-requested), 1 on runtime errors and 2 on usage errors (each with one JSON
-error line on stderr), 3 when a solver finished without reaching its tolerance.
+requested), 1 on runtime errors and 2 on usage errors and bad option values
+(each with one JSON error line on stderr), 3 when a solver finished without
+reaching its tolerance.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .completion import complete
-from .config import build_config, load_config_file
+from .config import SolverConfig, build_config, load_config_file, parse_field
 from .metrics import evaluate_all
 from .report import (
     TRACE_COLUMNS_COMPLETION,
@@ -57,6 +60,10 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(_error(f"{self.prog}: {message}", EXIT_USAGE))
 
 
+class _UsageError(Exception):
+    """Input refused after parsing; reported like a parser error, with exit 2."""
+
+
 def _parse_shape(text):
     try:
         shape = tuple(int(tok) for tok in text.split(","))
@@ -74,38 +81,47 @@ def _parse_floats(text):
         raise argparse.ArgumentTypeError(f"cannot parse comma list of numbers {text!r}")
 
 
+def _positive(text):
+    """argparse ``type=`` of ``--ratio`` and ``--peak``: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
+def _field_type(name):
+    """argparse ``type=`` of a ``SolverConfig`` field, parsed as in a config file."""
+    def parse(text):
+        try:
+            return parse_field(name, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 def _add_config_flags(parser):
+    """``--config`` plus one flag per ``SolverConfig`` field."""
     parser.add_argument("--config", type=Path, default=None, help="key = value config file")
-    parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--epsilon", type=float, default=None)
-    parser.add_argument("--mu0", type=float, default=None)
-    parser.add_argument("--rho0", type=float, default=None)
-    parser.add_argument("--gamma1", type=float, default=None)
-    parser.add_argument("--growth", type=float, default=None)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    parser.add_argument(
-        "--beta", type=_parse_floats, default=None,
-        help="comma list of pair weights in lexicographic pair order",
-    )
-    parser.add_argument("--penalty-tau", type=float, default=None, dest="penalty_tau")
-    parser.add_argument("--tau1", type=float, default=None)
-    parser.add_argument("--tau2", type=float, default=None)
-    parser.add_argument("--tau1-scale", type=float, default=None, dest="tau1_scale")
-    parser.add_argument("--strict-prox", action="store_true", default=None, dest="strict_prox")
+    for f in fields(SolverConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            parser.add_argument(flag, action="store_true", default=None)
+        else:
+            parser.add_argument(flag, type=_field_type(f.name),
+                                help=f.metadata.get("help", f"default {f.default}"))
 
 
 def _resolve_config(args):
-    file_options = load_config_file(args.config) if args.config else None
-    overrides = {}
-    for key in (
-        "gamma", "epsilon", "mu0", "rho0", "gamma1", "growth", "tol",
-        "max_iter", "beta", "penalty_tau", "tau1", "tau2", "tau1_scale", "strict_prox",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    return build_config(file_options, overrides)
+    """Defaults, then the config file, then the flags; a bad value is a usage error."""
+    try:
+        file_options = load_config_file(args.config) if args.config else None
+        return build_config(file_options, {f.name: getattr(args, f.name)
+                                           for f in fields(SolverConfig)})
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _write_manifest(path, command, config, inputs, outputs, seed, wall_seconds):
@@ -129,8 +145,6 @@ def cmd_synth(args):
     started = time.perf_counter()
     t = gen_lowrank(args.shape, args.rank, args.seed)
     if args.peak is not None:
-        if args.peak <= 0:
-            return _error(f"--peak must be positive, got {args.peak}", EXIT_USAGE)
         top = np.max(np.abs(t))
         if top > 0:
             t = t * (args.peak / top)
@@ -152,116 +166,87 @@ def _out_dir(args):
     return out
 
 
-def cmd_complete(args):
-    cfg = _resolve_config(args)
-    started = time.perf_counter()
-    data = load_tensor(args.input)
+def _run_complete(args, data, cfg):
+    """Mask from ``--mask`` or ``--sr``, then the completion solver."""
     inputs = {"tensor": str(args.input)}
-
     if args.mask is not None:
         mask = load_tensor(args.mask).astype(bool)
         if mask.shape != data.shape:
-            return _error(
-                f"mask shape {mask.shape} does not match data shape {data.shape}"
-            )
+            raise ValueError(f"mask shape {mask.shape} does not match data shape {data.shape}")
         inputs["mask"] = str(args.mask)
-        sr_label = "mask-file"
+        label = "mask-file"
     elif args.sr is not None:
         if not 0 < args.sr <= 1:
-            return _error(f"--sr must lie in (0, 1], got {args.sr}", EXIT_USAGE)
+            raise _UsageError(f"--sr must lie in (0, 1], got {args.sr}")
         mask = gen_mask(data.shape, args.sr, args.seed).mask
-        sr_label = f"sr={args.sr}"
+        label = f"sr={args.sr}"
     else:
-        return _error("pass either --sr or --mask", EXIT_USAGE)
+        raise _UsageError("pass either --sr or --mask")
 
     ground_truth = load_tensor(args.gt) if args.gt else (data if args.sr is not None else None)
-    observed = np.where(mask, data, 0.0)
-
-    report = complete(observed, mask, cfg, ground_truth=ground_truth)
-    out = _out_dir(args)
-    save_tensor(out / "recovered.tns", report.tensors["Z"])
-    write_trace_csv(out / "trace.csv", report.trace, TRACE_COLUMNS_COMPLETION)
-
-    outputs = {"recovered": str(out / "recovered.tns"), "trace": str(out / "trace.csv")}
-    if ground_truth is not None:
-        peak = float(np.max(np.abs(ground_truth))) or 1.0
-        values = evaluate_all(report.tensors["Z"], ground_truth, peak=peak, ratio=args.ratio)
-        values.update(report.metrics)
-        write_metrics_csv(out / "metrics.csv", [metric_row("emlcp-tc", sr_label, values)])
-        outputs["metrics"] = str(out / "metrics.csv")
-        print(
-            f"completed: rel_error={report.metrics.get('rel_error', float('nan')):.4e} "
-            f"psnr={values['psnr']:.3f} iterations={report.iterations}"
-        )
-    else:
-        print(f"completed: iterations={report.iterations}")
-
-    _write_manifest(
-        out / "manifest.json", "complete", cfg.to_dict(), inputs, outputs,
-        args.seed, time.perf_counter() - started,
-    )
-    if not report.converged and cfg.max_iter > 0:
-        _warn(f"did not reach tol={cfg.tol} within {cfg.max_iter} iterations")
-        return EXIT_NOT_CONVERGED
-    if cfg.max_iter == 0:
-        _warn("max_iter=0: returning the masked initialization")
-    return EXIT_OK
+    report = complete(np.where(mask, data, 0.0), mask, cfg, ground_truth=ground_truth)
+    return report, ground_truth, inputs, label
 
 
-def cmd_denoise(args):
+def _run_denoise(args, data, cfg):
+    """Optional synthetic noise from the noise flags, then the robust-PCA solver."""
+    spec = NoiseSpec(args.sp_fraction, args.gaussian_sigma, args.noniid, args.seed)
+    try:
+        spec.validate()
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    noise_requested = args.sp_fraction > 0 or args.gaussian_sigma > 0 or args.noniid
+    ground_truth = load_tensor(args.gt) if args.gt else (data if noise_requested else None)
+    observed, label = data, "as-given"
+    if noise_requested:
+        observed, label = add_mixed_noise(data, spec), spec.describe()
+    report = decompose(observed, cfg, ground_truth=ground_truth)
+    return report, ground_truth, {"tensor": str(args.input)}, label
+
+
+# Per solver command: its input handling and solver call, the metric-row
+# method, the summary verb, the trace columns, {output name: report tensor}
+# with the scored tensor first, and what a run with max_iter=0 returns.
+_SOLVERS = {
+    "complete": (_run_complete, "emlcp-tc", "completed", TRACE_COLUMNS_COMPLETION,
+                 {"recovered": "Z"}, "the masked initialization"),
+    "denoise": (_run_denoise, "emlcp-rpca", "denoised", TRACE_COLUMNS_RPCA,
+                {"L": "L", "E": "E", "N": "N"}, "the initialization"),
+}
+
+
+def cmd_solve(args):
+    """``complete`` and ``denoise``: solve, then write tensors, trace, metrics and manifest."""
+    run, method, verb, columns, written, initial = _SOLVERS[args.command]
     cfg = _resolve_config(args)
     started = time.perf_counter()
-    data = load_tensor(args.input)
-    inputs = {"tensor": str(args.input)}
+    report, ground_truth, inputs, label = run(args, load_tensor(args.input), cfg)
 
-    noise_requested = args.sp_fraction > 0 or args.gaussian_sigma > 0 or args.noniid
-    if args.sp_fraction >= 1 or args.sp_fraction < 0:
-        return _error(f"--sp-fraction must lie in [0, 1), got {args.sp_fraction}", EXIT_USAGE)
-    ground_truth = load_tensor(args.gt) if args.gt else None
-    if noise_requested:
-        spec = NoiseSpec(args.sp_fraction, args.gaussian_sigma, args.noniid, args.seed)
-        try:
-            spec.validate()
-        except ValueError as exc:
-            return _error(str(exc), EXIT_USAGE)
-        observed = add_mixed_noise(data, spec)
-        if ground_truth is None:
-            ground_truth = data
-        noise_label = spec.describe()
-    else:
-        observed = data
-        noise_label = "as-given"
-
-    report = decompose(observed, cfg, ground_truth=ground_truth)
     out = _out_dir(args)
-    for name in ("L", "E", "N"):
-        save_tensor(out / f"{name}.tns", report.tensors[name])
-    write_trace_csv(out / "trace.csv", report.trace, TRACE_COLUMNS_RPCA)
-
-    outputs = {name: str(out / f"{name}.tns") for name in ("L", "E", "N")}
+    outputs = {name: str(out / f"{name}.tns") for name in written}
     outputs["trace"] = str(out / "trace.csv")
+    for name, tensor in written.items():
+        save_tensor(outputs[name], report.tensors[tensor])
+    write_trace_csv(outputs["trace"], report.trace, columns)
+    summary = f"iterations={report.iterations}"
     if ground_truth is not None:
         peak = float(np.max(np.abs(ground_truth))) or 1.0
-        values = evaluate_all(report.tensors["L"], ground_truth, peak=peak, ratio=args.ratio)
+        scored = report.tensors[next(iter(written.values()))]
+        values = evaluate_all(scored, ground_truth, peak=peak, ratio=args.ratio)
         values.update(report.metrics)
-        write_metrics_csv(out / "metrics.csv", [metric_row("emlcp-rpca", noise_label, values)])
         outputs["metrics"] = str(out / "metrics.csv")
-        print(
-            f"denoised: rel_error={report.metrics.get('rel_error', float('nan')):.4e} "
-            f"psnr={values['psnr']:.3f} iterations={report.iterations}"
-        )
-    else:
-        print(f"denoised: iterations={report.iterations}")
+        write_metrics_csv(outputs["metrics"], [metric_row(method, label, values)])
+        summary = (f"rel_error={report.metrics.get('rel_error', float('nan')):.4e} "
+                   f"psnr={values['psnr']:.3f} {summary}")
+    print(f"{verb}: {summary}")
 
-    _write_manifest(
-        out / "manifest.json", "denoise", cfg.to_dict(), inputs, outputs,
-        args.seed, time.perf_counter() - started,
-    )
+    _write_manifest(out / "manifest.json", args.command, asdict(cfg), inputs, outputs,
+                    args.seed, time.perf_counter() - started)
     if not report.converged and cfg.max_iter > 0:
         _warn(f"did not reach tol={cfg.tol} within {cfg.max_iter} iterations")
         return EXIT_NOT_CONVERGED
     if cfg.max_iter == 0:
-        _warn("max_iter=0: returning the initialization")
+        _warn(f"max_iter=0: returning {initial}")
     return EXIT_OK
 
 
@@ -297,7 +282,7 @@ def build_parser():
                          help="comma list, e.g. 30,30,20")
     p_synth.add_argument("--rank", type=int, required=True)
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--peak", type=float, default=None,
+    p_synth.add_argument("--peak", type=_positive, default=None,
                          help="rescale so the largest magnitude equals this value")
     p_synth.add_argument("--out", required=True, help="output .tns path")
     p_synth.set_defaults(func=cmd_synth)
@@ -309,9 +294,9 @@ def build_parser():
     p_complete.add_argument("--gt", type=Path, default=None, help="ground-truth tensor file")
     p_complete.add_argument("--seed", type=int, default=0)
     p_complete.add_argument("--out", required=True, help="output directory")
-    p_complete.add_argument("--ratio", type=float, default=1.0, help="ERGAS resolution ratio")
+    p_complete.add_argument("--ratio", type=_positive, default=1.0, help="ERGAS resolution ratio")
     _add_config_flags(p_complete)
-    p_complete.set_defaults(func=cmd_complete)
+    p_complete.set_defaults(func=cmd_solve)
 
     p_denoise = sub.add_parser("denoise", help="split into low-rank + sparse + Gaussian")
     p_denoise.add_argument("input", help="tensor file (.tns)")
@@ -322,15 +307,15 @@ def build_parser():
     p_denoise.add_argument("--gt", type=Path, default=None)
     p_denoise.add_argument("--seed", type=int, default=0)
     p_denoise.add_argument("--out", required=True)
-    p_denoise.add_argument("--ratio", type=float, default=1.0)
+    p_denoise.add_argument("--ratio", type=_positive, default=1.0)
     _add_config_flags(p_denoise)
-    p_denoise.set_defaults(func=cmd_denoise)
+    p_denoise.set_defaults(func=cmd_solve)
 
     p_eval = sub.add_parser("eval", help="score one tensor file against another")
     p_eval.add_argument("recovered")
     p_eval.add_argument("reference")
-    p_eval.add_argument("--peak", type=float, default=1.0)
-    p_eval.add_argument("--ratio", type=float, default=1.0)
+    p_eval.add_argument("--peak", type=_positive, default=1.0)
+    p_eval.add_argument("--ratio", type=_positive, default=1.0)
     p_eval.add_argument("--out", default=None, help="optional output directory")
     p_eval.set_defaults(func=cmd_eval)
     return parser
@@ -341,6 +326,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        return _error(str(exc), EXIT_USAGE)
     except (ValueError, TensorFormatError) as exc:  # np.linalg.LinAlgError is a ValueError
         return _error(str(exc))
     except FileNotFoundError as exc:

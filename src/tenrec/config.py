@@ -30,7 +30,8 @@ class SolverConfig:
 
     gamma: float = 1e4
     epsilon: float = 0.01
-    beta: tuple | None = None
+    beta: tuple | None = field(
+        default=None, metadata={"help": "comma list of pair weights in lexicographic pair order"})
     mu0: float = 1e-3
     rho0: float = 1e-2
     gamma1: float = 1.1
@@ -73,7 +74,7 @@ class SolverConfig:
             if np.any(beta < 0):
                 raise ValueError("beta weights must be non-negative")
             if abs(beta.sum() - 1.0) > BETA_SUM_TOL:
-                raise ValueError(f"beta weights must sum to 1, got {beta.sum()!r}")
+                raise ValueError(f"beta weights must sum to 1, got {float(beta.sum())!r}")
         return self
 
     def pair_weights(self, ndim):
@@ -107,35 +108,31 @@ class SolverConfig:
     def updated(self, **kwargs):
         return replace(self, **kwargs)
 
-    def to_dict(self):
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
-
 
 _FIELD_TYPES = {f.name: f.type for f in fields(SolverConfig)}
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
 
 
-def _parse_value(key, raw):
-    raw = raw.strip()
-    if key == "beta":
-        return tuple(float(tok) for tok in raw.split(","))
-    if key == "strict_prox":
-        lowered = raw.lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse boolean config value {raw!r}")
-    if key == "max_iter":
-        return int(raw)
-    if raw.lower() in ("none", ""):
-        return None
-    return float(raw)
+def parse_field(name, text):
+    """Parse ``text`` by the type of the ``SolverConfig`` field ``name``.
+
+    A tuple is a comma list of numbers and a bool one of true/false,
+    yes/no, on/off or 1/0.  ``none`` or an empty value leaves any other
+    field at its default.
+    """
+    kind = _FIELD_TYPES[name].split(" |")[0]
+    text = text.strip()
+    try:
+        if kind == "bool":
+            return _BOOLEANS[text.lower()]
+        if text.lower() in ("none", ""):
+            return None
+        if kind == "tuple":
+            return tuple(float(tok) for tok in text.split(","))
+        return int(text) if kind == "int" else float(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"cannot parse {name} value {text!r}") from None
 
 
 def load_config_file(path):
@@ -152,7 +149,7 @@ def load_config_file(path):
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        options[key] = _parse_value(key, raw)
+        options[key] = parse_field(key, raw)
     return options
 
 

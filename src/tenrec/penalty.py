@@ -185,10 +185,15 @@ def shrink_singular_values(y, w, rho, epsilon, strict=False):
 def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     """Singular-value shrinkage of a 3-way array under fixed weights.
 
-    Solves ``argmin_L (rho/2)*||L - Y||_F^2 + sum_{j,i} w[j,i] *
-    log(sigma_j(L_bar_i)/eps + 1)`` exactly: the spatial Frobenius
-    quadratic is ``1/I3`` times the Fourier-domain one, so each Fourier
-    singular value is shrunk with quadratic scale ``rho/I3``.
+    Targets ``argmin_L (rho/2)*||L - Y||_F^2 + sum_{j,i} w[j,i] *
+    log(sigma_j(L_bar_i)/eps + 1)``: the spatial Frobenius quadratic is
+    ``1/I3`` times the Fourier-domain one, so each Fourier singular value
+    is shrunk with quadratic scale ``rho/I3`` by
+    :func:`shrink_singular_values`.  Only ``strict=True`` takes each
+    value's global minimiser, i.e. the proximal map that PALM's
+    convergence result under the KL property assumes.  The default rule
+    keeps the larger stationary point for every value above its
+    threshold, although zero is lower in a narrow band just above it.
     Conjugate-mirror slices share their singular values, so a real result
     only depends on ``w`` through the mean of each mirror pair of
     columns; the pair means are what the shrinkage uses.
@@ -425,12 +430,12 @@ def _next_basis(u, s, k, thr, truncated):
 
 
 def prox_lgamma_norm(y, lam_bar, gamma, rho, epsilon, strict=False):
-    """Proximal map of :func:`lgamma_norm` scaled by ``rho``.
+    """One alternating step on ``(rho/2)*||L - Y||_F^2 + lgamma_norm(L, lam_bar)``.
 
-    Solves ``argmin_L (rho/2)*||L - Y||_F^2 + lgamma_norm(L, lam_bar)`` by
-    shrinking the Fourier-slice singular values of ``Y`` with weights
-    ``lam_bar``, then re-evaluating the closed-form weights at the shrunk
-    values.
+    Shrinks the Fourier-slice singular values of ``Y`` with weights
+    ``lam_bar`` (the global minimiser in ``L`` only with ``strict=True``,
+    see :func:`weighted_log_prox`), then re-evaluates the closed-form
+    weights at the shrunk values.
 
     Returns
     -------

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 
 import tenrec
 import tenrec.completion
-from tenrec import gen_lowrank, load_tensor, save_tensor, tubal_rank
-from tenrec.cli import main
+from tenrec import (
+    NoiseSpec, SolverConfig, add_mixed_noise, gen_lowrank, load_tensor, save_tensor, tubal_rank,
+)
+from tenrec.cli import _resolve_config, build_parser, main
 
 
 def read_csv(path):
@@ -87,17 +90,6 @@ class TestComplete:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["mu0"] == 5.0
 
-    def test_max_iter_zero_warns_and_returns_initialization(self, tmp_path, capsys):
-        gt, path = make_instance(tmp_path)
-        out = tmp_path / "run"
-        code = main(["complete", str(path), "--sr", "0.5", "--seed", "5",
-                     "--out", str(out), "--max-iter", "0"])
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "warning" in err
-        rec = load_tensor(out / "recovered.tns")
-        assert set(np.round(rec[rec != gt], 12).ravel()) <= {0.0}
-
     def test_mask_file_shape_mismatch(self, tmp_path, capsys):
         gt, path = make_instance(tmp_path)
         bad_mask = tmp_path / "mask.tns"
@@ -112,13 +104,6 @@ class TestComplete:
         code = main(["complete", str(path), "--out", str(tmp_path / "run")])
         assert code == 2
 
-    def test_nonconvergence_exit_code(self, tmp_path, capsys):
-        gt, path = make_instance(tmp_path)
-        code = main(["complete", str(path), "--sr", "0.5", "--seed", "5",
-                     "--out", str(tmp_path / "run"), "--max-iter", "2",
-                     "--tol", "1e-300"] + COMPLETE_FLAGS[:-2])
-        assert code == 3
-
     def test_config_file_precedence(self, tmp_path, capsys):
         gt, path = make_instance(tmp_path)
         cfgfile = tmp_path / "run.cfg"
@@ -130,6 +115,41 @@ class TestComplete:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["mu0"] == 5.0
         assert manifest["config"]["gamma"] == 1e4
+
+
+# the command's own input flags: a sampling rate, or synthetic noise
+SOLVE_INPUT = {"complete": ["--sr", "0.5"], "denoise": ["--sp-fraction", "0.05"]}
+
+
+@pytest.mark.parametrize("command", ["complete", "denoise"])
+def test_max_iter_zero_warns_and_returns_initialization(tmp_path, capsys, command):
+    gt, path = make_instance(tmp_path)
+    out = tmp_path / "run"
+    code = main([command, str(path), "--seed", "5", "--out", str(out), "--max-iter", "0"]
+                + SOLVE_INPUT[command])
+    assert code == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert list(json.loads(lines[0])) == ["warning"]
+    if command == "complete":
+        rec = load_tensor(out / "recovered.tns")
+        assert set(np.round(rec[rec != gt], 12).ravel()) <= {0.0}
+    else:  # the noisy data, with empty sparse and Gaussian parts
+        noisy = add_mixed_noise(gt, NoiseSpec(sp_fraction=0.05, seed=5))
+        assert np.array_equal(load_tensor(out / "L.tns"), noisy)
+        assert not load_tensor(out / "E.tns").any()
+        assert not load_tensor(out / "N.tns").any()
+
+
+@pytest.mark.parametrize("command", ["complete", "denoise"])
+def test_nonconvergence_exit_code(tmp_path, capsys, command):
+    gt, path = make_instance(tmp_path)
+    out = tmp_path / "run"
+    code = main([command, str(path), "--seed", "5", "--out", str(out), "--max-iter", "2",
+                 "--tol", "1e-300"] + SOLVE_INPUT[command] + COMPLETE_FLAGS[:-2])
+    assert code == 3
+    assert len(read_csv(out / "trace.csv")) == 2
+    assert "did not reach tol" in json.loads(capsys.readouterr().err)["warning"]
 
 
 class TestDenoise:
@@ -166,12 +186,12 @@ class TestDenoise:
         assert rows[0]["fsim"] == "n/a"
         assert set(rows[0]) == {"method", "sr_or_noise", "psnr", "ssim", "fsim", "ergas"}
 
-    def test_invalid_sp_fraction(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags", [["--sp-fraction", "1.5"], ["--gaussian-sigma", "-0.1"]])
+    def test_invalid_noise_flags(self, tmp_path, capsys, flags):
         t = gen_lowrank((8, 8, 4), 2, seed=2)
         path = tmp_path / "t.tns"
         save_tensor(path, t)
-        code = main(["denoise", str(path), "--sp-fraction", "1.5",
-                     "--out", str(tmp_path / "run")])
+        code = main(["denoise", str(path), "--out", str(tmp_path / "run")] + flags)
         assert code == 2
 
 
@@ -235,10 +255,18 @@ def test_solver_failure_is_one_json_error_line(tmp_path, capsys, monkeypatch, co
     ("complete", ["--sr", "abc"]),
     ("denoise", ["--noniid", "0.1,y"]),
     ("synth", ["--shape", "8,a,5", "--rank", "2"]),
+    ("complete", ["--sr", "0.5", "--ratio", "0"]),
+    ("complete", ["--sr", "0.5", "--max-iter", "1.5"]),
+    ("denoise", ["--ratio", "inf"]),
+    ("eval", ["--ratio", "0"]),
+    ("eval", ["--ratio", "-2"]),
+    ("eval", ["--peak", "0"]),
+    ("eval", ["--peak", "-1"]),
+    ("synth", ["--shape", "8,7,5", "--rank", "2", "--peak", "nan"]),
 ])
 def test_usage_error_is_one_json_error_line(tmp_path, capsys, command, flags):
     _, path = make_instance(tmp_path)
-    argv = [command] + ([] if command == "synth" else [str(path)])
+    argv = [command] + {"synth": [], "eval": [str(path)] * 2}.get(command, [str(path)])
     with pytest.raises(SystemExit) as err:
         main(argv + flags + ["--out", str(tmp_path / "run")])
     assert err.value.code == 2
@@ -247,6 +275,52 @@ def test_usage_error_is_one_json_error_line(tmp_path, capsys, command, flags):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert list(json.loads(lines[0])) == ["error"]
+
+
+@pytest.mark.parametrize("command", ["complete", "denoise"])
+@pytest.mark.parametrize("flags, config_text, message", [
+    (["--mu0", "-1"], None, "mu0 must be positive, got -1.0"),
+    ([], "bogus = 1\n", "unknown config key 'bogus'"),
+    ([], "gamma = abc\n", "cannot parse gamma value 'abc'"),
+    (["--beta", "0.5,0.25,0.2"], None, "beta weights must sum to 1, got 0.95"),
+], ids=["negative-mu0", "unknown-key", "unparsable-value", "beta-sum"])
+def test_bad_option_value_is_one_json_error_line(tmp_path, capsys, command, flags,
+                                                 config_text, message):
+    _, path = make_instance(tmp_path)
+    if config_text is not None:
+        (tmp_path / "run.cfg").write_text(config_text)
+        flags = flags + ["--config", str(tmp_path / "run.cfg")]
+    code = main([command, str(path), "--out", str(tmp_path / "run")]
+                + SOLVE_INPUT[command] + flags)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"].endswith(message)
+    assert not (tmp_path / "run").exists()
+
+
+# a valid non-default value for every SolverConfig field, as command-line text
+FIELD_TEXT = {
+    "gamma": "50", "epsilon": "0.02", "beta": "0.5,0.25,0.25", "mu0": "0.5", "rho0": "0.2",
+    "gamma1": "1.5", "growth": "1.1", "tol": "1e-3", "max_iter": "7", "penalty_tau": "0.01",
+    "tau1": "0.25", "tau1_scale": "2", "tau2": "0.5", "strict_prox": "true",
+}
+
+
+@pytest.mark.parametrize("command", ["complete", "denoise"])
+@pytest.mark.parametrize("field", fields(SolverConfig), ids=lambda f: f.name)
+def test_every_config_field_is_a_flag_and_a_config_key(tmp_path, command, field):
+    text = FIELD_TEXT[field.name]
+    flag = "--" + field.name.replace("_", "-")
+    (tmp_path / "run.cfg").write_text(f"{field.name} = {text}\n")
+    argv = [command, "data.tns", "--out", "run"]
+    by_flag = build_parser().parse_args(argv + ([flag] if field.type == "bool" else [flag, text]))
+    by_file = build_parser().parse_args(argv + ["--config", str(tmp_path / "run.cfg")])
+    cfg = _resolve_config(by_flag)
+    assert cfg == _resolve_config(by_file)
+    assert getattr(cfg, field.name) != getattr(SolverConfig(), field.name)
 
 
 def test_entry_point_runs():
