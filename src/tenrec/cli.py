@@ -92,6 +92,13 @@ def _positive(text):
     return value
 
 
+def _seed(text):
+    """argparse ``type=`` of ``--seed``: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _field_type(name):
     """argparse ``type=`` of a ``SolverConfig`` field, parsed as in a config file."""
     def parse(text):
@@ -220,7 +227,12 @@ def cmd_solve(args):
     run, method, verb, columns, written, initial = _SOLVERS[args.command]
     cfg = _resolve_config(args)
     started = time.perf_counter()
-    report, ground_truth, inputs, label = run(args, load_tensor(args.input), cfg)
+    data = load_tensor(args.input)
+    try:
+        cfg.pair_weights(data.ndim)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    report, ground_truth, inputs, label = run(args, data, cfg)
 
     out = _out_dir(args)
     outputs = {name: str(out / f"{name}.tns") for name in written}
@@ -281,7 +293,7 @@ def build_parser():
     p_synth.add_argument("--shape", type=_parse_shape, required=True,
                          help="comma list, e.g. 30,30,20")
     p_synth.add_argument("--rank", type=int, required=True)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=_seed, default=0)
     p_synth.add_argument("--peak", type=_positive, default=None,
                          help="rescale so the largest magnitude equals this value")
     p_synth.add_argument("--out", required=True, help="output .tns path")
@@ -292,7 +304,7 @@ def build_parser():
     p_complete.add_argument("--sr", type=float, default=None, help="sampling rate in (0, 1]")
     p_complete.add_argument("--mask", type=Path, default=None, help="0/1 mask tensor file")
     p_complete.add_argument("--gt", type=Path, default=None, help="ground-truth tensor file")
-    p_complete.add_argument("--seed", type=int, default=0)
+    p_complete.add_argument("--seed", type=_seed, default=0)
     p_complete.add_argument("--out", required=True, help="output directory")
     p_complete.add_argument("--ratio", type=_positive, default=1.0, help="ERGAS resolution ratio")
     _add_config_flags(p_complete)
@@ -305,7 +317,7 @@ def build_parser():
     p_denoise.add_argument("--noniid", type=_parse_floats, default=None,
                            help="lo,hi per-slice range")
     p_denoise.add_argument("--gt", type=Path, default=None)
-    p_denoise.add_argument("--seed", type=int, default=0)
+    p_denoise.add_argument("--seed", type=_seed, default=0)
     p_denoise.add_argument("--out", required=True)
     p_denoise.add_argument("--ratio", type=_positive, default=1.0)
     _add_config_flags(p_denoise)

@@ -2,15 +2,15 @@
 
 The model couples every mode-pair unfolding of the estimate to an
 auxiliary low-rank surrogate through an augmented Lagrangian.  One sweep
-(:func:`run_sweeps`) updates, per pair: the singular-value weights, the
-surrogate (a weighted log-penalty shrinkage), and the weight targets;
-then the solver's data block, and finally the multipliers.  The
-constraint penalties may grow geometrically between sweeps.  For
-completion the data block is the estimate itself: observed entries are
-copied from the data, unobserved entries take a beta-weighted average of
-the surrogates.  Robust PCA (:mod:`tenrec.rpca`) runs the same sweep with
-its L/E/N block: completion is robust PCA with E = N = 0 plus a mask
-projection.
+(:func:`run_sweeps`) runs in PALM order, each step writing its own
+variables once: the pair steps (per pair: singular-value weights,
+surrogate shrinkage, weight targets), the data step, the descent check,
+the multiplier ascent, the trace row, and the geometric growth of the
+penalties.  For completion the data block is the estimate itself:
+observed entries are copied from the data, unobserved entries take a
+beta-weighted average of the surrogates.  Robust PCA (:mod:`tenrec.rpca`)
+runs the same sweep with its L/E/N block: completion is robust PCA with
+E = N = 0 plus a mask projection.
 """
 
 from __future__ import annotations
@@ -103,39 +103,34 @@ def _penalty_energy(sigma, w, lam_bar, gamma, epsilon):
     return float(np.sum(w * t) + 0.5 * gamma * np.sum((w - lam_bar) ** 2))
 
 
-def _constraint_quad(x, st, m, mu):
+def _constraint_quad(x, st, mu):
     # One pair's constraint quadratic (mu/2)*||unfold(x) - M + Q/mu||^2.
-    return 0.5 * mu * float(np.sum((unfold_mode_pair(x, *st.pair) - m + st.q / mu) ** 2))
+    return 0.5 * mu * float(np.sum((unfold_mode_pair(x, *st.pair) - st.m + st.q / mu) ** 2))
 
 
-def coupling(x, states, m_list, mu):
+def coupling(x, states, mu):
     """Beta-weighted constraint quadratics of all pairs at the estimate ``x``:
     the part of a data step's objective that ties it to the surrogates."""
-    return sum(st.beta * _constraint_quad(x, st, m, mu) for st, m in zip(states, m_list))
+    return sum(st.beta * _constraint_quad(x, st, mu) for st in states)
 
 
-def pair_lagrangian(total, x, states, mu, gamma, epsilon, updates=None):
-    """Add each pair's beta * (penalty block + constraint quadratic) to
-    ``total``; ``updates`` (the pair steps' staged (M, sigma, w, lam_bar))
-    replace the committed pair variables, except the multipliers."""
-    for i, st in enumerate(states):
-        m, sigma, w, lam_bar = updates[i] if updates is not None else (
-            st.m, st.sigma, st.weights.w, st.weights.lam_bar)
-        quad = _constraint_quad(x, st, m, mu)
-        total += st.beta * (_penalty_energy(sigma, w, lam_bar, gamma, epsilon) + quad)
+def pair_lagrangian(total, x, states, mu, gamma, epsilon):
+    """Add each pair's beta * (penalty block + constraint quadratic) to ``total``."""
+    for st in states:
+        energy = _penalty_energy(st.sigma, st.weights.w, st.weights.lam_bar, gamma, epsilon)
+        total += st.beta * (energy + _constraint_quad(x, st, mu))
     return total
 
 
-def lagrangian_value(z, states, mu, gamma, epsilon, updates=None):
+def lagrangian_value(z, states, mu, gamma, epsilon):
     """Pair-weighted augmented Lagrangian at the current variables.
 
     Each pair contributes beta * (penalty block + constraint quadratic);
     the indicator of the observation constraint is zero by construction.
-    ``updates`` stages the pair variables (see :func:`pair_lagrangian`).
-    This value is non-increasing across one sweep of the updates
+    This value is non-increasing across one sweep of the primal updates
     (multipliers and penalty scalars held fixed).
     """
-    return pair_lagrangian(0.0, z, states, mu, gamma, epsilon, updates)
+    return pair_lagrangian(0.0, z, states, mu, gamma, epsilon)
 
 
 class _MaskedEstimate:
@@ -145,26 +140,22 @@ class _MaskedEstimate:
         self.observed, self.mask, self.cfg = observed, mask, cfg
         self.x = np.where(mask, observed, 0.0)
 
-    def lagrangian(self, states, mu, updates=None):
-        z = self.x if updates is None else self.staged
-        return lagrangian_value(z, states, mu, self.cfg.gamma, self.cfg.epsilon, updates)
+    def lagrangian(self, states, mu):
+        return lagrangian_value(self.x, states, mu, self.cfg.gamma, self.cfg.epsilon)
 
-    def step(self, states, m_new, mu, rho, monitor):
+    def step(self, states, mu, rho, monitor):
         z = self.x
-        self.staged = update_z(
+        self.x = update_z(
             self.observed, self.mask, z, [st.pair for st in states], [st.beta for st in states],
-            m_new, [st.q for st in states], mu, rho,
+            [st.m for st in states], [st.q for st in states], mu, rho,
         )
         if monitor is not None:
             monitor["subproblems"]["z"] = (
-                coupling(z, states, m_new, mu),
-                coupling(self.staged, states, m_new, mu)
-                + 0.5 * rho * float(np.sum((self.staged - z) ** 2)),
+                coupling(z, states, mu),
+                coupling(self.x, states, mu) + 0.5 * rho * float(np.sum((self.x - z) ** 2)),
             )
-        return self.staged
 
-    def commit(self):
-        self.x = self.staged
+    def ascend(self):
         return {}
 
     def grow(self, growth):
@@ -206,12 +197,14 @@ def run_sweeps(cfg, block, ground_truth, track_descent):
     """The sweeps of both solvers, until no entry of the estimate moves more
     than ``cfg.tol``; ``track_descent`` as in :func:`complete`.
 
-    ``block`` is the solver's data block.  It holds the estimate ``x`` the
-    pairs are coupled to and provides ``step(states, m_new, mu, rho,
-    monitor)`` (stage its variables; returns the new estimate),
-    ``lagrangian(states, mu, updates=None)`` (at the staged point when
-    given the pair updates), ``commit()`` (adopt the staged variables;
-    returns extra trace columns), ``grow(growth)`` and ``tensors()``.
+    A sweep runs the pair steps, the data step, the descent check (when
+    tracked: the Lagrangian at the new primal variables and the old
+    multipliers), the ascent, the trace row and the penalty growth.
+    ``block`` is the solver's data block.  It holds the estimate ``x`` and
+    provides ``step(states, mu, rho, monitor)`` (its primal update, which
+    reads each pair's new ``m``), ``lagrangian(states, mu)``, ``ascend()``
+    (its own multiplier step; returns extra trace columns),
+    ``grow(growth)`` and ``tensors()``.
     """
     states = [
         PairState(pair, beta, unfold_mode_pair(block.x, pair[0], pair[1]))
@@ -229,24 +222,22 @@ def run_sweeps(cfg, block, ground_truth, track_descent):
         monitor = None
         if track_descent:
             monitor = {"subproblems": {}, "lag_before": block.lagrangian(states, mu)}
-        updates = [_pair_step(st, block.x, mu, rho, cfg, notes, monitor) for st in states]
         x = block.x
-        x_new = block.step(states, [u[0] for u in updates], mu, rho, monitor)
+        for st in states:
+            _pair_step(st, x, mu, rho, cfg, notes, monitor)
+        block.step(states, mu, rho, monitor)
 
         if track_descent:
-            monitor["lag_after"] = block.lagrangian(states, mu, updates)
+            monitor["lag_after"] = block.lagrangian(states, mu)
             if monitor["lag_after"] > monitor["lag_before"] * (1 + DESCENT_RTOL) + 1e-12:
                 notes["descent_violations"] += 1
             notes["subproblem_violations"] += _count_violations(monitor["subproblems"])
 
-        diff = float(np.max(np.abs(x_new - x))) if x.size else 0.0
+        diff = float(np.max(np.abs(block.x - x))) if x.size else 0.0
 
-        for st, (m_new, sigma_new, w_new, lam_new) in zip(states, updates):
-            st.q = update_multiplier(st.q, unfold_mode_pair(x_new, *st.pair), m_new, mu)
-            st.m = m_new
-            st.sigma = -np.sort(-sigma_new, axis=0)
-            st.weights = WeightState(w_new, lam_new)
-        columns = block.commit()
+        for st in states:
+            st.q = update_multiplier(st.q, unfold_mode_pair(block.x, *st.pair), st.m, mu)
+        columns = block.ascend()
 
         row = {
             "iter": it,
@@ -284,8 +275,8 @@ def run_sweeps(cfg, block, ground_truth, track_descent):
 
 
 def _pair_step(st, x, mu, rho, cfg, notes, monitor):
-    """Weights, surrogate shrinkage and weight targets of one pair; returns
-    the staged (M, sigma, w, lam_bar)."""
+    """Weights, surrogate shrinkage and weight targets of one pair, written
+    into ``st``; the multiplier is left to the ascent."""
     rho1 = cfg.gamma1 * mu
     w_old, lam_old = st.weights.w, st.weights.lam_bar
     w_new = update_weights(st.sigma, st.weights, cfg.gamma, rho, cfg.epsilon)
@@ -311,7 +302,9 @@ def _pair_step(st, x, mu, rho, cfg, notes, monitor):
                 + 0.5 * rho * float(np.sum((lam_new - lam_old) ** 2)),
             ),
         }
-    return m_new, sigma_new, w_new, lam_new
+    st.m = m_new
+    st.sigma = -np.sort(-sigma_new, axis=0)
+    st.weights = WeightState(w_new, lam_new)
 
 
 def _count_violations(subproblems):

@@ -85,14 +85,11 @@ class SolverConfig:
         """
         pairs = mode_pairs(ndim)
         if self.beta is None:
-            beta = np.full(len(pairs), 1.0 / len(pairs))
-        else:
-            beta = np.asarray(self.beta, dtype=float)
-            if beta.size != len(pairs):
-                raise ValueError(
-                    f"beta has {beta.size} weights but a {ndim}-way tensor has "
-                    f"{len(pairs)} mode pairs"
-                )
+            return [(pair, 1.0 / len(pairs)) for pair in pairs]
+        beta = np.asarray(self.beta, dtype=float)
+        if beta.size != len(pairs):
+            raise ValueError(f"beta has {beta.size} weights but a {ndim}-way tensor has "
+                             f"{len(pairs)} mode pairs")
         return [(pair, float(b)) for pair, b in zip(pairs, beta) if b > 0]
 
     def resolve_tau(self, shape):

@@ -57,13 +57,12 @@ def update_n(t, l_new, e_new, n_prev, f, ptau, tau2, rho):
     return (ptau * (t - l_new - e_new) + f + rho * n_prev) / (2.0 * tau2 + ptau + rho)
 
 
-def _lagrangian(t, l, e, n, f, states, mu, ptau, tau1, tau2, gamma, epsilon, updates=None):
+def _lagrangian(t, l, e, n, f, states, mu, ptau, tau1, tau2, gamma, epsilon):
     """Pair-weighted augmented Lagrangian; non-increasing across one sweep
-    (multipliers and penalty scalars held fixed).  ``updates`` stages the
-    pair variables (see :func:`tenrec.completion.pair_lagrangian`)."""
+    of the primal updates (multipliers and penalty scalars held fixed)."""
     total = tau1 * float(np.sum(np.abs(e))) + tau2 * float(np.sum(n**2))
     total += 0.5 * ptau * float(np.sum((t - l - e - n + f / ptau) ** 2))
-    return pair_lagrangian(total, l, states, mu, gamma, epsilon, updates)
+    return pair_lagrangian(total, l, states, mu, gamma, epsilon)
 
 
 class _LowRankSparseNoise:
@@ -78,18 +77,17 @@ class _LowRankSparseNoise:
         self.n = np.zeros_like(t)
         self.f = np.zeros_like(t)
 
-    def lagrangian(self, states, mu, updates=None):
-        l, e, n = (self.x, self.e, self.n) if updates is None else self.staged
-        return _lagrangian(self.t, l, e, n, self.f, states, mu, self.ptau, self.tau1,
-                           self.tau2, self.cfg.gamma, self.cfg.epsilon, updates)
+    def lagrangian(self, states, mu):
+        return _lagrangian(self.t, self.x, self.e, self.n, self.f, states, mu, self.ptau,
+                           self.tau1, self.tau2, self.cfg.gamma, self.cfg.epsilon)
 
-    def step(self, states, m_new, mu, rho, monitor):
+    def step(self, states, mu, rho, monitor):
         t, l, e, n, f, ptau = self.t, self.x, self.e, self.n, self.f, self.ptau
         l_new = update_l(t, e, n, f, l, [st.pair for st in states], [st.beta for st in states],
-                         m_new, [st.q for st in states], mu, ptau, rho)
+                         [st.m for st in states], [st.q for st in states], mu, ptau, rho)
         e_new = update_e(t, l_new, n, e, f, ptau, self.tau1, rho)
         n_new = update_n(t, l_new, e_new, n, f, ptau, self.tau2, rho)
-        self.staged = (l_new, e_new, n_new)
+        self.x, self.e, self.n = l_new, e_new, n_new
         if monitor is not None:
             # Each block's objective before its step and after it, with the
             # proximal term to its previous value.
@@ -100,8 +98,8 @@ class _LowRankSparseNoise:
                 return 0.5 * rho * float(np.sum((x - anchor) ** 2))
 
             monitor["subproblems"].update(
-                l=(fit(t - l - e - n) + coupling(l, states, m_new, mu),
-                   fit(t - l_new - e - n) + coupling(l_new, states, m_new, mu) + prox(l_new, l)),
+                l=(fit(t - l - e - n) + coupling(l, states, mu),
+                   fit(t - l_new - e - n) + coupling(l_new, states, mu) + prox(l_new, l)),
                 e=(self.tau1 * float(np.sum(np.abs(e))) + fit(t - l_new - e - n),
                    self.tau1 * float(np.sum(np.abs(e_new))) + fit(t - l_new - e_new - n)
                    + prox(e_new, e)),
@@ -109,16 +107,13 @@ class _LowRankSparseNoise:
                    self.tau2 * float(np.sum(n_new**2)) + fit(t - l_new - e_new - n_new)
                    + prox(n_new, n)),
             )
-        return l_new
 
-    def commit(self):
-        self.x, self.e, self.n = self.staged
-        t, l, e, n = self.t, self.x, self.e, self.n
-        self.f = self.f + self.ptau * (t - l - e - n)
-        residual = t - l - e - n
+    def ascend(self):
+        residual = self.t - self.x - self.e - self.n
+        self.f = self.f + self.ptau * residual
         return {
-            "E_l1": float(np.sum(np.abs(e))),
-            "N_fro": float(np.linalg.norm(n)),
+            "E_l1": float(np.sum(np.abs(self.e))),
+            "N_fro": float(np.linalg.norm(self.n)),
             "residual_fro": float(np.linalg.norm(residual)),
         }
 

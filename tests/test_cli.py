@@ -301,6 +301,54 @@ def test_bad_option_value_is_one_json_error_line(tmp_path, capsys, command, flag
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["complete", "denoise"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_beta_count_must_match_the_data_order(tmp_path, capsys, command, source):
+    _, path = make_instance(tmp_path)
+    flags = ["--beta", "1,0"]
+    if source == "config":
+        (tmp_path / "run.cfg").write_text("beta = 1,0\n")
+        flags = ["--config", str(tmp_path / "run.cfg")]
+    code = main([command, str(path), "--out", str(tmp_path / "run")]
+                + SOLVE_INPUT[command] + flags)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "beta has 2 weights but a 3-way tensor has 3 mode pairs"}
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "complete", "denoise"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    _, path = make_instance(tmp_path)
+    argv = (["synth", "--shape", "8,7,5", "--rank", "2"] if command == "synth"
+            else [command, str(path)] + SOLVE_INPUT[command])
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--seed", "-1", "--out", str(tmp_path / "run")])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"].endswith(
+        "argument --seed: expected a non-negative integer, got '-1'")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["complete", "denoise"])
+def test_one_way_tensor_is_one_json_error_line(tmp_path, capsys, command):
+    path = tmp_path / "vector.tns"
+    save_tensor(path, np.arange(6.0))
+    code = main([command, str(path), "--out", str(tmp_path / "run")] + SOLVE_INPUT[command])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"].endswith("needs at least a 2-way tensor")
+
+
 # a valid non-default value for every SolverConfig field, as command-line text
 FIELD_TEXT = {
     "gamma": "50", "epsilon": "0.02", "beta": "0.5,0.25,0.25", "mu0": "0.5", "rho0": "0.2",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tenrec import SolverConfig, complete, gen_lowrank, gen_mask
+from tenrec import (NoiseSpec, SolverConfig, add_mixed_noise, complete, decompose, gen_lowrank,
+                    gen_mask)
 from tenrec.algebra import fold_mode_pair, fourier_singular_values, unfold_mode_pair
 from tenrec.completion import update_m_pair, update_multiplier, update_z
 from tenrec.penalty import (
@@ -282,3 +283,37 @@ class TestDescent:
             if label == "z":
                 continue
             assert set(entry) >= {"w", "lam"}
+
+    @pytest.mark.parametrize("solver", ["complete", "decompose"])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_monitoring_does_not_perturb_the_run(self, solver, strict):
+        # The descent check reads the sweep's variables between the data
+        # step and the ascent; it must leave every one of them as it was.
+        if solver == "complete":
+            gt, mask, obs = small_instance(seed=19)
+            cfg = SMALL_CFG.updated(beta=(0.6, 0.3, 0.1), max_iter=60, strict_prox=strict)
+            def run(track):
+                return complete(obs, mask, cfg, gt, track_descent=track)
+        else:
+            # the robust-PCA acceptance instance and its solver settings
+            gt = gen_lowrank((30, 30, 10), 2, seed=7)
+            noisy = add_mixed_noise(gt, NoiseSpec(sp_fraction=0.10, gaussian_sigma=0.05, seed=7))
+            cfg = SolverConfig(beta=(1.0, 0.0, 0.0), mu0=2e-3, rho0=2.3e-6, growth=1.08,
+                               epsilon=0.21, penalty_tau=6e-5, tau1_scale=0.3, tol=2e-4,
+                               max_iter=40, strict_prox=strict)
+            def run(track):
+                return decompose(noisy, cfg, gt, track_descent=track)
+        tracked, plain = run(True), run(False)
+        assert tracked.iterations == plain.iterations > 5
+        assert tracked.converged == plain.converged
+        assert tracked.tensors.keys() == plain.tensors.keys()
+        for name, tensor in plain.tensors.items():
+            assert np.array_equal(tracked.tensors[name], tensor)
+        assert tracked.metrics == plain.metrics
+        assert plain.notes["strict_flips"] == tracked.notes["strict_flips"]
+        assert len(tracked.trace) == len(plain.trace)
+        for got, ref in zip(tracked.trace, plain.trace):
+            assert {"lag_before", "lag_after", "subproblems"} <= set(got)
+            for key in ref:
+                if key != "seconds":
+                    assert got[key] == ref[key], key

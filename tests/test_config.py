@@ -18,6 +18,11 @@ def test_pair_weights_one_hot_drops_pairs():
     assert pw == [((0, 1), 1.0)]
 
 
+def test_pair_weights_below_two_modes_is_empty():
+    # the solvers reject such data themselves; resolving the pairs must not fail first
+    assert SolverConfig().pair_weights(1) == []
+
+
 def test_pair_weights_length_check():
     with pytest.raises(ValueError):
         SolverConfig(beta=(1.0,)).pair_weights(3)
