@@ -17,14 +17,7 @@ earliest remaining mode varying fastest (column-major order).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-
 import numpy as np
-
-# A singular tube/value counts as nonzero when it exceeds this fraction of
-# the largest singular value of the whole tensor.
-RANK_RTOL = 1e-8
-
 
 def _require_3way(a, name="input"):
     a = np.asarray(a)
@@ -110,16 +103,6 @@ def _view_or_copy(arr, source):
     return arr
 
 
-def dft_mode3(z):
-    """Unnormalised DFT along the third mode (tube direction)."""
-    return np.fft.fft(_require_3way(z), axis=2)
-
-
-def idft_mode3(zbar):
-    """Inverse of :func:`dft_mode3` (scaled by 1/I3); output is complex."""
-    return np.fft.ifft(_require_3way(zbar), axis=2)
-
-
 def t_product(a, b):
     """Tube-wise circular convolution product of two 3-way arrays.
 
@@ -148,23 +131,6 @@ def t_product(a, b):
     return c
 
 
-def conj_transpose(a):
-    """Transpose each frontal slice and reverse the order of slices 2..I3."""
-    a = _require_3way(a)
-    out = np.empty((a.shape[1], a.shape[0], a.shape[2]), dtype=a.dtype)
-    out[:, :, 0] = a[:, :, 0].conj().T
-    if a.shape[2] > 1:
-        out[:, :, 1:] = a[:, :, :0:-1].conj().transpose(1, 0, 2)
-    return out
-
-
-def identity_tensor(n, tubes):
-    """Identity for the tube-wise product: eye in slice 0, zeros elsewhere."""
-    out = np.zeros((n, n, tubes))
-    out[:, :, 0] = np.eye(n)
-    return out
-
-
 def _mirror_index(i3):
     """Half-spectrum slice that holds each of the ``I3`` Fourier slices.
 
@@ -187,79 +153,3 @@ def fourier_singular_values(z):
     z = _require_3way(z)
     vals = np.linalg.svd(np.moveaxis(np.fft.rfft(z, axis=2), 2, 0), compute_uv=False)
     return vals.T[:, _mirror_index(z.shape[2])]
-
-
-@dataclass
-class TubalFactorization:
-    """Orthogonal-diagonal-orthogonal factorization under the tube product.
-
-    ``u`` is I1 x I1 x I3, ``s`` is I1 x I2 x I3 with diagonal frontal
-    slices in both domains, ``v`` is I2 x I2 x I3, and the original array
-    is ``u * s * conj_transpose(v)``.
-    """
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-    def compose(self):
-        """Multiply the factors back together."""
-        return t_product(t_product(self.u, self.s), conj_transpose(self.v))
-
-
-def t_svd(z):
-    """Factor a real 3-way array as ``u * s * v^H``.
-
-    Each half-spectrum slice of the real FFT along the third mode is
-    factored by a complex SVD with singular values sorted non-increasing;
-    ``irfft`` returns the factors to real space, which fills in the
-    conjugate-mirror slices without factoring them again.
-
-    Raises
-    ------
-    ValueError
-        If the input is not 3-way or contains non-finite entries.
-    """
-    z = np.asarray(z, dtype=float)
-    z = _require_3way(z)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("t_svd input must be finite")
-    i1, i2, i3 = z.shape
-    ubar, s, vhbar = np.linalg.svd(np.moveaxis(np.fft.rfft(z, axis=2), 2, 0))
-    sbar = np.zeros((s.shape[0], i1, i2))
-    diag = np.arange(s.shape[1])
-    sbar[:, diag, diag] = s
-    vbar = vhbar.conj().transpose(0, 2, 1)
-    return TubalFactorization(
-        *(np.moveaxis(np.fft.irfft(f, n=i3, axis=0), 0, 2) for f in (ubar, sbar, vbar))
-    )
-
-
-def tubal_rank(z, rtol=None):
-    """Number of nonzero singular tubes of a 3-way array."""
-    sigma = fourier_singular_values(z)
-    thresh = (rtol if rtol is not None else RANK_RTOL) * sigma.max(initial=0.0)
-    return int(np.count_nonzero(sigma.max(axis=1) > thresh))
-
-
-def multi_rank(z, rtol=None):
-    """Vector of Fourier-slice matrix ranks, one entry per tube index."""
-    sigma = fourier_singular_values(z)
-    thresh = (rtol if rtol is not None else RANK_RTOL) * sigma.max(initial=0.0)
-    return (sigma > thresh).sum(axis=0).astype(int)
-
-
-def tnn(z):
-    """Sum of singular values over all Fourier-domain frontal slices."""
-    return float(fourier_singular_values(z).sum())
-
-
-def n_tubal_rank(t, rtol=None):
-    """Tubal rank of every mode-pair unfolding, in lexicographic pair order."""
-    t = np.asarray(t)
-    if t.ndim < 2:
-        raise ValueError("n_tubal_rank needs at least a 2-way array")
-    return [
-        tubal_rank(unfold_mode_pair(t, m1, m2), rtol=rtol)
-        for m1, m2 in mode_pairs(t.ndim)
-    ]

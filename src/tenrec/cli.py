@@ -74,11 +74,13 @@ def _parse_shape(text):
     return shape
 
 
-def _parse_floats(text):
+def _parse_range(text):
+    """argparse ``type=`` of ``--noniid``: two numbers ``lo,hi``."""
     try:
-        return tuple(float(tok) for tok in text.split(","))
+        lo, hi = (float(tok) for tok in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse comma list of numbers {text!r}")
+        raise argparse.ArgumentTypeError(f"expected two numbers lo,hi, got {text!r}") from None
+    return lo, hi
 
 
 def _positive(text):
@@ -92,8 +94,8 @@ def _positive(text):
     return value
 
 
-def _seed(text):
-    """argparse ``type=`` of ``--seed``: a non-negative integer."""
+def _non_negative_int(text):
+    """argparse ``type=`` of ``--seed`` and ``--rank``: a non-negative integer."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
@@ -149,6 +151,9 @@ def _write_manifest(path, command, config, inputs, outputs, seed, wall_seconds):
 def cmd_synth(args):
     if len(args.shape) != 3:
         return _error("synth generates 3-way tensors; pass --shape I1,I2,I3", EXIT_USAGE)
+    if args.rank > min(args.shape[:2]):
+        args.parser.error(f"argument --rank: must not exceed min(I1, I2) = "
+                          f"{min(args.shape[:2])}, got {args.rank}")
     started = time.perf_counter()
     t = gen_lowrank(args.shape, args.rank, args.seed)
     if args.peak is not None:
@@ -292,19 +297,19 @@ def build_parser():
     p_synth = sub.add_parser("synth", help="generate a random low-tubal-rank tensor")
     p_synth.add_argument("--shape", type=_parse_shape, required=True,
                          help="comma list, e.g. 30,30,20")
-    p_synth.add_argument("--rank", type=int, required=True)
-    p_synth.add_argument("--seed", type=_seed, default=0)
+    p_synth.add_argument("--rank", type=_non_negative_int, required=True)
+    p_synth.add_argument("--seed", type=_non_negative_int, default=0)
     p_synth.add_argument("--peak", type=_positive, default=None,
                          help="rescale so the largest magnitude equals this value")
     p_synth.add_argument("--out", required=True, help="output .tns path")
-    p_synth.set_defaults(func=cmd_synth)
+    p_synth.set_defaults(func=cmd_synth, parser=p_synth)
 
     p_complete = sub.add_parser("complete", help="recover missing entries")
     p_complete.add_argument("input", help="tensor file (.tns)")
     p_complete.add_argument("--sr", type=float, default=None, help="sampling rate in (0, 1]")
     p_complete.add_argument("--mask", type=Path, default=None, help="0/1 mask tensor file")
     p_complete.add_argument("--gt", type=Path, default=None, help="ground-truth tensor file")
-    p_complete.add_argument("--seed", type=_seed, default=0)
+    p_complete.add_argument("--seed", type=_non_negative_int, default=0)
     p_complete.add_argument("--out", required=True, help="output directory")
     p_complete.add_argument("--ratio", type=_positive, default=1.0, help="ERGAS resolution ratio")
     _add_config_flags(p_complete)
@@ -314,10 +319,10 @@ def build_parser():
     p_denoise.add_argument("input", help="tensor file (.tns)")
     p_denoise.add_argument("--sp-fraction", type=float, default=0.0, dest="sp_fraction")
     p_denoise.add_argument("--gaussian-sigma", type=float, default=0.0, dest="gaussian_sigma")
-    p_denoise.add_argument("--noniid", type=_parse_floats, default=None,
+    p_denoise.add_argument("--noniid", type=_parse_range, default=None,
                            help="lo,hi per-slice range")
     p_denoise.add_argument("--gt", type=Path, default=None)
-    p_denoise.add_argument("--seed", type=_seed, default=0)
+    p_denoise.add_argument("--seed", type=_non_negative_int, default=0)
     p_denoise.add_argument("--out", required=True)
     p_denoise.add_argument("--ratio", type=_positive, default=1.0)
     _add_config_flags(p_denoise)

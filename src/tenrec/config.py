@@ -45,6 +45,11 @@ class SolverConfig:
     strict_prox: bool = False
 
     def validate(self):
+        # Every check below is a comparison, which NaN passes.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.epsilon <= 0:

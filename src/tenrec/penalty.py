@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _mirror_index, fourier_singular_values, _require_3way
+from .algebra import _mirror_index, _require_3way
 
 
 def _validate_params(lam, gamma, epsilon):
@@ -67,26 +67,6 @@ def mlcp(z, lam, gamma, epsilon):
     return value
 
 
-def mlcp_tensor(z, lam_bar, gamma, epsilon):
-    """Sum of the capped log penalty over all entries with per-entry lam."""
-    z = np.asarray(z, dtype=float)
-    lam_bar = np.asarray(lam_bar, dtype=float)
-    if z.shape != lam_bar.shape:
-        raise ValueError(
-            f"value and weight-target shapes differ: {z.shape} vs {lam_bar.shape}"
-        )
-    return float(np.sum(mlcp(z, lam_bar, gamma, epsilon)))
-
-
-def mlcp_weight_minimizer(z, lam, gamma, epsilon):
-    """Minimiser of ``w*log(|z|/eps + 1) + (gamma/2)*(w - lam)**2`` over w >= 0."""
-    _validate_params(lam, gamma, epsilon)
-    w = np.maximum(lam - np.log1p(np.abs(np.asarray(z, dtype=float)) / epsilon) / gamma, 0.0)
-    if w.ndim == 0:
-        return float(w)
-    return w
-
-
 @dataclass
 class WeightState:
     """Per-unfolding weight matrix and its quadratic target, both R x I3."""
@@ -107,38 +87,6 @@ class WeightState:
     @classmethod
     def ones(cls, r, i3):
         return cls(np.ones((r, i3)), np.ones((r, i3)))
-
-
-def log_weighted_norm(z, w, epsilon):
-    """Weighted log norm of Fourier-slice singular values.
-
-    ``sum_{j,i} w[j, i] * log(sigma_j(slice i)/eps + 1)`` with the singular
-    values of each Fourier-domain frontal slice sorted non-increasing.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    sigma = fourier_singular_values(z)
-    w = np.asarray(w, dtype=float)
-    if w.shape != sigma.shape:
-        raise ValueError(f"weight shape {w.shape} does not match {sigma.shape}")
-    return float(np.sum(w * np.log1p(sigma / epsilon)))
-
-
-def lgamma_norm(z, lam_bar, gamma, epsilon):
-    """Weighted singular-value capped-log norm.
-
-    Evaluates ``min_W { log_weighted_norm(z, W, eps) +
-    (gamma/2)*||W - lam_bar||_F^2 }`` through the closed-form minimiser,
-    one decoupled weight per Fourier-slice singular value.
-    """
-    _validate_params(lam_bar, gamma, epsilon)
-    sigma = fourier_singular_values(z)
-    lam_bar = np.asarray(lam_bar, dtype=float)
-    if lam_bar.shape != sigma.shape:
-        raise ValueError(f"target shape {lam_bar.shape} does not match {sigma.shape}")
-    t = np.log1p(sigma / epsilon)
-    w = np.maximum(lam_bar - t / gamma, 0.0)
-    return float(np.sum(w * t + 0.5 * gamma * (w - lam_bar) ** 2))
 
 
 def shrink_singular_values(y, w, rho, epsilon, strict=False):
@@ -427,25 +375,6 @@ def _next_basis(u, s, k, thr, truncated):
     if not _certified(head, np.zeros(head.shape), tail_sq, thr).all():
         return None
     return u[:, :, :width].copy()
-
-
-def prox_lgamma_norm(y, lam_bar, gamma, rho, epsilon, strict=False):
-    """One alternating step on ``(rho/2)*||L - Y||_F^2 + lgamma_norm(L, lam_bar)``.
-
-    Shrinks the Fourier-slice singular values of ``Y`` with weights
-    ``lam_bar`` (the global minimiser in ``L`` only with ``strict=True``,
-    see :func:`weighted_log_prox`), then re-evaluates the closed-form
-    weights at the shrunk values.
-
-    Returns
-    -------
-    (l, w)
-        The shrunk tensor and the R x I3 weight matrix.
-    """
-    _validate_params(lam_bar, gamma, epsilon)
-    l, sigma_new, _ = weighted_log_prox(y, lam_bar, rho, epsilon, strict=strict)
-    w = np.maximum(np.asarray(lam_bar, dtype=float) - np.log1p(sigma_new / epsilon) / gamma, 0.0)
-    return l, w
 
 
 def update_weights(sigma, state, gamma, rho, epsilon):

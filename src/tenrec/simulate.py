@@ -83,8 +83,9 @@ class NoiseSpec:
     def validate(self):
         if not 0 <= self.sp_fraction < 1:
             raise ValueError(f"sp_fraction must lie in [0, 1), got {self.sp_fraction}")
-        if self.gaussian_sigma < 0:
-            raise ValueError(f"gaussian_sigma must be non-negative, got {self.gaussian_sigma}")
+        if not 0 <= self.gaussian_sigma < np.inf:
+            raise ValueError(
+                f"gaussian_sigma must be non-negative and finite, got {self.gaussian_sigma}")
         if self.noniid is not None:
             lo, hi = self.noniid
             if not (0 <= lo <= hi < 1):

@@ -20,18 +20,17 @@ from tenrec import (
     gen_lowrank,
     gen_mask,
     load_config_file,
-    load_tensor,
     mlcp,
-    mlcp_weight_minimizer,
     save_tensor,
     shrink_singular_values,
     t_product,
     unfold_mode_pair,
     fold_mode_pair,
 )
-from tenrec.algebra import fourier_singular_values, mode_pairs, t_svd
+from tenrec.algebra import fourier_singular_values, mode_pairs
 from tenrec.cli import main
-from tenrec.penalty import lgamma_norm
+
+from oracles import lgamma_norm, mlcp_weight_minimizer, t_svd
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 

@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
-from tenrec import (
-    fold_mode_pair,
-    mode_pairs,
-    multi_rank,
-    n_tubal_rank,
-    t_product,
-    tnn,
-    tubal_rank,
-    unfold_mode_pair,
-)
-from tenrec.algebra import (
+from tenrec import fold_mode_pair, mode_pairs, t_product, unfold_mode_pair
+from tenrec.algebra import fourier_singular_values
+
+from oracles import (
     conj_transpose,
     dft_mode3,
-    fourier_singular_values,
     identity_tensor,
     idft_mode3,
+    multi_rank,
+    n_tubal_rank,
     t_svd,
+    tnn,
+    tubal_rank,
 )
 
 

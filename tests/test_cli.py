@@ -11,10 +11,10 @@ import pytest
 
 import tenrec
 import tenrec.completion
-from tenrec import (
-    NoiseSpec, SolverConfig, add_mixed_noise, gen_lowrank, load_tensor, save_tensor, tubal_rank,
-)
+from tenrec import NoiseSpec, SolverConfig, add_mixed_noise, gen_lowrank, load_tensor, save_tensor
 from tenrec.cli import _resolve_config, build_parser, main
+
+from oracles import tubal_rank
 
 
 def read_csv(path):
@@ -186,7 +186,8 @@ class TestDenoise:
         assert rows[0]["fsim"] == "n/a"
         assert set(rows[0]) == {"method", "sr_or_noise", "psnr", "ssim", "fsim", "ergas"}
 
-    @pytest.mark.parametrize("flags", [["--sp-fraction", "1.5"], ["--gaussian-sigma", "-0.1"]])
+    @pytest.mark.parametrize("flags", [["--sp-fraction", "1.5"], ["--gaussian-sigma", "-0.1"],
+                                       ["--gaussian-sigma", "nan"], ["--gaussian-sigma", "inf"]])
     def test_invalid_noise_flags(self, tmp_path, capsys, flags):
         t = gen_lowrank((8, 8, 4), 2, seed=2)
         path = tmp_path / "t.tns"
@@ -263,6 +264,9 @@ def test_solver_failure_is_one_json_error_line(tmp_path, capsys, monkeypatch, co
     ("eval", ["--peak", "0"]),
     ("eval", ["--peak", "-1"]),
     ("synth", ["--shape", "8,7,5", "--rank", "2", "--peak", "nan"]),
+    ("synth", ["--shape", "5,4,3", "--rank", "-1"]),
+    ("synth", ["--shape", "5,4,3", "--rank", "9"]),
+    ("denoise", ["--noniid", "0.1"]),
 ])
 def test_usage_error_is_one_json_error_line(tmp_path, capsys, command, flags):
     _, path = make_instance(tmp_path)
@@ -275,6 +279,8 @@ def test_usage_error_is_one_json_error_line(tmp_path, capsys, command, flags):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert list(json.loads(lines[0])) == ["error"]
+    message = json.loads(lines[0])["error"]
+    assert any(f"argument {flag}: " in message for flag in flags if flag.startswith("--"))
 
 
 @pytest.mark.parametrize("command", ["complete", "denoise"])
@@ -283,7 +289,14 @@ def test_usage_error_is_one_json_error_line(tmp_path, capsys, command, flags):
     ([], "bogus = 1\n", "unknown config key 'bogus'"),
     ([], "gamma = abc\n", "cannot parse gamma value 'abc'"),
     (["--beta", "0.5,0.25,0.2"], None, "beta weights must sum to 1, got 0.95"),
-], ids=["negative-mu0", "unknown-key", "unparsable-value", "beta-sum"])
+    (["--mu0", "nan"], None, "mu0 must be finite, got nan"),
+    (["--epsilon", "inf"], None, "epsilon must be finite, got inf"),
+    (["--tol", "nan"], None, "tol must be finite, got nan"),
+    (["--growth", "inf"], None, "growth must be finite, got inf"),
+    (["--tau1", "nan"], None, "tau1 must be finite, got nan"),
+    ([], "beta = 0.5,nan,0.5\n", "beta must be finite, got (0.5, nan, 0.5)"),
+], ids=["negative-mu0", "unknown-key", "unparsable-value", "beta-sum", "nan-mu0",
+        "inf-epsilon", "nan-tol", "inf-growth", "nan-tau1", "nan-beta"])
 def test_bad_option_value_is_one_json_error_line(tmp_path, capsys, command, flags,
                                                  config_text, message):
     _, path = make_instance(tmp_path)

@@ -5,13 +5,9 @@ from tenrec import (NoiseSpec, SolverConfig, add_mixed_noise, complete, decompos
                     gen_mask)
 from tenrec.algebra import fold_mode_pair, fourier_singular_values, unfold_mode_pair
 from tenrec.completion import update_m_pair, update_multiplier, update_z
-from tenrec.penalty import (
-    WeightState,
-    prox_lgamma_norm,
-    update_lambda_bar,
-    update_weights,
-    weighted_log_prox,
-)
+from tenrec.penalty import update_lambda_bar, weighted_log_prox
+
+from oracles import prox_lgamma_norm
 
 
 def small_instance(seed=0, shape=(12, 12, 6), rank=2, sr=0.5):

@@ -56,6 +56,16 @@ def test_scalar_validation():
         dict(penalty_tau=0.0),
         dict(tau1=-0.1),
         dict(tau1_scale=0.0),
+        dict(mu0=float("nan")),
+        dict(epsilon=float("inf")),
+        dict(tol=float("nan")),
+        dict(growth=float("inf")),
+        dict(gamma1=float("inf")),
+        dict(penalty_tau=float("nan")),
+        dict(tau1=float("nan")),
+        dict(tau1_scale=float("inf")),
+        dict(tau2=float("inf")),
+        dict(beta=(float("nan"),) * 3),
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad).validate()

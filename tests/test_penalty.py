@@ -3,18 +3,25 @@ import pytest
 
 from tenrec import (
     WeightState,
-    lgamma_norm,
-    log_weighted_norm,
     mlcp,
-    mlcp_weight_minimizer,
     shrink_singular_values,
     t_product,
     update_lambda_bar,
     update_weights,
     weighted_log_prox,
 )
-from tenrec.algebra import conj_transpose, dft_mode3, fourier_singular_values, t_svd
-from tenrec.penalty import SliceBasis, mlcp_tensor, prox_lgamma_norm
+from tenrec.algebra import fourier_singular_values
+from tenrec.penalty import SliceBasis
+
+from oracles import (
+    dft_mode3,
+    lgamma_norm,
+    log_weighted_norm,
+    mlcp_tensor,
+    mlcp_weight_minimizer,
+    prox_lgamma_norm,
+    t_svd,
+)
 
 
 def omega_objective(omega, z, lam, gamma, eps):

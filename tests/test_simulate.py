@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from tenrec import NoiseSpec, add_mixed_noise, gen_lowrank, gen_mask, tubal_rank
+from tenrec import NoiseSpec, add_mixed_noise, gen_lowrank, gen_mask
+
+from oracles import tubal_rank
 
 
 class TestGenLowrank:
@@ -115,5 +117,7 @@ class TestMixedNoise:
             NoiseSpec(sp_fraction=1.0).validate()
         with pytest.raises(ValueError):
             NoiseSpec(gaussian_sigma=-0.1).validate()
+        with pytest.raises(ValueError):
+            NoiseSpec(gaussian_sigma=float("nan")).validate()
         with pytest.raises(ValueError):
             NoiseSpec(noniid=(0.5, 0.2)).validate()
