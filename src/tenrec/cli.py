@@ -182,9 +182,12 @@ def _run_complete(args, data, cfg):
     """Mask from ``--mask`` or ``--sr``, then the completion solver."""
     inputs = {"tensor": str(args.input)}
     if args.mask is not None:
-        mask = load_tensor(args.mask).astype(bool)
+        mask = load_tensor(args.mask)
         if mask.shape != data.shape:
             raise ValueError(f"mask shape {mask.shape} does not match data shape {data.shape}")
+        if not np.all((mask == 0) | (mask == 1)):
+            raise ValueError(f"mask {args.mask} holds values other than 0 and 1")
+        mask = mask.astype(bool)
         inputs["mask"] = str(args.mask)
         label = "mask-file"
     elif args.sr is not None:

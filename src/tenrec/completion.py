@@ -32,7 +32,7 @@ from .penalty import (
 from .report import RecoveryReport
 
 DESCENT_RTOL = 1e-8
-SUBPROBLEM_RTOL = 1e-9
+SUBPROBLEM_RTOL = 1e-14
 
 
 class PairState:
@@ -97,28 +97,15 @@ def update_multiplier(q, z_new_unf, m_new, mu):
     return q + mu * (z_new_unf - m_new)
 
 
-def _penalty_energy(sigma, w, lam_bar, gamma, epsilon):
-    # One pair's penalty block: weighted log term plus target tether.
-    t = np.log1p(sigma / epsilon)
-    return float(np.sum(w * t) + 0.5 * gamma * np.sum((w - lam_bar) ** 2))
-
-
-def _constraint_quad(x, st, mu):
-    # One pair's constraint quadratic (mu/2)*||unfold(x) - M + Q/mu||^2.
-    return 0.5 * mu * float(np.sum((unfold_mode_pair(x, *st.pair) - st.m + st.q / mu) ** 2))
-
-
-def coupling(x, states, mu):
-    """Beta-weighted constraint quadratics of all pairs at the estimate ``x``:
-    the part of a data step's objective that ties it to the surrogates."""
-    return sum(st.beta * _constraint_quad(x, st, mu) for st in states)
-
-
 def pair_lagrangian(total, x, states, mu, gamma, epsilon):
-    """Add each pair's beta * (penalty block + constraint quadratic) to ``total``."""
+    """Add to ``total`` each pair's beta * (penalty block + constraint
+    quadratic): its weighted log term and target tether, and
+    ``(mu/2)*||unfold(x) - M + Q/mu||^2``."""
     for st in states:
-        energy = _penalty_energy(st.sigma, st.weights.w, st.weights.lam_bar, gamma, epsilon)
-        total += st.beta * (energy + _constraint_quad(x, st, mu))
+        w, lam_bar = st.weights.w, st.weights.lam_bar
+        energy = np.sum(w * np.log1p(st.sigma / epsilon)) + 0.5 * gamma * np.sum((w - lam_bar) ** 2)
+        quad = 0.5 * mu * np.sum((unfold_mode_pair(x, *st.pair) - st.m + st.q / mu) ** 2)
+        total += st.beta * float(energy + quad)
     return total
 
 
@@ -143,17 +130,13 @@ class _MaskedEstimate:
     def lagrangian(self, states, mu):
         return lagrangian_value(self.x, states, mu, self.cfg.gamma, self.cfg.epsilon)
 
-    def step(self, states, mu, rho, monitor):
+    def step(self, states, mu, rho, check):
         z = self.x
         self.x = update_z(
             self.observed, self.mask, z, [st.pair for st in states], [st.beta for st in states],
             [st.m for st in states], [st.q for st in states], mu, rho,
         )
-        if monitor is not None:
-            monitor["subproblems"]["z"] = (
-                coupling(z, states, mu),
-                coupling(self.x, states, mu) + 0.5 * rho * float(np.sum((self.x - z) ** 2)),
-            )
+        check("z", rho, self.x, z)
 
     def ascend(self):
         return {}
@@ -173,8 +156,12 @@ def complete(observed, mask, config=None, ground_truth=None, track_descent=False
         mask: boolean tensor of observed positions, same shape.
         config: SolverConfig; package defaults when omitted.
         ground_truth: optional reference; adds a ``rel_error`` metric.
-        track_descent: record per-sweep Lagrangian and convex-subproblem
-            descent checks in the report (meant for growth=1.0 runs).
+        track_descent: check every step of each sweep against the
+            augmented Lagrangian: trace rows gain ``lag_before``,
+            ``lag_after`` and per-step ``subproblems``, and ``notes``
+            counts the rises (see :func:`run_sweeps`).  Meant for
+            growth=1.0 runs; only ``strict_prox`` is expected to pass the
+            surrogate (M) step's check.
 
     Returns:
         RecoveryReport with the completed tensor under ``tensors['Z']``.
@@ -195,17 +182,33 @@ def complete(observed, mask, config=None, ground_truth=None, track_descent=False
 
 def run_sweeps(cfg, block, ground_truth, track_descent):
     """The sweeps of both solvers, until no entry of the estimate moves more
-    than ``cfg.tol``; ``track_descent`` as in :func:`complete`.
+    than ``cfg.tol``.
 
-    A sweep runs the pair steps, the data step, the descent check (when
-    tracked: the Lagrangian at the new primal variables and the old
-    multipliers), the ascent, the trace row and the penalty growth.
-    ``block`` is the solver's data block.  It holds the estimate ``x`` and
-    provides ``step(states, mu, rho, monitor)`` (its primal update, which
-    reads each pair's new ``m``), ``lagrangian(states, mu)``, ``ascend()``
-    (its own multiplier step; returns extra trace columns),
-    ``grow(growth)`` and ``tensors()``.
+    A sweep runs the pair steps, the data step, the descent check, the
+    ascent, the trace row and the penalty growth.  ``block`` is the
+    solver's data block.  It holds the estimate ``x`` and provides
+    ``step(states, mu, rho, check)`` (its primal update, which reads each
+    pair's new ``m``), ``lagrangian(states, mu)``, ``ascend()`` (its own
+    multiplier step; returns extra trace columns), ``grow(growth)`` and
+    ``tensors()``.
+
+    Each primal step writes its variables, then calls ``check(name, scale,
+    new, old)``: per pair ``"<pair>.w"``, ``"<pair>.m"``, ``"<pair>.lam"``,
+    then the data steps (``"z"``, or ``"l"``, ``"e"``, ``"n"``).  With
+    ``track_descent`` each trace row gains ``lag_before`` and
+    ``lag_after``, the Lagrangian at the sweep's start and after its
+    primal steps (multipliers held fixed), and ``subproblems``: per step,
+    the Lagrangian before it and after it plus its proximal term
+    ``(scale/2)*||new - old||^2``.  ``notes`` counts the rises.  The
+    surrogate step's term is PALM's sufficient decrease
+    ``beta*(rho1 - mu)/2*||dM||^2``, which only the exact proximal map
+    (``strict_prox``) guarantees.
     """
+    if ground_truth is not None:
+        ground_truth = np.asarray(ground_truth, dtype=float)
+        if ground_truth.shape != block.x.shape:
+            raise ValueError(f"ground truth shape {ground_truth.shape} does not match "
+                             f"data {block.x.shape}")
     states = [
         PairState(pair, beta, unfold_mode_pair(block.x, pair[0], pair[1]))
         for pair, beta in cfg.pair_weights(block.x.ndim)
@@ -219,19 +222,16 @@ def run_sweeps(cfg, block, ground_truth, track_descent):
     iterations = 0
     for it in range(1, cfg.max_iter + 1):
         iterations = it
-        monitor = None
-        if track_descent:
-            monitor = {"subproblems": {}, "lag_before": block.lagrangian(states, mu)}
+        check = _StepCheck(block, states, mu) if track_descent else _unchecked
         x = block.x
         for st in states:
-            _pair_step(st, x, mu, rho, cfg, notes, monitor)
-        block.step(states, mu, rho, monitor)
+            _pair_step(st, x, mu, rho, cfg, notes, check)
+        block.step(states, mu, rho, check)
 
         if track_descent:
-            monitor["lag_after"] = block.lagrangian(states, mu)
-            if monitor["lag_after"] > monitor["lag_before"] * (1 + DESCENT_RTOL) + 1e-12:
-                notes["descent_violations"] += 1
-            notes["subproblem_violations"] += _count_violations(monitor["subproblems"])
+            notes["descent_violations"] += _rose(check.first, check.last, DESCENT_RTOL)
+            notes["subproblem_violations"] += sum(_rose(before, after, SUBPROBLEM_RTOL)
+                                                  for before, after in check.steps.values())
 
         diff = float(np.max(np.abs(block.x - x))) if x.size else 0.0
 
@@ -247,7 +247,7 @@ def run_sweeps(cfg, block, ground_truth, track_descent):
             **columns,
         }
         if track_descent:
-            row.update(monitor)
+            row.update(lag_before=check.first, lag_after=check.last, subproblems=check.steps)
         trace.append(row)
 
         mu *= cfg.growth
@@ -259,9 +259,8 @@ def run_sweeps(cfg, block, ground_truth, track_descent):
 
     metrics = {}
     if ground_truth is not None:
-        ref = np.asarray(ground_truth, dtype=float)
-        denom = max(float(np.linalg.norm(ref)), 1e-300)
-        metrics["rel_error"] = float(np.linalg.norm(block.x - ref)) / denom
+        denom = max(float(np.linalg.norm(ground_truth)), 1e-300)
+        metrics["rel_error"] = float(np.linalg.norm(block.x - ground_truth)) / denom
 
     return RecoveryReport(
         tensors=block.tensors(),
@@ -274,45 +273,47 @@ def run_sweeps(cfg, block, ground_truth, track_descent):
     )
 
 
-def _pair_step(st, x, mu, rho, cfg, notes, monitor):
-    """Weights, surrogate shrinkage and weight targets of one pair, written
-    into ``st``; the multiplier is left to the ascent."""
+def _pair_step(st, x, mu, rho, cfg, notes, check):
+    """Weights, surrogate shrinkage and weight targets of one pair, each
+    written into ``st`` and then checked; the multiplier is left to the
+    ascent."""
     rho1 = cfg.gamma1 * mu
-    w_old, lam_old = st.weights.w, st.weights.lam_bar
+    w_old, lam_old, m_old = st.weights.w, st.weights.lam_bar, st.m
     w_new = update_weights(st.sigma, st.weights, cfg.gamma, rho, cfg.epsilon)
-    m_new, sigma_new, sigma_arg = update_m_pair(
-        st.m, unfold_mode_pair(x, st.pair[0], st.pair[1]), st.q, w_new, mu, rho1, cfg.epsilon,
+    st.weights = WeightState(w_new, lam_old)
+    check(st.label + ".w", st.beta * rho, w_new, w_old)
+
+    st.m, sigma_new, sigma_arg = update_m_pair(
+        m_old, unfold_mode_pair(x, st.pair[0], st.pair[1]), st.q, w_new, mu, rho1, cfg.epsilon,
         strict=cfg.strict_prox, basis=st.basis,
     )
-    lam_new = update_lambda_bar(w_new, lam_old, cfg.gamma, rho)
-    if cfg.strict_prox:
-        default_vals = shrink_singular_values(sigma_arg, w_new, rho1 / st.m.shape[2], cfg.epsilon)
-        notes["strict_flips"] += int(np.count_nonzero(default_vals != sigma_new))
-    if monitor is not None:
-        gamma, eps = cfg.gamma, cfg.epsilon
-        monitor["subproblems"][st.label] = {
-            "w": (
-                _penalty_energy(st.sigma, w_old, lam_old, gamma, eps),
-                _penalty_energy(st.sigma, w_new, lam_old, gamma, eps)
-                + 0.5 * rho * float(np.sum((w_new - w_old) ** 2)),
-            ),
-            "lam": (
-                0.5 * gamma * float(np.sum((w_new - lam_old) ** 2)),
-                0.5 * gamma * float(np.sum((w_new - lam_new) ** 2))
-                + 0.5 * rho * float(np.sum((lam_new - lam_old) ** 2)),
-            ),
-        }
-    st.m = m_new
     st.sigma = -np.sort(-sigma_new, axis=0)
-    st.weights = WeightState(w_new, lam_new)
+    check(st.label + ".m", st.beta * (rho1 - mu), st.m, m_old)
+    if cfg.strict_prox:
+        default_vals = shrink_singular_values(sigma_arg, w_new, rho1 / m_old.shape[2], cfg.epsilon)
+        notes["strict_flips"] += int(np.count_nonzero(default_vals != sigma_new))
+
+    st.weights.lam_bar = update_lambda_bar(w_new, lam_old, cfg.gamma, rho)
+    check(st.label + ".lam", st.beta * rho, st.weights.lam_bar, lam_old)
 
 
-def _count_violations(subproblems):
-    # A pair's entry maps its w and lam_bar checks; a data step's entry is
-    # one (before, after) check.
-    count = 0
-    for entry in subproblems.values():
-        for before, after in entry.values() if isinstance(entry, dict) else [entry]:
-            if after > before * (1 + SUBPROBLEM_RTOL) + 1e-12:
-                count += 1
-    return count
+def _unchecked(name, scale, new, old):
+    pass
+
+
+def _rose(before, after, rtol):
+    return int(after > before * (1 + rtol) + 1e-12)
+
+
+class _StepCheck:
+    """``check`` of a tracked sweep: the Lagrangian at its start (``first``),
+    after its latest step (``last``), and per step ``steps[name]``."""
+
+    def __init__(self, block, states, mu):
+        self.lagrangian = lambda: block.lagrangian(states, mu)
+        self.first = self.last = self.lagrangian()
+        self.steps = {}
+
+    def __call__(self, name, scale, new, old):
+        before, self.last = self.last, self.lagrangian()
+        self.steps[name] = (before, self.last + 0.5 * scale * float(np.sum((new - old) ** 2)))

@@ -12,8 +12,8 @@ class RecoveryReport:
 
     ``tensors`` maps result names to arrays ('Z' for completion; 'L', 'E',
     'N' for robust PCA).  ``trace`` holds one dict per iteration; the keys
-    written to CSV are fixed per solver, extra keys (per-pair subproblem
-    objectives, descent bookkeeping) stay in memory.
+    written to CSV are fixed per solver, extra keys (the per-step descent
+    checks) stay in memory.
     """
 
     tensors: dict

@@ -3,7 +3,7 @@
 Decomposes an observation into a low-rank part L (coupled to mode-pair
 surrogates exactly as in the completion solver), an entrywise-sparse part
 E handled by soft thresholding, and a dense Gaussian part N handled by a
-ridge step.  All three couplings live in one augmented Lagrangian whose
+ridge step.  All three terms live in one augmented Lagrangian whose
 penalties may grow geometrically between sweeps.
 
 The sweep is :func:`tenrec.completion.run_sweeps`; this module supplies
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .completion import coupling, pair_lagrangian, pair_pull, run_sweeps
+from .completion import pair_lagrangian, pair_pull, run_sweeps
 from .config import SolverConfig
 
 
@@ -81,32 +81,15 @@ class _LowRankSparseNoise:
         return _lagrangian(self.t, self.x, self.e, self.n, self.f, states, mu, self.ptau,
                            self.tau1, self.tau2, self.cfg.gamma, self.cfg.epsilon)
 
-    def step(self, states, mu, rho, monitor):
+    def step(self, states, mu, rho, check):
         t, l, e, n, f, ptau = self.t, self.x, self.e, self.n, self.f, self.ptau
-        l_new = update_l(t, e, n, f, l, [st.pair for st in states], [st.beta for st in states],
-                         [st.m for st in states], [st.q for st in states], mu, ptau, rho)
-        e_new = update_e(t, l_new, n, e, f, ptau, self.tau1, rho)
-        n_new = update_n(t, l_new, e_new, n, f, ptau, self.tau2, rho)
-        self.x, self.e, self.n = l_new, e_new, n_new
-        if monitor is not None:
-            # Each block's objective before its step and after it, with the
-            # proximal term to its previous value.
-            def fit(residual):
-                return 0.5 * ptau * float(np.sum((residual + f / ptau) ** 2))
-
-            def prox(x, anchor):
-                return 0.5 * rho * float(np.sum((x - anchor) ** 2))
-
-            monitor["subproblems"].update(
-                l=(fit(t - l - e - n) + coupling(l, states, mu),
-                   fit(t - l_new - e - n) + coupling(l_new, states, mu) + prox(l_new, l)),
-                e=(self.tau1 * float(np.sum(np.abs(e))) + fit(t - l_new - e - n),
-                   self.tau1 * float(np.sum(np.abs(e_new))) + fit(t - l_new - e_new - n)
-                   + prox(e_new, e)),
-                n=(self.tau2 * float(np.sum(n**2)) + fit(t - l_new - e_new - n),
-                   self.tau2 * float(np.sum(n_new**2)) + fit(t - l_new - e_new - n_new)
-                   + prox(n_new, n)),
-            )
+        self.x = update_l(t, e, n, f, l, [st.pair for st in states], [st.beta for st in states],
+                          [st.m for st in states], [st.q for st in states], mu, ptau, rho)
+        check("l", rho, self.x, l)
+        self.e = update_e(t, self.x, n, e, f, ptau, self.tau1, rho)
+        check("e", rho, self.e, e)
+        self.n = update_n(t, self.x, self.e, n, f, ptau, self.tau2, rho)
+        check("n", rho, self.n, n)
 
     def ascend(self):
         residual = self.t - self.x - self.e - self.n
@@ -131,8 +114,12 @@ def decompose(observed, config=None, ground_truth=None, track_descent=False):
         observed: the corrupted data tensor (any number of modes >= 2).
         config: SolverConfig; package defaults when omitted.
         ground_truth: optional clean low-rank reference; adds ``rel_error``.
-        track_descent: record per-sweep Lagrangian and convex-subproblem
-            descent checks (meant for growth=1.0 runs).
+        track_descent: check every step of each sweep against the
+            augmented Lagrangian: trace rows gain ``lag_before``,
+            ``lag_after`` and per-step ``subproblems``, and ``notes``
+            counts the rises (see :func:`tenrec.completion.run_sweeps`).
+            Meant for growth=1.0 runs; only ``strict_prox`` is expected to
+            pass the surrogate (M) step's check.
 
     Returns:
         RecoveryReport with ``tensors['L']``, ``tensors['E']``,

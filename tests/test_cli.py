@@ -362,6 +362,38 @@ def test_one_way_tensor_is_one_json_error_line(tmp_path, capsys, command):
     assert json.loads(lines[0])["error"].endswith("needs at least a 2-way tensor")
 
 
+@pytest.mark.parametrize("command", ["complete", "denoise"])
+def test_ground_truth_of_another_shape_is_refused_before_solving(tmp_path, capsys, command):
+    gt, path = make_instance(tmp_path)
+    bad_gt = tmp_path / "bad_gt.tns"
+    save_tensor(bad_gt, gt[:, :, :1])
+    code = main([command, str(path), "--gt", str(bad_gt), "--out", str(tmp_path / "run")]
+                + SOLVE_INPUT[command])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "ground truth shape" in json.loads(lines[0])["error"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", [0.5, np.nan, 2.0, -1.0])
+def test_mask_entries_other_than_0_and_1_are_refused(tmp_path, capsys, value):
+    gt, path = make_instance(tmp_path)
+    mask = (np.arange(gt.size).reshape(gt.shape) % 2).astype(float)
+    mask.flat[0] = value
+    mask_path = tmp_path / "mask.tns"
+    save_tensor(mask_path, mask)
+    code = main(["complete", str(path), "--mask", str(mask_path),
+                 "--out", str(tmp_path / "run")])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": f"mask {mask_path} holds values other than 0 and 1"}
+    assert not (tmp_path / "run").exists()
+
+
 # a valid non-default value for every SolverConfig field, as command-line text
 FIELD_TEXT = {
     "gamma": "50", "epsilon": "0.02", "beta": "0.5,0.25,0.25", "mu0": "0.5", "rho0": "0.2",

@@ -4,7 +4,7 @@ import pytest
 from tenrec import (NoiseSpec, SolverConfig, add_mixed_noise, complete, decompose, gen_lowrank,
                     gen_mask)
 from tenrec.algebra import fold_mode_pair, fourier_singular_values, unfold_mode_pair
-from tenrec.completion import update_m_pair, update_multiplier, update_z
+from tenrec.completion import SUBPROBLEM_RTOL, update_m_pair, update_multiplier, update_z
 from tenrec.penalty import update_lambda_bar, weighted_log_prox
 
 from oracles import prox_lgamma_norm
@@ -215,6 +215,15 @@ class TestSolve:
         with pytest.raises(ValueError):
             complete(obs, mask, SolverConfig(gamma1=1.0))
 
+    @pytest.mark.parametrize("solver", ["complete", "decompose"])
+    def test_ground_truth_of_another_shape_is_refused(self, solver):
+        gt, mask, obs = small_instance(seed=14)
+        with pytest.raises(ValueError, match="ground truth shape"):
+            if solver == "complete":
+                complete(obs, mask, SMALL_CFG, ground_truth=gt[:, :, :1])
+            else:
+                decompose(gt, SMALL_CFG, ground_truth=gt[:, :, :1])
+
     def test_uniform_beta_runs_all_pairs(self):
         gt, mask, obs = small_instance(seed=15, shape=(6, 5, 4))
         report = complete(obs, mask, SMALL_CFG.updated(beta=None, max_iter=5, tol=1e-14))
@@ -244,41 +253,105 @@ class TestDescent:
             assert row["lag_after"] <= row["lag_before"] * (1 + 1e-8) + 1e-12
 
     def test_z_monitor_weights_pairs_by_beta(self, monkeypatch):
+        # The z entry is the beta-weighted Lagrangian before the z step and
+        # after it plus the proximal term, recomputed here from what the
+        # sweep passed to its z and weight-target steps.
         import tenrec.completion as completion_mod
 
-        steps = []
+        steps, targets = [], []
 
         def recording(observed, mask, z_prev, pairs, betas, m_new, q_old, mu, rho):
             z_new = update_z(observed, mask, z_prev, pairs, betas, m_new, q_old, mu, rho)
             steps.append((z_prev, z_new, pairs, betas, m_new, q_old, mu, rho))
             return z_new
 
+        def recording_target(w_new, lam_old, gamma, rho):
+            lam_new = update_lambda_bar(w_new, lam_old, gamma, rho)
+            targets.append((w_new, lam_new))
+            return lam_new
+
         monkeypatch.setattr(completion_mod, "update_z", recording)
+        monkeypatch.setattr(completion_mod, "update_lambda_bar", recording_target)
         gt, mask, obs = small_instance(seed=18)
         cfg = SMALL_CFG.updated(beta=(0.7, 0.3, 0.0), growth=1.0, max_iter=3, tol=1e-300)
         report = complete(obs, mask, cfg, track_descent=True)
         assert len(steps) == report.iterations == 3
-        for row, (z, z_new, pairs, betas, m, q, mu, rho) in zip(report.trace, steps):
-            def coupling(x):
-                return sum(b * 0.5 * mu * np.sum((unfold_mode_pair(x, *p) - mp + qp / mu) ** 2)
-                           for p, b, mp, qp in zip(pairs, betas, m, q))
+        for k, (row, (z, z_new, pairs, betas, m, q, mu, rho)) in enumerate(
+                zip(report.trace, steps)):
+            weights = targets[k * len(pairs):(k + 1) * len(pairs)]
+
+            def lagrangian(x):
+                total = 0.0
+                for p, b, mp, qp, (w, lam) in zip(pairs, betas, m, q, weights):
+                    t = np.log1p(fourier_singular_values(mp) / cfg.epsilon)
+                    gap = unfold_mode_pair(x, *p) - mp + qp / mu
+                    total += b * (np.sum(w * t) + 0.5 * cfg.gamma * np.sum((w - lam) ** 2)
+                                  + 0.5 * mu * np.sum(gap ** 2))
+                return total
 
             before, after = row["subproblems"]["z"]
-            assert before == pytest.approx(coupling(z), rel=1e-12)
+            assert before == pytest.approx(lagrangian(z), rel=1e-12)
             assert after == pytest.approx(
-                coupling(z_new) + 0.5 * rho * np.sum((z_new - z) ** 2), rel=1e-12)
+                lagrangian(z_new) + 0.5 * rho * np.sum((z_new - z) ** 2), rel=1e-12)
+            assert after - 0.5 * rho * np.sum((z_new - z) ** 2) == pytest.approx(
+                row["lag_after"], rel=1e-12)
 
     def test_subproblem_objectives_recorded(self):
         gt, mask, obs = small_instance(seed=17)
-        cfg = SMALL_CFG.updated(growth=1.0, max_iter=5, tol=1e-300)
-        report = complete(obs, mask, cfg, track_descent=True)
-        row = report.trace[0]
-        assert "subproblems" in row
-        assert "z" in row["subproblems"]
-        for label, entry in row["subproblems"].items():
-            if label == "z":
-                continue
-            assert set(entry) >= {"w", "lam"}
+        cfg = SMALL_CFG.updated(beta=None, growth=1.0, max_iter=5, tol=1e-300)
+        pair_steps = [f"{p}.{s}" for p in ("12", "13", "23") for s in ("w", "m", "lam")]
+        t = add_mixed_noise(gt, NoiseSpec(sp_fraction=0.05, gaussian_sigma=0.02, seed=4))
+        for report, names in [
+            (complete(obs, mask, cfg, track_descent=True), pair_steps + ["z"]),
+            (decompose(t, cfg.updated(beta=(1.0, 0.0, 0.0)), track_descent=True),
+             ["12.w", "12.m", "12.lam", "l", "e", "n"]),
+        ]:
+            assert report.iterations == 5
+            for row in report.trace:
+                assert list(row["subproblems"]) == names
+                assert row["subproblems"][names[0]][0] == row["lag_before"]
+
+    @pytest.mark.parametrize("step, module, name, prev_of", [
+        ("z", "completion", "update_z", lambda args: args[2]),
+        ("12.w", "completion", "update_weights", lambda args: args[1].w),
+        ("12.m", "completion", "update_m_pair", lambda args: args[0]),
+        ("12.lam", "completion", "update_lambda_bar", lambda args: args[1]),
+        ("l", "rpca", "update_l", lambda args: args[4]),
+        ("e", "rpca", "update_e", lambda args: args[3]),
+        ("n", "rpca", "update_n", lambda args: args[3]),
+    ], ids=["z", "w", "m", "lam", "l", "e", "n"])
+    def test_over_relaxed_step_is_counted(self, monkeypatch, step, module, name, prev_of):
+        # Each step over-relaxed to prev + 2.5*(new - prev) overshoots its
+        # minimiser, so the step check must see its objective rise.
+        import importlib
+
+        mod = importlib.import_module(f"tenrec.{module}")
+        exact = getattr(mod, name)
+
+        def over_relaxed(*args, **kwargs):
+            new, prev = exact(*args, **kwargs), prev_of(args)
+            if isinstance(new, tuple):  # the surrogate step: (M, its singular values, ...)
+                m = prev + 2.5 * (new[0] - prev)
+                return (m, fourier_singular_values(m)) + new[2:]
+            return prev + 2.5 * (new - prev)
+
+        monkeypatch.setattr(mod, name, over_relaxed)
+        cfg = SMALL_CFG.updated(growth=1.0, max_iter=20, tol=1e-300, strict_prox=True)
+        if module == "completion":
+            gt, mask, obs = small_instance(seed=16)
+            report = complete(obs, mask, cfg, track_descent=True)
+        else:
+            l_true = gen_lowrank((20, 20, 6), 2, seed=14)
+            t = add_mixed_noise(l_true, NoiseSpec(sp_fraction=0.05, gaussian_sigma=0.02, seed=4))
+            # a data penalty at which the sparse part is nonzero from sweep 1
+            cfg = cfg.updated(mu0=2e-3, rho0=2.3e-6, epsilon=0.21, penalty_tau=0.1,
+                              tau1_scale=0.3)
+            report = decompose(t, cfg, track_descent=True)
+        assert report.iterations == 20
+        risen = sum(after > before * (1 + SUBPROBLEM_RTOL) + 1e-12
+                    for before, after in (row["subproblems"][step] for row in report.trace))
+        assert risen >= 15
+        assert report.notes["subproblem_violations"] >= risen
 
     @pytest.mark.parametrize("solver", ["complete", "decompose"])
     @pytest.mark.parametrize("strict", [False, True])
