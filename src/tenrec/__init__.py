@@ -19,7 +19,6 @@ from .completion import complete
 from .config import SolverConfig, build_config, load_config_file
 from .metrics import ergas, evaluate_all, psnr, ssim
 from .penalty import (
-    WeightState,
     mlcp,
     shrink_singular_values,
     update_lambda_bar,
@@ -37,7 +36,6 @@ __all__ = [
     "SamplingMask",
     "SolverConfig",
     "TensorFormatError",
-    "WeightState",
     "add_mixed_noise",
     "build_config",
     "complete",

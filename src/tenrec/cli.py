@@ -65,12 +65,13 @@ class _UsageError(Exception):
 
 
 def _parse_shape(text):
+    """argparse ``type=`` of ``--shape``: three positive extents ``I1,I2,I3``."""
     try:
         shape = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse shape {text!r}")
-    if not shape or any(s < 1 for s in shape):
-        raise argparse.ArgumentTypeError(f"shape extents must be positive, got {text!r}")
+    if len(shape) != 3 or any(s < 1 for s in shape):
+        raise argparse.ArgumentTypeError(f"expected three positive extents I1,I2,I3, got {text!r}")
     return shape
 
 
@@ -83,15 +84,21 @@ def _parse_range(text):
     return lo, hi
 
 
-def _positive(text):
-    """argparse ``type=`` of ``--ratio`` and ``--peak``: a positive finite number."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not 0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
-    return value
+def _number(accept, expected):
+    """argparse ``type=`` of a number for which ``accept(value)`` holds."""
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = np.nan
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_positive = _number(lambda v: 0 < v < np.inf, "a positive finite number")  # --ratio, --peak
+_sampling_rate = _number(lambda v: 0 < v <= 1, "a number in (0, 1]")  # --sr
 
 
 def _non_negative_int(text):
@@ -149,8 +156,6 @@ def _write_manifest(path, command, config, inputs, outputs, seed, wall_seconds):
 
 
 def cmd_synth(args):
-    if len(args.shape) != 3:
-        return _error("synth generates 3-way tensors; pass --shape I1,I2,I3", EXIT_USAGE)
     if args.rank > min(args.shape[:2]):
         args.parser.error(f"argument --rank: must not exceed min(I1, I2) = "
                           f"{min(args.shape[:2])}, got {args.rank}")
@@ -191,8 +196,6 @@ def _run_complete(args, data, cfg):
         inputs["mask"] = str(args.mask)
         label = "mask-file"
     elif args.sr is not None:
-        if not 0 < args.sr <= 1:
-            raise _UsageError(f"--sr must lie in (0, 1], got {args.sr}")
         mask = gen_mask(data.shape, args.sr, args.seed).mask
         label = f"sr={args.sr}"
     else:
@@ -241,6 +244,12 @@ def cmd_solve(args):
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     report, ground_truth, inputs, label = run(args, data, cfg)
+    # Score before writing anything, so a run that cannot be scored leaves no output.
+    if ground_truth is not None:
+        peak = float(np.max(np.abs(ground_truth))) or 1.0
+        scored = report.tensors[next(iter(written.values()))]
+        values = evaluate_all(scored, ground_truth, peak=peak, ratio=args.ratio)
+        values.update(report.metrics)
 
     out = _out_dir(args)
     outputs = {name: str(out / f"{name}.tns") for name in written}
@@ -250,10 +259,6 @@ def cmd_solve(args):
     write_trace_csv(outputs["trace"], report.trace, columns)
     summary = f"iterations={report.iterations}"
     if ground_truth is not None:
-        peak = float(np.max(np.abs(ground_truth))) or 1.0
-        scored = report.tensors[next(iter(written.values()))]
-        values = evaluate_all(scored, ground_truth, peak=peak, ratio=args.ratio)
-        values.update(report.metrics)
         outputs["metrics"] = str(out / "metrics.csv")
         write_metrics_csv(outputs["metrics"], [metric_row(method, label, values)])
         summary = (f"rel_error={report.metrics.get('rel_error', float('nan')):.4e} "
@@ -309,7 +314,8 @@ def build_parser():
 
     p_complete = sub.add_parser("complete", help="recover missing entries")
     p_complete.add_argument("input", help="tensor file (.tns)")
-    p_complete.add_argument("--sr", type=float, default=None, help="sampling rate in (0, 1]")
+    p_complete.add_argument("--sr", type=_sampling_rate, default=None,
+                            help="sampling rate in (0, 1]")
     p_complete.add_argument("--mask", type=Path, default=None, help="0/1 mask tensor file")
     p_complete.add_argument("--gt", type=Path, default=None, help="ground-truth tensor file")
     p_complete.add_argument("--seed", type=_non_negative_int, default=0)

@@ -21,14 +21,7 @@ import numpy as np
 
 from .algebra import fold_mode_pair, fourier_singular_values, unfold_mode_pair
 from .config import SolverConfig
-from .penalty import (
-    SliceBasis,
-    WeightState,
-    shrink_singular_values,
-    update_lambda_bar,
-    update_weights,
-    weighted_log_prox,
-)
+from .penalty import shrink_singular_values, update_lambda_bar, update_weights, weighted_log_prox
 from .report import RecoveryReport
 
 DESCENT_RTOL = 1e-8
@@ -36,8 +29,10 @@ SUBPROBLEM_RTOL = 1e-14
 
 
 class PairState:
-    """Per-mode-pair variables: surrogate, multiplier, weights, target,
-    and the warm start of the surrogate's shrinkage."""
+    """Per-mode-pair variables, as plain arrays: surrogate ``m``, multiplier
+    ``q``, weights ``w`` and their target ``lam_bar`` (both R x I3), the
+    singular values ``sigma`` and the warm start ``basis`` of the
+    surrogate's shrinkage (``None`` until the prox returns one)."""
 
     def __init__(self, pair, beta, m):
         self.pair = pair
@@ -45,12 +40,12 @@ class PairState:
         self.beta = beta
         self.m = m
         self.q = np.zeros_like(m)
-        r = min(m.shape[0], m.shape[1])
-        self.weights = WeightState.ones(r, m.shape[2])
+        self.w = np.ones((min(m.shape[0], m.shape[1]), m.shape[2]))
+        self.lam_bar = np.ones_like(self.w)
         # Fourier-slice singular values of m, sorted per column; carried
         # between sweeps so only the shrinkage step has to factor slices.
         self.sigma = fourier_singular_values(m)
-        self.basis = SliceBasis()
+        self.basis = None
 
 
 def update_m_pair(m, z_unf, q, w_new, mu, rho1, epsilon, strict=False, basis=None):
@@ -59,12 +54,14 @@ def update_m_pair(m, z_unf, q, w_new, mu, rho1, epsilon, strict=False, basis=Non
     The argument ``m + (mu*z + q - mu*m)/rho1`` is the proximal-linearized
     point; its Fourier-slice singular values are shrunk under the fixed
     weights ``w_new`` with quadratic scale ``rho1``.  ``basis`` is the
-    pair's :class:`~tenrec.penalty.SliceBasis` warm start, or None.
+    ``next_basis`` this pair's previous step returned, or None.
 
-    Returns (m_new, sigma_new, sigma_arg).  After a truncated
-    factorization ``sigma_arg`` is NaN past the values it computed (see
-    :func:`~tenrec.penalty.weighted_log_prox`); the solvers read it only
-    to count strict-mode flips, and a NaN never counts as one.
+    Returns (m_new, sigma_new, sigma_arg, next_basis), as
+    :func:`~tenrec.penalty.weighted_log_prox` returns them.  After a
+    truncated factorization ``sigma_arg`` is NaN past the values it
+    computed; the solvers read it only to count strict-mode flips, and a
+    NaN never counts as one.  ``next_basis`` is the warm start of the
+    pair's next step.
     """
     arg = m + (mu * z_unf + q - mu * m) / rho1
     return weighted_log_prox(arg, w_new, rho1, epsilon, strict=strict, basis=basis)
@@ -102,8 +99,8 @@ def pair_lagrangian(total, x, states, mu, gamma, epsilon):
     quadratic): its weighted log term and target tether, and
     ``(mu/2)*||unfold(x) - M + Q/mu||^2``."""
     for st in states:
-        w, lam_bar = st.weights.w, st.weights.lam_bar
-        energy = np.sum(w * np.log1p(st.sigma / epsilon)) + 0.5 * gamma * np.sum((w - lam_bar) ** 2)
+        energy = (np.sum(st.w * np.log1p(st.sigma / epsilon))
+                  + 0.5 * gamma * np.sum((st.w - st.lam_bar) ** 2))
         quad = 0.5 * mu * np.sum((unfold_mode_pair(x, *st.pair) - st.m + st.q / mu) ** 2)
         total += st.beta * float(energy + quad)
     return total
@@ -274,27 +271,26 @@ def run_sweeps(cfg, block, ground_truth, track_descent):
 
 
 def _pair_step(st, x, mu, rho, cfg, notes, check):
-    """Weights, surrogate shrinkage and weight targets of one pair, each
-    written into ``st`` and then checked; the multiplier is left to the
-    ascent."""
+    """Weights, surrogate shrinkage (with its next warm start) and weight
+    targets of one pair, each written into ``st`` and then checked; the
+    multiplier is left to the ascent."""
     rho1 = cfg.gamma1 * mu
-    w_old, lam_old, m_old = st.weights.w, st.weights.lam_bar, st.m
-    w_new = update_weights(st.sigma, st.weights, cfg.gamma, rho, cfg.epsilon)
-    st.weights = WeightState(w_new, lam_old)
-    check(st.label + ".w", st.beta * rho, w_new, w_old)
+    w_old, lam_old, m_old = st.w, st.lam_bar, st.m
+    st.w = update_weights(st.sigma, w_old, lam_old, cfg.gamma, rho, cfg.epsilon)
+    check(st.label + ".w", st.beta * rho, st.w, w_old)
 
-    st.m, sigma_new, sigma_arg = update_m_pair(
-        m_old, unfold_mode_pair(x, st.pair[0], st.pair[1]), st.q, w_new, mu, rho1, cfg.epsilon,
+    st.m, sigma_new, sigma_arg, st.basis = update_m_pair(
+        m_old, unfold_mode_pair(x, st.pair[0], st.pair[1]), st.q, st.w, mu, rho1, cfg.epsilon,
         strict=cfg.strict_prox, basis=st.basis,
     )
     st.sigma = -np.sort(-sigma_new, axis=0)
     check(st.label + ".m", st.beta * (rho1 - mu), st.m, m_old)
     if cfg.strict_prox:
-        default_vals = shrink_singular_values(sigma_arg, w_new, rho1 / m_old.shape[2], cfg.epsilon)
+        default_vals = shrink_singular_values(sigma_arg, st.w, rho1 / m_old.shape[2], cfg.epsilon)
         notes["strict_flips"] += int(np.count_nonzero(default_vals != sigma_new))
 
-    st.weights.lam_bar = update_lambda_bar(w_new, lam_old, cfg.gamma, rho)
-    check(st.label + ".lam", st.beta * rho, st.weights.lam_bar, lam_old)
+    st.lam_bar = update_lambda_bar(st.w, lam_old, cfg.gamma, rho)
+    check(st.label + ".lam", st.beta * rho, st.lam_bar, lam_old)
 
 
 def _unchecked(name, scale, new, old):

@@ -15,22 +15,20 @@ has a closed-form shrinkage.
 The singular-value proximal step, :func:`weighted_log_prox`, factors the
 half-spectrum Fourier slices of its argument.  A solver calls it once per
 mode pair and sweep, and the shrinkage usually keeps only a few values per
-slice.  Given the previous call's leading left singular vectors (a
-:class:`SliceBasis`), the prox computes only the leading triplets, by
-warm-started block power steps with a Rayleigh-Ritz step.  It takes that
-result only when a certificate proves it exact to rounding: the Ritz
-triplets up to the last kept one have converged, and a bound on the part
-of each slice outside the basis shows that every value left out would
-have been shrunk to zero.  Otherwise it falls back to the full SVD of
-every slice, whose vectors then seed the next call.
+slice.  Given the previous call's leading left singular vectors, the prox
+computes only the leading triplets, by warm-started block power steps
+with a Rayleigh-Ritz step.  It takes that result only when a certificate
+proves it exact to rounding: the Ritz triplets up to the last kept one
+have converged, and a bound on the part of each slice outside the basis
+shows that every value left out would have been shrunk to zero.
+Otherwise it falls back to the full SVD of every slice.  Each call
+returns, with its result, the vectors that seed the next call.
 
 Unlike the l1 or nuclear norms, none of the penalties here satisfy the
 triangle inequality; "norm" is used loosely throughout.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,28 +63,6 @@ def mlcp(z, lam, gamma, epsilon):
     if value.ndim == 0:
         return float(value)
     return value
-
-
-@dataclass
-class WeightState:
-    """Per-unfolding weight matrix and its quadratic target, both R x I3."""
-
-    w: np.ndarray
-    lam_bar: np.ndarray
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float)
-        self.lam_bar = np.asarray(self.lam_bar, dtype=float)
-        if self.w.shape != self.lam_bar.shape:
-            raise ValueError(
-                f"weight and target shapes differ: {self.w.shape} vs {self.lam_bar.shape}"
-            )
-        if np.any(self.w < 0) or np.any(self.lam_bar < 0):
-            raise ValueError("weights and targets must be non-negative")
-
-    @classmethod
-    def ones(cls, r, i3):
-        return cls(np.ones((r, i3)), np.ones((r, i3)))
 
 
 def shrink_singular_values(y, w, rho, epsilon, strict=False):
@@ -151,29 +127,32 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     index kept in any slice, and ``irfft`` returns the result to real
     space, which fills in the mirror slices.
 
-    With a :class:`SliceBasis` whose ``u`` holds ``p`` columns per slice,
-    only the leading ``p`` triplets are computed: block power steps from
-    ``u``, each followed by a Rayleigh-Ritz step, until every Ritz triplet
-    up to the last kept one has a residual ``||A v - s u|| <= RITZ_RTOL *
+    ``basis`` is ``None`` or the ``next_basis`` of the previous call on
+    this sequence: a ``(I3 // 2 + 1, I1, p)`` array of leading left
+    singular vectors of the half-spectrum slices.  With one, only the
+    leading ``p`` triplets are computed: block power steps from it, each
+    followed by a Rayleigh-Ritz step, until every Ritz triplet up to the
+    last kept one has a residual ``||A v - s u|| <= RITZ_RTOL *
     sigma_max``.  A certificate then proves that those Ritz values are the
     leading singular values to rounding and that every value the
     shrinkage zeroes, including the uncomputed ones past ``p``, lies at or
     below its threshold (see :func:`_certified`).  If the iteration cannot
     converge within ``POWER_STEPS`` steps or the certificate fails, every
-    slice is factored in full instead.  The call then leaves in ``basis``
-    the leading vectors for the next call, or ``None`` where truncation
-    would not pay or could not be certified (see :func:`_next_basis`).
-    The truncated result agrees with the full factorization to rounding,
-    not bit for bit.  Without a basis every slice is factored in full.
+    slice is factored in full instead.  The truncated result agrees with
+    the full factorization to rounding, not bit for bit.  Without a basis,
+    or with one of another shape, every slice is factored in full.
 
     Returns
     -------
-    (l, sigma_new, sigma_old)
+    (l, sigma_new, sigma_old, next_basis)
         The shrunk array and the R x I3 matrices of shrunk and original
         Fourier-slice singular values.  After a truncated factorization,
         ``sigma_old`` holds the ``p`` Ritz values of each slice and NaN
         past them, where no value was computed; ``sigma_new`` is zero
-        there, as the certificate proves.
+        there, as the certificate proves.  ``next_basis`` holds the
+        leading vectors to pass as ``basis`` to the next call, or is
+        ``None`` where truncation would not pay or could not be certified
+        (see :func:`_next_basis`).
     """
     y = np.asarray(y, dtype=float)
     y = _require_3way(y)
@@ -191,9 +170,8 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     w_half = w_sym[:, :half].T
     thr = _shrink_threshold(w_half, rho / i3, epsilon)
     factors = None
-    u_prev = None if basis is None else basis.u
-    if u_prev is not None and u_prev.shape[:2] == (half, i1) and u_prev.shape[2] < r:
-        factors = _ritz_triplets(a, u_prev, thr)
+    if basis is not None and basis.shape[:2] == (half, i1) and basis.shape[2] < r:
+        factors = _ritz_triplets(a, basis, thr)
     truncated = factors is not None
     if not truncated:
         factors = np.linalg.svd(a, full_matrices=False)
@@ -204,8 +182,6 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     # rebuild through the last index kept in any slice.
     kept = np.flatnonzero(s_new.any(axis=0))
     k = kept[-1] + 1 if kept.size else 0
-    if basis is not None:
-        basis.u = _next_basis(u, s, k, thr, truncated)
     lbar = (u[:, :, :k] * s_new[:, None, :k]) @ vh[:, :k, :]
     l = np.fft.irfft(np.moveaxis(lbar, 0, 2), n=i3, axis=2)
 
@@ -214,19 +190,8 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     sigma_old = np.full((half, r), np.nan)
     sigma_old[:, :p] = s
     mirror = _mirror_index(i3)
-    return l, sigma_new.T[:, mirror], sigma_old.T[:, mirror]
-
-
-class SliceBasis:
-    """Warm start that :func:`weighted_log_prox` carries from call to call.
-
-    ``u`` is ``None`` or a ``(I3 // 2 + 1, I1, p)`` array of leading left
-    singular vectors of the half-spectrum slices from the previous call;
-    the prox reads it and replaces it.
-    """
-
-    def __init__(self):
-        self.u = None
+    next_basis = _next_basis(u, s, k, thr, truncated)
+    return l, sigma_new.T[:, mirror], sigma_old.T[:, mirror], next_basis
 
 
 # Columns kept past the last kept index: the subspace iteration converges
@@ -377,19 +342,26 @@ def _next_basis(u, s, k, thr, truncated):
     return u[:, :, :width].copy()
 
 
-def update_weights(sigma, state, gamma, rho, epsilon):
+def update_weights(sigma, w, lam_bar, gamma, rho, epsilon):
     """One proximal step on the weight block.
 
     Minimises ``sum w*t + (gamma/2)*||w - lam_bar||^2 + (rho/2)*||w - w_old||^2``
     over ``w >= 0`` with ``t = log(sigma/eps + 1)``; the solution is the
     clamped weighted average ``max((gamma*lam_bar + rho*w_old - t) / (gamma + rho), 0)``.
+    ``w`` (the old weights) and ``lam_bar`` must be non-negative and of one shape.
     """
-    _validate_params(state.lam_bar, gamma, epsilon)
+    w = np.asarray(w, dtype=float)
+    lam_bar = np.asarray(lam_bar, dtype=float)
+    if w.shape != lam_bar.shape:
+        raise ValueError(f"weight and target shapes differ: {w.shape} vs {lam_bar.shape}")
+    if np.any(w < 0) or np.any(lam_bar < 0):
+        raise ValueError("weights and targets must be non-negative")
+    _validate_params(lam_bar, gamma, epsilon)
     if rho < 0:
         raise ValueError(f"rho must be non-negative, got {rho}")
     sigma = np.asarray(sigma, dtype=float)
     t = np.log1p(sigma / epsilon)
-    return np.maximum((gamma * state.lam_bar + rho * state.w - t) / (gamma + rho), 0.0)
+    return np.maximum((gamma * lam_bar + rho * w - t) / (gamma + rho), 0.0)
 
 
 def update_lambda_bar(w_new, lam_bar, gamma, rho):

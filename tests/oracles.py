@@ -203,6 +203,6 @@ def prox_lgamma_norm(y, lam_bar, gamma, rho, epsilon, strict=False):
         The shrunk tensor and the R x I3 weight matrix.
     """
     _validate_params(lam_bar, gamma, epsilon)
-    l, sigma_new, _ = weighted_log_prox(y, lam_bar, rho, epsilon, strict=strict)
+    l, sigma_new, _, _ = weighted_log_prox(y, lam_bar, rho, epsilon, strict=strict)
     w = np.maximum(np.asarray(lam_bar, dtype=float) - np.log1p(sigma_new / epsilon) / gamma, 0.0)
     return l, w

@@ -48,9 +48,9 @@ class TestSynth:
         assert err.value.code == 2
 
     def test_bad_shape_rejected(self, tmp_path):
-        code = main(["synth", "--shape", "8,7", "--rank", "2",
-                     "--out", str(tmp_path / "x.tns")])
-        assert code == 2
+        with pytest.raises(SystemExit) as err:
+            main(["synth", "--shape", "8,7", "--rank", "2", "--out", str(tmp_path / "x.tns")])
+        assert err.value.code == 2
 
 
 def make_instance(tmp_path, shape=(12, 12, 6), rank=2, seed=5):
@@ -267,6 +267,10 @@ def test_solver_failure_is_one_json_error_line(tmp_path, capsys, monkeypatch, co
     ("synth", ["--shape", "5,4,3", "--rank", "-1"]),
     ("synth", ["--shape", "5,4,3", "--rank", "9"]),
     ("denoise", ["--noniid", "0.1"]),
+    ("synth", ["--shape", "4,4", "--rank", "2"]),
+    ("complete", ["--sr", "1.5"]),
+    ("complete", ["--sr", "0"]),
+    ("complete", ["--sr", "nan"]),
 ])
 def test_usage_error_is_one_json_error_line(tmp_path, capsys, command, flags):
     _, path = make_instance(tmp_path)
@@ -375,6 +379,23 @@ def test_ground_truth_of_another_shape_is_refused_before_solving(tmp_path, capsy
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert "ground truth shape" in json.loads(lines[0])["error"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["complete", "denoise"])
+def test_run_that_cannot_be_scored_writes_nothing(tmp_path, capsys, command):
+    # at rank 0 every band of the ground truth has zero mean: ERGAS is undefined
+    path = tmp_path / "zero.tns"
+    assert main(["synth", "--shape", "8,8,4", "--rank", "0", "--out", str(path)]) == 0
+    capsys.readouterr()
+    code = main([command, str(path), "--max-iter", "5", "--out", str(tmp_path / "run")]
+                + SOLVE_INPUT[command])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "zero mean" in json.loads(lines[0])["error"]
     assert not (tmp_path / "run").exists()
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tenrec import (
-    WeightState,
     mlcp,
     shrink_singular_values,
     t_product,
@@ -11,7 +10,6 @@ from tenrec import (
     weighted_log_prox,
 )
 from tenrec.algebra import fourier_singular_values
-from tenrec.penalty import SliceBasis
 
 from oracles import (
     dft_mode3,
@@ -323,11 +321,11 @@ def oracle_prox(y, w, rho, eps, strict=False):
 def assert_matches_oracle(y, w, rho, eps, strict=False, basis=None):
     got = weighted_log_prox(y, w, rho, eps, strict=strict, basis=basis)
     ref = oracle_prox(y, w, rho, eps, strict=strict)
-    for a, b in zip(got, ref):
+    for a, b in zip(got[:3], ref):
         assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1.0)
     # mirror-pair columns are one value, not two near-equal ones
     mirror = (-np.arange(y.shape[2])) % y.shape[2]
-    for sigma in got[1:]:
+    for sigma in got[1:3]:
         assert np.array_equal(sigma, sigma[:, mirror])
     return got
 
@@ -379,7 +377,7 @@ class TestProx:
         w = rng.uniform(0.1, 1.0, size=(4, 3))
         w[:, 2] = w[:, 1]
         rho, eps = 2.0, 0.1
-        l, sigma_new, sigma_old = weighted_log_prox(y, w, rho, eps)
+        l, sigma_new, sigma_old, _ = weighted_log_prox(y, w, rho, eps)
         # spatial quadratic scale rho becomes rho/I3 per Fourier slice
         assert np.allclose(
             sigma_new, shrink_singular_values(sigma_old, w, rho / 3, eps), atol=1e-12
@@ -403,7 +401,7 @@ class TestProx:
         # values are kept and some are shrunk to zero
         t = np.median(fourier_singular_values(y))
         w = rng.uniform(0.5, 1.5, size=(min(i1, i2), i3)) * (rho / i3) * (t / 2) ** 2
-        _, sigma_new, _ = assert_matches_oracle(y, w, rho, eps, strict=strict)
+        _, sigma_new, _, _ = assert_matches_oracle(y, w, rho, eps, strict=strict)
         assert 0 < np.count_nonzero(sigma_new) < sigma_new.size
 
     @pytest.mark.parametrize("i3", [1, 2, 5, 6])
@@ -415,21 +413,21 @@ class TestProx:
         # but the rebuild must reach index 2
         w = np.full((5, i3), 1e6)
         w[2] = 0.0
-        _, sigma_new, sigma_old = assert_matches_oracle(y, w, rho, eps)
+        _, sigma_new, sigma_old, _ = assert_matches_oracle(y, w, rho, eps)
         assert not np.delete(sigma_new, 2, axis=0).any()
         assert np.allclose(sigma_new[2], sigma_old[2], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("i3", [1, 2, 5, 6])
     def test_all_shrunk_is_exact_zero(self, i3):
         y = np.random.default_rng(15).standard_normal((4, 7, i3))
-        l, sigma_new, sigma_old = assert_matches_oracle(y, np.full((4, i3), 1e6), 2.0, 0.1)
+        l, sigma_new, sigma_old, _ = assert_matches_oracle(y, np.full((4, i3), 1e6), 2.0, 0.1)
         assert not l.any()
         assert not sigma_new.any()
         assert sigma_old.all()
 
     def test_output_is_real_and_finite(self):
         y = np.random.default_rng(13).standard_normal((6, 3, 4))
-        l, _, _ = weighted_log_prox(y, np.full((3, 4), 0.5), 1.5, 0.05)
+        l, _, _, _ = weighted_log_prox(y, np.full((3, 4), 0.5), 1.5, 0.05)
         assert np.isrealobj(l) and np.all(np.isfinite(l))
 
     def test_nonfinite_rejected(self):
@@ -455,7 +453,8 @@ def gapped_instance(i1, i2, i3, rank, seed, noise=1e-3):
 def assert_truncated_matches_oracle(y, w, rho, eps, basis, strict=False):
     """The warm-started prox took the truncated path and agrees with the
     full-spectrum reference to rounding."""
-    l, sigma_new, sigma_old = weighted_log_prox(y, w, rho, eps, strict=strict, basis=basis)
+    l, sigma_new, sigma_old, next_basis = weighted_log_prox(y, w, rho, eps, strict=strict,
+                                                            basis=basis)
     ref_l, ref_new, ref_old = oracle_prox(y, w, rho, eps, strict=strict)
     scale = max(np.max(np.abs(ref_l)), 1.0)
     assert np.max(np.abs(l - ref_l)) <= 1e-12 * scale
@@ -469,7 +468,7 @@ def assert_truncated_matches_oracle(y, w, rho, eps, basis, strict=False):
     assert np.allclose(sigma_old[kept], ref_old[kept], rtol=1e-12, atol=0)
     # Ritz values never exceed the singular values they approximate
     assert np.all(sigma_old[:p] <= ref_old[:p] * (1 + 1e-12))
-    return l, sigma_new, sigma_old
+    return l, sigma_new, sigma_old, next_basis
 
 
 class TestTruncatedProx:
@@ -479,14 +478,14 @@ class TestTruncatedProx:
     def test_warm_started_sequence_matches_full_spectrum_oracle(self, i1, i2, i3, strict):
         y, w, rho, eps = gapped_instance(i1, i2, i3, 2, seed=i1 + i3)
         drift = np.random.default_rng(i3).standard_normal(y.shape)
-        basis = SliceBasis()
-        # the first call factors every slice in full and leaves a basis
-        _, sigma_new, sigma_old = weighted_log_prox(y, w, rho, eps, strict=strict, basis=basis)
+        # the first call factors every slice in full and returns a basis
+        _, sigma_new, sigma_old, basis = weighted_log_prox(y, w, rho, eps, strict=strict)
         assert not np.isnan(sigma_old).any()
-        assert basis.u.shape == (i3 // 2 + 1, i1, 2 + 5)
+        assert basis.shape == (i3 // 2 + 1, i1, 2 + 5)
         for step in range(1, 4):
             y_step = y + 1e-3 * step * drift
-            _, sigma_new, _ = assert_truncated_matches_oracle(y_step, w, rho, eps, basis, strict)
+            _, sigma_new, _, basis = assert_truncated_matches_oracle(y_step, w, rho, eps, basis,
+                                                                     strict)
             assert 0 < np.count_nonzero(sigma_new) < sigma_new.size
 
     @pytest.mark.parametrize("i3", [1, 2, 5, 6])
@@ -495,9 +494,8 @@ class TestTruncatedProx:
         # only index 2 escapes a heavy weight: the rebuild must reach it
         w = np.full_like(w, 1e6)
         w[2] = 0.0
-        basis = SliceBasis()
-        weighted_log_prox(y, w, rho, eps, basis=basis)
-        _, sigma_new, _ = assert_truncated_matches_oracle(y, w, rho, eps, basis)
+        basis = weighted_log_prox(y, w, rho, eps)[3]
+        _, sigma_new, _, _ = assert_truncated_matches_oracle(y, w, rho, eps, basis)
         assert not np.delete(sigma_new, 2, axis=0).any()
         assert sigma_new[2].all()
 
@@ -505,34 +503,30 @@ class TestTruncatedProx:
     def test_all_shrunk_is_exact_zero(self, i3):
         y, w, rho, eps = gapped_instance(24, 30, i3, 2, seed=30 + i3)
         w = np.full_like(w, 1e6)
-        basis = SliceBasis()
-        weighted_log_prox(y, w, rho, eps, basis=basis)
-        l, sigma_new, _ = assert_truncated_matches_oracle(y, w, rho, eps, basis)
+        basis = weighted_log_prox(y, w, rho, eps)[3]
+        l, sigma_new, _, _ = assert_truncated_matches_oracle(y, w, rho, eps, basis)
         assert not l.any()
         assert not sigma_new.any()
 
     def test_empty_or_mismatched_basis_factors_in_full(self):
         y, w, rho, eps = gapped_instance(28, 36, 5, 2, seed=40)
         ref = weighted_log_prox(y, w, rho, eps)
-        empty = SliceBasis()
-        mismatched = SliceBasis()
-        mismatched.u = np.linalg.qr(np.ones((3, 30, 7), dtype=complex))[0]
-        for basis in (empty, mismatched):
+        mismatched = np.linalg.qr(np.ones((3, 30, 7), dtype=complex))[0]
+        for basis in (None, mismatched):
             got = weighted_log_prox(y, w, rho, eps, basis=basis)
             assert all(np.array_equal(a, b) for a, b in zip(got, ref))
-            assert basis.u.shape == (3, 28, 2 + 5)
+            assert got[3].shape == (3, 28, 2 + 5)
 
     def test_basis_too_narrow_for_kept_set_falls_back(self):
         y, w, rho, eps = gapped_instance(36, 44, 5, 4, seed=41)
         # four values survive per slice, but the basis spans only two
         slices = np.moveaxis(np.fft.rfft(y, axis=2), 2, 0)
-        narrow = SliceBasis()
-        narrow.u = np.linalg.svd(slices)[0][:, :, :2]
-        _, sigma_new, sigma_old = assert_matches_oracle(y, w, rho, eps, basis=narrow)
+        narrow = np.linalg.svd(slices)[0][:, :, :2]
+        _, sigma_new, sigma_old, basis = assert_matches_oracle(y, w, rho, eps, basis=narrow)
         assert np.count_nonzero(sigma_new[:, 0]) == 4
         assert not np.isnan(sigma_old).any()
         # the fallback's own factors seed the next call
-        assert narrow.u.shape == (3, 36, 4 + 5)
+        assert basis.shape == (3, 36, 4 + 5)
 
     @staticmethod
     def flat_tail_instance():
@@ -548,17 +542,16 @@ class TestTruncatedProx:
         sigma = np.concatenate([[10.0, 8.0, 6.0], np.linspace(0.99, 0.98, i1 - 3)])
         y = ((left * sigma) @ right.T)[:, :, None]
         w = np.full((i1, 1), ((threshold + eps) / 2) ** 2 * rho)
-        basis = SliceBasis()
-        basis.u = left[None, :, :3 + 5].astype(complex)
+        basis = left[None, :, :3 + 5].astype(complex)
         return y, w, rho, eps, basis
 
     def test_uncertified_tail_falls_back(self):
         y, w, rho, eps, basis = self.flat_tail_instance()
-        _, sigma_new, sigma_old = assert_matches_oracle(y, w, rho, eps, basis=basis)
+        _, sigma_new, sigma_old, next_basis = assert_matches_oracle(y, w, rho, eps, basis=basis)
         assert np.count_nonzero(sigma_new) == 3
         assert not np.isnan(sigma_old).any()
-        # the exact spectrum shows the same tail, so no basis is kept
-        assert basis.u is None
+        # the exact spectrum shows the same tail, so no basis is returned
+        assert next_basis is None
 
     def test_uncertified_tail_stops_after_one_retry(self, monkeypatch):
         # the Ritz triplets converge at once; after the certificate fails
@@ -592,9 +585,8 @@ class TestTruncatedProx:
         threshold[:3] = 4.0
         threshold[3] = 5.2
         w = (((threshold + eps) / 2) ** 2 * rho)[:, None]
-        basis = SliceBasis()
-        basis.u = left[None, :, [0, 1, 3, 4, 5, 6, 7, 8]].astype(complex)
-        _, sigma_new, sigma_old = assert_matches_oracle(y, w, rho, eps, basis=basis)
+        basis = left[None, :, [0, 1, 3, 4, 5, 6, 7, 8]].astype(complex)
+        _, sigma_new, sigma_old, _ = assert_matches_oracle(y, w, rho, eps, basis=basis)
         assert np.count_nonzero(sigma_new) == 3
         assert not np.isnan(sigma_old).any()
 
@@ -602,35 +594,44 @@ class TestTruncatedProx:
 class TestWeightUpdates:
     def test_documented_value(self):
         # gamma=2, rho=1, lam=1, w=1, sigma=e-1, eps=1 -> (2 + 1 - 1)/3
-        state = WeightState(np.ones((1, 1)), np.ones((1, 1)))
-        out = update_weights(np.full((1, 1), np.e - 1), state, 2.0, 1.0, 1.0)
+        out = update_weights(np.full((1, 1), np.e - 1), np.ones((1, 1)), np.ones((1, 1)),
+                             2.0, 1.0, 1.0)
         assert out[0, 0] == pytest.approx(2.0 / 3.0)
 
     def test_zero_sigma_no_clamp(self):
-        state = WeightState(np.full((2, 2), 0.5), np.full((2, 2), 1.5))
-        out = update_weights(np.zeros((2, 2)), state, 2.0, 1.0, 1.0)
+        out = update_weights(np.zeros((2, 2)), np.full((2, 2), 0.5), np.full((2, 2), 1.5),
+                             2.0, 1.0, 1.0)
         assert np.allclose(out, (2.0 * 1.5 + 0.5) / 3.0)
 
     def test_clamp_active_for_large_sigma(self):
-        state = WeightState(np.ones((1, 1)), np.ones((1, 1)))
-        out = update_weights(np.full((1, 1), 1e12), state, 1.0, 0.5, 0.01)
+        out = update_weights(np.full((1, 1), 1e12), np.ones((1, 1)), np.ones((1, 1)),
+                             1.0, 0.5, 0.01)
         assert out[0, 0] == 0.0
 
     def test_matches_quadratic_grid(self):
         rng = np.random.default_rng(14)
         sigma = rng.uniform(0, 5, size=(3, 2))
-        state = WeightState(rng.uniform(0, 2, (3, 2)), rng.uniform(0, 2, (3, 2)))
+        w_old, lam_bar = rng.uniform(0, 2, (3, 2)), rng.uniform(0, 2, (3, 2))
         gamma, rho, eps = 3.0, 0.7, 0.2
-        out = update_weights(sigma, state, gamma, rho, eps)
+        out = update_weights(sigma, w_old, lam_bar, gamma, rho, eps)
         t = np.log1p(sigma / eps)
         grid = np.linspace(0, 4, 400_001)
         for idx in np.ndindex(3, 2):
             vals = (
                 grid * t[idx]
-                + gamma / 2 * (grid - state.lam_bar[idx]) ** 2
-                + rho / 2 * (grid - state.w[idx]) ** 2
+                + gamma / 2 * (grid - lam_bar[idx]) ** 2
+                + rho / 2 * (grid - w_old[idx]) ** 2
             )
             assert abs(out[idx] - grid[np.argmin(vals)]) <= 1e-5
+
+    @pytest.mark.parametrize("w_old, lam_bar, message", [
+        (np.full((2, 2), -0.1), np.ones((2, 2)), "must be non-negative"),
+        (np.ones((2, 2)), np.full((2, 2), -0.1), "must be non-negative"),
+        (np.ones((2, 2)), np.ones((2, 3)), "shapes differ"),
+    ], ids=["negative-w", "negative-target", "mismatched-shapes"])
+    def test_refuses_invalid_weights(self, w_old, lam_bar, message):
+        with pytest.raises(ValueError, match=message):
+            update_weights(np.zeros((2, 2)), w_old, lam_bar, 2.0, 1.0, 1.0)
 
     def test_lambda_bar_update(self):
         # gamma=2, rho=1, w=0.9, lam=0.3 -> 0.7

@@ -15,7 +15,6 @@ PUBLIC = [
     "SamplingMask",
     "SolverConfig",
     "TensorFormatError",
-    "WeightState",
     "add_mixed_noise",
     "build_config",
     "complete",

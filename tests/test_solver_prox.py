@@ -61,17 +61,22 @@ def wrap_everywhere(monkeypatch, original, wrapper):
 
 @pytest.mark.parametrize("run", [completion_run, decomposition_run])
 def test_solvers_reach_prox_through_traced_names(monkeypatch, run):
-    calls = []
+    calls, returned = [], []
 
     def counting(*args, **kwargs):
         calls.append(kwargs.get("basis"))
-        return weighted_log_prox(*args, **kwargs)
+        out = weighted_log_prox(*args, **kwargs)
+        returned.append(out[3])
+        return out
 
     wrap_everywhere(monkeypatch, weighted_log_prox, counting)
     report = run(max_iter=12)()
     # one shrinkage per active pair per sweep, each through the traced name
     assert len(calls) == report.iterations == 12
-    assert all(basis is not None for basis in calls)
+    # each warm started from the basis the pair's previous shrinkage returned
+    assert calls[0] is None
+    assert all(got is prev for got, prev in zip(calls[1:], returned))
+    assert any(basis is not None for basis in calls[1:])
 
 
 @pytest.mark.parametrize("run", [completion_run, decomposition_run])
