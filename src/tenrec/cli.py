@@ -2,9 +2,11 @@
 
 Every run writes a JSON manifest next to its outputs recording the
 command, the fully resolved configuration, input/output paths, the seed
-and the wall time.  Config precedence is built-in defaults, then a
-``key = value`` config file, then command-line flags: each ``SolverConfig``
-field is both a config key and a flag (``max_iter`` is ``--max-iter``).
+and the wall time, and a solver run its observation model.  Config
+precedence is built-in defaults, then a ``key = value`` config file, then
+command-line flags: each ``SolverConfig`` field is both a config key and a
+flag (``max_iter`` is ``--max-iter``).  ``complete`` takes one of ``--sr``
+and ``--mask``; ``denoise`` takes ``--sp-fraction`` or ``--noniid``, not both.
 
 Exit codes: 0 on success (including runs where convergence was not
 requested), 1 on runtime errors and 2 on usage errors and bad option values
@@ -54,7 +56,10 @@ def _warn(message):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports each usage error as one JSON error line and exits 2."""
+    """Reports each usage error as one JSON error line and exits 2; takes no abbreviated flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         sys.exit(_error(f"{self.prog}: {message}", EXIT_USAGE))
@@ -97,7 +102,7 @@ def _number(accept, expected):
     return parse
 
 
-_positive = _number(lambda v: 0 < v < np.inf, "a positive finite number")  # --ratio, --peak
+_positive = _number(lambda v: 0 < v < np.inf, "a positive finite number")  # --peak
 _sampling_rate = _number(lambda v: 0 < v <= 1, "a number in (0, 1]")  # --sr
 
 
@@ -140,7 +145,7 @@ def _resolve_config(args):
         raise _UsageError(str(exc)) from None
 
 
-def _write_manifest(path, command, config, inputs, outputs, seed, wall_seconds):
+def _write_manifest(path, command, config, inputs, outputs, seed, wall_seconds, **extra):
     manifest = {
         "command": command,
         "package_version": __version__,
@@ -149,6 +154,7 @@ def _write_manifest(path, command, config, inputs, outputs, seed, wall_seconds):
         "outputs": outputs,
         "seed": seed,
         "wall_seconds": wall_seconds,
+        **extra,
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -194,16 +200,14 @@ def _run_complete(args, data, cfg):
             raise ValueError(f"mask {args.mask} holds values other than 0 and 1")
         mask = mask.astype(bool)
         inputs["mask"] = str(args.mask)
-        label = "mask-file"
-    elif args.sr is not None:
-        mask = gen_mask(data.shape, args.sr, args.seed).mask
-        label = f"sr={args.sr}"
+        label, observation = "mask-file", {"mask": str(args.mask)}
     else:
-        raise _UsageError("pass either --sr or --mask")
+        mask = gen_mask(data.shape, args.sr, args.seed).mask
+        label, observation = f"sr={args.sr}", {"sr": args.sr}
 
     ground_truth = load_tensor(args.gt) if args.gt else (data if args.sr is not None else None)
     report = complete(np.where(mask, data, 0.0), mask, cfg, ground_truth=ground_truth)
-    return report, ground_truth, inputs, label
+    return report, ground_truth, inputs, label, observation
 
 
 def _run_denoise(args, data, cfg):
@@ -219,7 +223,7 @@ def _run_denoise(args, data, cfg):
     if noise_requested:
         observed, label = add_mixed_noise(data, spec), spec.describe()
     report = decompose(observed, cfg, ground_truth=ground_truth)
-    return report, ground_truth, {"tensor": str(args.input)}, label
+    return report, ground_truth, {"tensor": str(args.input)}, label, asdict(spec)
 
 
 # Per solver command: its input handling and solver call, the metric-row
@@ -243,12 +247,12 @@ def cmd_solve(args):
         cfg.pair_weights(data.ndim)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    report, ground_truth, inputs, label = run(args, data, cfg)
+    report, ground_truth, inputs, label, observation = run(args, data, cfg)
     # Score before writing anything, so a run that cannot be scored leaves no output.
     if ground_truth is not None:
         peak = float(np.max(np.abs(ground_truth))) or 1.0
         scored = report.tensors[next(iter(written.values()))]
-        values = evaluate_all(scored, ground_truth, peak=peak, ratio=args.ratio)
+        values = evaluate_all(scored, ground_truth, peak=peak)
         values.update(report.metrics)
 
     out = _out_dir(args)
@@ -266,7 +270,7 @@ def cmd_solve(args):
     print(f"{verb}: {summary}")
 
     _write_manifest(out / "manifest.json", args.command, asdict(cfg), inputs, outputs,
-                    args.seed, time.perf_counter() - started)
+                    args.seed, time.perf_counter() - started, observation=observation)
     if not report.converged and cfg.max_iter > 0:
         _warn(f"did not reach tol={cfg.tol} within {cfg.max_iter} iterations")
         return EXIT_NOT_CONVERGED
@@ -281,14 +285,14 @@ def cmd_eval(args):
     ref = load_tensor(args.reference)
     if x.shape != ref.shape:
         return _error(f"shapes differ: {x.shape} vs {ref.shape}")
-    values = evaluate_all(x, ref, peak=args.peak, ratio=args.ratio)
+    values = evaluate_all(x, ref, peak=args.peak)
     row = metric_row("eval", "n/a", values)
     print(",".join(str(row[c]) for c in ("psnr", "ssim", "fsim", "ergas")))
     if args.out:
         out = _out_dir(args)
         write_metrics_csv(out / "metrics.csv", [row])
         _write_manifest(
-            out / "manifest.json", "eval", {"peak": args.peak, "ratio": args.ratio},
+            out / "manifest.json", "eval", {"peak": args.peak},
             {"recovered": str(args.recovered), "reference": str(args.reference)},
             {"metrics": str(out / "metrics.csv")}, None, time.perf_counter() - started,
         )
@@ -314,26 +318,26 @@ def build_parser():
 
     p_complete = sub.add_parser("complete", help="recover missing entries")
     p_complete.add_argument("input", help="tensor file (.tns)")
-    p_complete.add_argument("--sr", type=_sampling_rate, default=None,
-                            help="sampling rate in (0, 1]")
-    p_complete.add_argument("--mask", type=Path, default=None, help="0/1 mask tensor file")
+    observed = p_complete.add_mutually_exclusive_group(required=True)
+    observed.add_argument("--sr", type=_sampling_rate, default=None,
+                          help="sampling rate in (0, 1]")
+    observed.add_argument("--mask", type=Path, default=None, help="0/1 mask tensor file")
     p_complete.add_argument("--gt", type=Path, default=None, help="ground-truth tensor file")
     p_complete.add_argument("--seed", type=_non_negative_int, default=0)
     p_complete.add_argument("--out", required=True, help="output directory")
-    p_complete.add_argument("--ratio", type=_positive, default=1.0, help="ERGAS resolution ratio")
     _add_config_flags(p_complete)
     p_complete.set_defaults(func=cmd_solve)
 
     p_denoise = sub.add_parser("denoise", help="split into low-rank + sparse + Gaussian")
     p_denoise.add_argument("input", help="tensor file (.tns)")
-    p_denoise.add_argument("--sp-fraction", type=float, default=0.0, dest="sp_fraction")
+    impulses = p_denoise.add_mutually_exclusive_group()
+    impulses.add_argument("--sp-fraction", type=float, default=0.0, dest="sp_fraction")
+    impulses.add_argument("--noniid", type=_parse_range, default=None,
+                          help="lo,hi per-slice range")
     p_denoise.add_argument("--gaussian-sigma", type=float, default=0.0, dest="gaussian_sigma")
-    p_denoise.add_argument("--noniid", type=_parse_range, default=None,
-                           help="lo,hi per-slice range")
     p_denoise.add_argument("--gt", type=Path, default=None)
     p_denoise.add_argument("--seed", type=_non_negative_int, default=0)
     p_denoise.add_argument("--out", required=True)
-    p_denoise.add_argument("--ratio", type=_positive, default=1.0)
     _add_config_flags(p_denoise)
     p_denoise.set_defaults(func=cmd_solve)
 
@@ -341,7 +345,6 @@ def build_parser():
     p_eval.add_argument("recovered")
     p_eval.add_argument("reference")
     p_eval.add_argument("--peak", type=_positive, default=1.0)
-    p_eval.add_argument("--ratio", type=_positive, default=1.0)
     p_eval.add_argument("--out", default=None, help="optional output directory")
     p_eval.set_defaults(func=cmd_eval)
     return parser

@@ -26,6 +26,9 @@ from .report import RecoveryReport
 
 DESCENT_RTOL = 1e-8
 SUBPROBLEM_RTOL = 1e-14
+# rho1 = GAMMA1 * mu is the surrogate step's proximal scalar.  PALM needs
+# rho1 > mu (Bolte, Sabach & Teboulle 2014); every shipped config used 1.1.
+GAMMA1 = 1.1
 
 
 class PairState:
@@ -274,7 +277,7 @@ def _pair_step(st, x, mu, rho, cfg, notes, check):
     """Weights, surrogate shrinkage (with its next warm start) and weight
     targets of one pair, each written into ``st`` and then checked; the
     multiplier is left to the ascent."""
-    rho1 = cfg.gamma1 * mu
+    rho1 = GAMMA1 * mu
     w_old, lam_old, m_old = st.w, st.lam_bar, st.m
     st.w = update_weights(st.sigma, w_old, lam_old, cfg.gamma, rho, cfg.epsilon)
     check(st.label + ".w", st.beta * rho, st.w, w_old)

@@ -18,14 +18,10 @@ class SolverConfig:
 
     ``beta`` holds one non-negative weight per mode pair in lexicographic
     order, summing to one; ``None`` means uniform.  Pairs with zero weight
-    are dropped from the model entirely.  ``gamma1`` ties the non-convex
-    block's proximal scalar to the constraint penalty, ``rho1 = gamma1 * mu``,
-    and must exceed one.  ``growth`` rescales ``mu``, ``rho`` (and the
-    robust-PCA residual penalty) every sweep; set it to 1.0 to freeze the
-    penalties, e.g. when checking descent.  ``tau1``/``tau2`` weight the
-    sparse and Gaussian terms of the robust-PCA model; when ``None`` they
-    default to ``tau1_scale / sqrt(max(I1, I2) * prod(rest))`` and
-    ``10 * tau1``.
+    are dropped from the model entirely.  ``growth`` rescales ``mu``, ``rho``
+    (and the robust-PCA residual penalty) every sweep; set it to 1.0 to
+    freeze the penalties, e.g. when checking descent.  ``tau1_scale`` sets
+    the robust-PCA sparse and Gaussian weights, see :meth:`resolve_tau`.
     """
 
     gamma: float = 1e4
@@ -34,14 +30,11 @@ class SolverConfig:
         default=None, metadata={"help": "comma list of pair weights in lexicographic pair order"})
     mu0: float = 1e-3
     rho0: float = 1e-2
-    gamma1: float = 1.1
     growth: float = 1.05
     tol: float = 1e-5
     max_iter: int = 500
     penalty_tau: float = 1e-3
-    tau1: float | None = None
     tau1_scale: float = 1.0
-    tau2: float | None = None
     strict_prox: bool = False
 
     def validate(self):
@@ -58,8 +51,6 @@ class SolverConfig:
             raise ValueError(f"mu0 must be positive, got {self.mu0}")
         if self.rho0 <= 0:
             raise ValueError(f"rho0 must be positive, got {self.rho0}")
-        if self.gamma1 <= 1:
-            raise ValueError(f"gamma1 must exceed 1, got {self.gamma1}")
         if self.growth < 1:
             raise ValueError(f"growth must be >= 1, got {self.growth}")
         if self.tol <= 0:
@@ -68,10 +59,6 @@ class SolverConfig:
             raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
         if self.penalty_tau <= 0:
             raise ValueError(f"penalty_tau must be positive, got {self.penalty_tau}")
-        for name in ("tau1", "tau2"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
         if self.tau1_scale <= 0:
             raise ValueError(f"tau1_scale must be positive, got {self.tau1_scale}")
         if self.beta is not None:
@@ -98,14 +85,11 @@ class SolverConfig:
         return [(pair, float(b)) for pair, b in zip(pairs, beta) if b > 0]
 
     def resolve_tau(self, shape):
-        """Concrete (tau1, tau2) for a given tensor shape."""
-        if self.tau1 is not None:
-            tau1 = self.tau1
-        else:
-            rest = int(np.prod(shape[2:], dtype=np.int64)) if len(shape) > 2 else 1
-            tau1 = self.tau1_scale / np.sqrt(max(shape[0], shape[1]) * rest)
-        tau2 = self.tau2 if self.tau2 is not None else 10.0 * tau1
-        return float(tau1), float(tau2)
+        """Robust-PCA weights ``tau1 = tau1_scale / sqrt(max(I1, I2) * prod(rest))``
+        (Lu et al.'s TRPCA lambda at scale one) and ``tau2 = 10 * tau1``."""
+        rest = int(np.prod(shape[2:], dtype=np.int64)) if len(shape) > 2 else 1
+        tau1 = self.tau1_scale / np.sqrt(max(shape[0], shape[1]) * rest)
+        return float(tau1), float(10.0 * tau1)
 
     def updated(self, **kwargs):
         return replace(self, **kwargs)

@@ -93,10 +93,10 @@ def ergas(x, ref, ratio=1.0):
     return float(100.0 / ratio * np.sqrt(np.mean(terms)))
 
 
-def evaluate_all(x, ref, peak=1.0, ratio=1.0):
-    """psnr/ssim/ergas of ``x`` against a reference, as a dict."""
+def evaluate_all(x, ref, peak=1.0):
+    """psnr/ssim/ergas of ``x`` against a reference of its own shape, as a dict."""
     return {
         "psnr": psnr(x, ref, peak=peak),
         "ssim": ssim(x, ref, peak=peak),
-        "ergas": ergas(x, ref, ratio=ratio),
+        "ergas": ergas(x, ref),
     }

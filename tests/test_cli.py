@@ -89,6 +89,7 @@ class TestComplete:
         assert list(trace[0]) == ["iter", "inf_norm_diff", "lagrangian", "seconds"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["mu0"] == 5.0
+        assert manifest["observation"] == {"sr": 0.5}
 
     def test_mask_file_shape_mismatch(self, tmp_path, capsys):
         gt, path = make_instance(tmp_path)
@@ -101,8 +102,13 @@ class TestComplete:
 
     def test_requires_sr_or_mask(self, tmp_path, capsys):
         gt, path = make_instance(tmp_path)
-        code = main(["complete", str(path), "--out", str(tmp_path / "run")])
-        assert code == 2
+        with pytest.raises(SystemExit) as err:
+            main(["complete", str(path), "--out", str(tmp_path / "run")])
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"].endswith(
+            "one of the arguments --sr --mask is required")
 
     def test_config_file_precedence(self, tmp_path, capsys):
         gt, path = make_instance(tmp_path)
@@ -185,6 +191,9 @@ class TestDenoise:
         assert rows[0]["sr_or_noise"] == "sp=0.05 nu=0.2"
         assert rows[0]["fsim"] == "n/a"
         assert set(rows[0]) == {"method", "sr_or_noise", "psnr", "ssim", "fsim", "ergas"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["observation"] == {
+            "sp_fraction": 0.05, "gaussian_sigma": 0.2, "noniid": None, "seed": 7}
 
     @pytest.mark.parametrize("flags", [["--sp-fraction", "1.5"], ["--gaussian-sigma", "-0.1"],
                                        ["--gaussian-sigma", "nan"], ["--gaussian-sigma", "inf"]])
@@ -256,11 +265,9 @@ def test_solver_failure_is_one_json_error_line(tmp_path, capsys, monkeypatch, co
     ("complete", ["--sr", "abc"]),
     ("denoise", ["--noniid", "0.1,y"]),
     ("synth", ["--shape", "8,a,5", "--rank", "2"]),
-    ("complete", ["--sr", "0.5", "--ratio", "0"]),
     ("complete", ["--sr", "0.5", "--max-iter", "1.5"]),
-    ("denoise", ["--ratio", "inf"]),
-    ("eval", ["--ratio", "0"]),
-    ("eval", ["--ratio", "-2"]),
+    ("complete", ["--sr", "0.5", "--mask", "mask.tns"]),
+    ("denoise", ["--noniid", "0.1,0.2", "--sp-fraction", "0.5"]),
     ("eval", ["--peak", "0"]),
     ("eval", ["--peak", "-1"]),
     ("synth", ["--shape", "8,7,5", "--rank", "2", "--peak", "nan"]),
@@ -287,20 +294,40 @@ def test_usage_error_is_one_json_error_line(tmp_path, capsys, command, flags):
     assert any(f"argument {flag}: " in message for flag in flags if flag.startswith("--"))
 
 
+@pytest.mark.parametrize("command", ["synth", "complete", "denoise", "eval"])
+@pytest.mark.parametrize("flag", ["--ratio", "--gamma1", "--tau1", "--tau2"])
+def test_removed_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    # ERGAS is always scored at ratio 1, rho1 = 1.1 * mu, and tau1_scale sets the TRPCA weights
+    _, path = make_instance(tmp_path)
+    argv = {"synth": ["--shape", "8,7,5", "--rank", "2"], "eval": [str(path)] * 2}.get(
+        command, [str(path)] + SOLVE_INPUT.get(command, []))
+    with pytest.raises(SystemExit) as err:
+        main([command] + argv + [flag, "1.1", "--out", str(tmp_path / "run")])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"].endswith(f"unrecognized arguments: {flag} 1.1")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["complete", "denoise"])
 @pytest.mark.parametrize("flags, config_text, message", [
     (["--mu0", "-1"], None, "mu0 must be positive, got -1.0"),
     ([], "bogus = 1\n", "unknown config key 'bogus'"),
+    ([], "gamma1 = 1.1\n", "unknown config key 'gamma1'"),
+    ([], "tau1 = 0.1\n", "unknown config key 'tau1'"),
+    ([], "tau2 = 1\n", "unknown config key 'tau2'"),
     ([], "gamma = abc\n", "cannot parse gamma value 'abc'"),
     (["--beta", "0.5,0.25,0.2"], None, "beta weights must sum to 1, got 0.95"),
     (["--mu0", "nan"], None, "mu0 must be finite, got nan"),
     (["--epsilon", "inf"], None, "epsilon must be finite, got inf"),
     (["--tol", "nan"], None, "tol must be finite, got nan"),
     (["--growth", "inf"], None, "growth must be finite, got inf"),
-    (["--tau1", "nan"], None, "tau1 must be finite, got nan"),
+    (["--tau1-scale", "nan"], None, "tau1_scale must be finite, got nan"),
     ([], "beta = 0.5,nan,0.5\n", "beta must be finite, got (0.5, nan, 0.5)"),
-], ids=["negative-mu0", "unknown-key", "unparsable-value", "beta-sum", "nan-mu0",
-        "inf-epsilon", "nan-tol", "inf-growth", "nan-tau1", "nan-beta"])
+], ids=["negative-mu0", "unknown-key", "gamma1-key", "tau1-key", "tau2-key",
+        "unparsable-value", "beta-sum", "nan-mu0", "inf-epsilon", "nan-tol", "inf-growth",
+        "nan-tau1-scale", "nan-beta"])
 def test_bad_option_value_is_one_json_error_line(tmp_path, capsys, command, flags,
                                                  config_text, message):
     _, path = make_instance(tmp_path)
@@ -418,8 +445,8 @@ def test_mask_entries_other_than_0_and_1_are_refused(tmp_path, capsys, value):
 # a valid non-default value for every SolverConfig field, as command-line text
 FIELD_TEXT = {
     "gamma": "50", "epsilon": "0.02", "beta": "0.5,0.25,0.25", "mu0": "0.5", "rho0": "0.2",
-    "gamma1": "1.5", "growth": "1.1", "tol": "1e-3", "max_iter": "7", "penalty_tau": "0.01",
-    "tau1": "0.25", "tau1_scale": "2", "tau2": "0.5", "strict_prox": "true",
+    "growth": "1.1", "tol": "1e-3", "max_iter": "7", "penalty_tau": "0.01",
+    "tau1_scale": "2", "strict_prox": "true",
 }
 
 
@@ -429,7 +456,7 @@ def test_every_config_field_is_a_flag_and_a_config_key(tmp_path, command, field)
     text = FIELD_TEXT[field.name]
     flag = "--" + field.name.replace("_", "-")
     (tmp_path / "run.cfg").write_text(f"{field.name} = {text}\n")
-    argv = [command, "data.tns", "--out", "run"]
+    argv = [command, "data.tns", "--out", "run"] + SOLVE_INPUT[command]
     by_flag = build_parser().parse_args(argv + ([flag] if field.type == "bool" else [flag, text]))
     by_file = build_parser().parse_args(argv + ["--config", str(tmp_path / "run.cfg")])
     cfg = _resolve_config(by_flag)

@@ -213,7 +213,7 @@ class TestSolve:
         with pytest.raises(ValueError):
             complete(bad, mask, SMALL_CFG)
         with pytest.raises(ValueError):
-            complete(obs, mask, SolverConfig(gamma1=1.0))
+            complete(obs, mask, SolverConfig(tol=0.0))
 
     @pytest.mark.parametrize("solver", ["complete", "decompose"])
     def test_ground_truth_of_another_shape_is_refused(self, solver):

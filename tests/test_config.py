@@ -39,8 +39,8 @@ def test_resolve_tau_defaults():
     tau1, tau2 = cfg.resolve_tau((30, 20, 10))
     assert tau1 == pytest.approx(1.0 / (30 * 10) ** 0.5)
     assert tau2 == pytest.approx(10.0 * tau1)
-    tau1b, tau2b = SolverConfig(tau1=0.25, tau2=0.5).resolve_tau((30, 20, 10))
-    assert (tau1b, tau2b) == (0.25, 0.5)
+    tau1b, tau2b = SolverConfig(tau1_scale=0.3).resolve_tau((30, 20, 10))
+    assert (tau1b, tau2b) == pytest.approx((0.3 * tau1, 0.3 * tau2))
 
 
 def test_scalar_validation():
@@ -49,22 +49,17 @@ def test_scalar_validation():
         dict(epsilon=-1.0),
         dict(mu0=0.0),
         dict(rho0=0.0),
-        dict(gamma1=0.9),
         dict(growth=0.99),
         dict(tol=0.0),
         dict(max_iter=-1),
         dict(penalty_tau=0.0),
-        dict(tau1=-0.1),
         dict(tau1_scale=0.0),
         dict(mu0=float("nan")),
         dict(epsilon=float("inf")),
         dict(tol=float("nan")),
         dict(growth=float("inf")),
-        dict(gamma1=float("inf")),
         dict(penalty_tau=float("nan")),
-        dict(tau1=float("nan")),
         dict(tau1_scale=float("inf")),
-        dict(tau2=float("inf")),
         dict(beta=(float("nan"),) * 3),
     ):
         with pytest.raises(ValueError):
@@ -79,7 +74,6 @@ def test_config_file_roundtrip(tmp_path):
         "beta = 0.5,0.25,0.25\n"
         "max_iter = 42\n"
         "strict_prox = true\n"
-        "tau1 = none\n"
     )
     options = load_config_file(path)
     cfg = build_config(options)
@@ -87,7 +81,10 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.beta == (0.5, 0.25, 0.25)
     assert cfg.max_iter == 42
     assert cfg.strict_prox is True
-    assert cfg.tau1 is None
+    # "none" leaves a field at its default
+    path.write_text("max_iter = none\n")
+    assert load_config_file(path) == {"max_iter": None}
+    assert build_config(load_config_file(path)).max_iter == SolverConfig().max_iter
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -95,6 +92,14 @@ def test_config_file_unknown_key(tmp_path):
     path.write_text("bogus = 1\n")
     with pytest.raises(ValueError):
         load_config_file(path)
+
+
+@pytest.mark.parametrize("key", ["gamma1", "tau1", "tau2"])
+def test_removed_fields_are_gone(key):
+    # rho1 = 1.1 * mu is a solver constant and tau1_scale alone sets the TRPCA weights
+    assert not hasattr(SolverConfig(), key)
+    with pytest.raises(TypeError):
+        SolverConfig(**{key: 1.0})
 
 
 def test_override_precedence(tmp_path):

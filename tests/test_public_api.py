@@ -2,12 +2,17 @@
 
 Reference implementations that only the tests compare against live in
 ``tests/oracles.py``; these checks keep them from drifting back into the
-package or its public names.
+package or its public names.  The solver options and command-line flags
+are pinned the same way, so an option cannot be added or come back
+unnoticed.
 """
 
+import argparse
+from dataclasses import fields
 from pathlib import Path
 
 import tenrec
+from tenrec.cli import build_parser
 
 PUBLIC = [
     "NoiseSpec",
@@ -42,6 +47,22 @@ PUBLIC = [
     "weighted_log_prox",
 ]
 
+SOLVER_CONFIG_FIELDS = [
+    "gamma", "epsilon", "beta", "mu0", "rho0", "growth", "tol", "max_iter", "penalty_tau",
+    "tau1_scale", "strict_prox",
+]
+
+CONFIG_FLAGS = ["--" + name.replace("_", "-") for name in SOLVER_CONFIG_FIELDS] + ["--config"]
+
+# each subcommand's positional arguments and flags, --help aside
+SUBCOMMANDS = {
+    "synth": ([], ["--shape", "--rank", "--seed", "--peak", "--out"]),
+    "complete": (["input"], ["--sr", "--mask", "--gt", "--seed", "--out"] + CONFIG_FLAGS),
+    "denoise": (["input"], ["--sp-fraction", "--noniid", "--gaussian-sigma", "--gt", "--seed",
+                            "--out"] + CONFIG_FLAGS),
+    "eval": (["recovered", "reference"], ["--peak", "--out"]),
+}
+
 SRC = Path(tenrec.__file__).resolve().parent
 
 
@@ -59,3 +80,19 @@ def test_package_does_not_reach_into_the_test_oracles():
     assert sources
     for path in sources:
         assert "oracles" not in path.read_text(), path
+
+
+def test_solver_config_fields():
+    assert [f.name for f in fields(tenrec.SolverConfig)] == SOLVER_CONFIG_FIELDS
+
+
+def test_subcommand_arguments():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {}
+    for name, subparser in sub.choices.items():
+        actions = [a for a in subparser._actions if not isinstance(a, argparse._HelpAction)]
+        found[name] = ([a.dest for a in actions if not a.option_strings],
+                       sorted(s for a in actions for s in a.option_strings))
+    assert found == {name: (positional, sorted(flags))
+                     for name, (positional, flags) in SUBCOMMANDS.items()}

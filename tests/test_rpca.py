@@ -179,7 +179,7 @@ class TestSolve:
     def test_large_tau1_forces_zero_sparse_part(self):
         rng = np.random.default_rng(10)
         t = rng.standard_normal((8, 8, 4))
-        cfg = RAW_CFG.updated(tau1=1e9, tau2=1.0, max_iter=20, tol=1e-12)
+        cfg = RAW_CFG.updated(tau1_scale=1e9, max_iter=20, tol=1e-12)
         report = decompose(t, cfg)
         assert not report.tensors["E"].any()
 
