@@ -17,11 +17,11 @@ half-spectrum Fourier slices of its argument.  A solver calls it once per
 mode pair and sweep, and the shrinkage usually keeps only a few values per
 slice.  Given the previous call's leading left singular vectors, the prox
 computes only the leading triplets, by warm-started block power steps
-with a Rayleigh-Ritz step.  It takes that result only when a certificate
-proves it exact to rounding: the Ritz triplets up to the last kept one
-have converged, and a bound on the part of each slice outside the basis
-shows that every value left out would have been shrunk to zero.
-Otherwise it falls back to the full SVD of every slice.  Each call
+and then one Rayleigh-Ritz step.  It takes that result only when a
+certificate proves it exact to rounding: the Ritz triplets up to the last
+kept one have converged, and a bound on the part of each slice outside
+the basis shows that every value left out would have been shrunk to
+zero.  Otherwise it falls back to the full SVD of every slice.  Each call
 returns, with its result, the vectors that seed the next call.
 
 Unlike the l1 or nuclear norms, none of the penalties here satisfy the
@@ -130,9 +130,10 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     ``basis`` is ``None`` or the ``next_basis`` of the previous call on
     this sequence: a ``(I3 // 2 + 1, I1, p)`` array of leading left
     singular vectors of the half-spectrum slices.  With one, only the
-    leading ``p`` triplets are computed: block power steps from it, each
-    followed by a Rayleigh-Ritz step, until every Ritz triplet up to the
-    last kept one has a residual ``||A v - s u|| <= RITZ_RTOL *
+    leading ``p`` triplets are computed: block power steps from it, as
+    many as the first step predicts, and then a Rayleigh-Ritz step, with
+    one more power and Rayleigh-Ritz step while some Ritz triplet up to
+    the last kept one has a residual ``||A v - s u|| > RITZ_RTOL *
     sigma_max``.  A certificate then proves that those Ritz values are the
     leading singular values to rounding and that every value the
     shrinkage zeroes, including the uncomputed ones past ``p``, lies at or
@@ -176,6 +177,8 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     if not truncated:
         factors = np.linalg.svd(a, full_matrices=False)
     u, s, vh = factors
+    # Free the slices: the rebuild below copies a stack of the same size.
+    del a
     p = s.shape[1]
     s_new = shrink_singular_values(s, w_half[:, :p], rho / i3, epsilon, strict=strict)
     # The weights vary per index, so the kept set need not be a prefix:
@@ -183,7 +186,9 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     kept = np.flatnonzero(s_new.any(axis=0))
     k = kept[-1] + 1 if kept.size else 0
     lbar = (u[:, :, :k] * s_new[:, None, :k]) @ vh[:, :k, :]
-    l = np.fft.irfft(np.moveaxis(lbar, 0, 2), n=i3, axis=2)
+    # C-contiguous tubes give a C-contiguous result, so the solver's
+    # elementwise passes and pair-(0, 1) fold run on contiguous memory.
+    l = np.fft.irfft(np.ascontiguousarray(np.moveaxis(lbar, 0, 2)), n=i3, axis=2)
 
     sigma_new = np.zeros((half, r))
     sigma_new[:, :p] = s_new
@@ -197,8 +202,8 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
 # Columns kept past the last kept index: the subspace iteration converges
 # at the rate sigma_{p+1}/sigma_k and the certificate needs the gap.
 OVERSAMPLE = 5
-# Block power steps after the warm-started Rayleigh-Ritz step before the
-# truncated factorization gives up.
+# Block power steps from the warm start before the truncated factorization
+# gives up.
 POWER_STEPS = 5
 # Truncation is tried only while the basis spans at most this fraction of
 # the slice rank.  Measured per call with a warm basis on 2 cores, the
@@ -225,14 +230,18 @@ def _kept_end(s, thr):
 def _ritz_triplets(a, q, thr):
     """Leading ``p`` singular triplets of each slice of ``a``, or ``None``.
 
-    Starts from the orthonormal columns ``q`` (``half x I1 x p``); each
-    round takes the SVD of ``B = Q^H A`` and checks the residuals
-    ``A v_j - s_j u_j`` of the triplets up to the last kept one against
-    ``RITZ_RTOL`` times the largest value of any slice, and ``A V`` is then
-    the next block power step.  Returns ``(u, s, vh)`` once those triplets
-    have converged and :func:`_certified` holds; ``None`` when that cannot
-    happen within ``POWER_STEPS`` power steps, or when the certificate
-    fails twice on converged triplets.
+    Starts from the orthonormal columns ``q`` (``half x I1 x p``) and
+    takes bare block power steps ``q <- qr(A A^H q)``, as many as
+    :func:`_power_steps` predicts from the first one, without rotating
+    the basis in between (randomized subspace iteration, Halko, Martinsson
+    & Tropp 2011, Alg. 4.4).  Then each round takes one Rayleigh-Ritz
+    step, the SVD of ``B = Q^H A``, and checks the residuals ``A v_j - s_j
+    u_j`` of the triplets up to the last kept one against ``RITZ_RTOL``
+    times the largest value of any slice; ``A V`` is the next round's
+    power step.  Returns ``(u, s, vh)`` once those triplets have converged
+    and :func:`_certified` holds; ``None`` when that cannot happen within
+    ``POWER_STEPS`` power steps in all, or when the certificate fails
+    twice on converged triplets.
     """
     # C-contiguous slices for the products and the norm below.
     a = np.ascontiguousarray(a)
@@ -244,14 +253,20 @@ def _ritz_triplets(a, q, thr):
     a_sq = np.einsum("ij,ij->i", parts, parts)
     # Rounding in ||A||^2 - ||B||^2, in R and in the orthonormality of Q.
     margin = 16 * (i1 + i2) * np.finfo(float).eps * a_sq
+    # y is the latest block power product, orthonormalised at the start of
+    # each round: A A^H Q after the bare steps, then A V.
+    ah = a.conj().transpose(0, 2, 1)
+    y = a @ (ah @ q)
+    steps = _power_steps(q, y, thr)
+    for _ in range(steps - 1):
+        y = a @ (ah @ np.linalg.qr(y)[0])
     refused = False
-    for step in range(POWER_STEPS + 1):
-        if step:
-            q = np.linalg.qr(av)[0]
+    for _ in range(steps, POWER_STEPS + 1):
+        q = np.linalg.qr(y)[0]
         ub, s, vh = np.linalg.svd(q.conj().transpose(0, 2, 1) @ a, full_matrices=False)
         u = q @ ub
-        av = a @ vh.conj().transpose(0, 2, 1)
-        res = np.linalg.norm(av - u * s[:, None, :], axis=1)
+        y = a @ vh.conj().transpose(0, 2, 1)
+        res = np.linalg.norm(y - u * s[:, None, :], axis=1)
         res[np.arange(p) >= _kept_end(s, thr)[:, None]] = 0.0
         if res.max() > RITZ_RTOL * s[:, 0].max():
             continue
@@ -280,6 +295,32 @@ def _ritz_triplets(a, q, thr):
             return None
         refused = True
     return None
+
+
+def _power_steps(q, y, thr):
+    """Block power steps, from 1 to ``POWER_STEPS``, that the Ritz
+    triplets up to the last kept one need to meet ``RITZ_RTOL``.
+
+    ``y = A A^H q`` is the first step's product.  Column ``j`` has
+    ``||y_j|| ~ s_j^2`` and deviates from ``q_j`` by ``d_j = ||y_j - q_j
+    q_j^H y_j||``; each step contracts that deviation by about
+    ``||y_last|| / ||y_j||``, and it must fall to ``RITZ_RTOL * s_max * s_j``,
+    which is the residual test's bound relative to ``s_j`` times
+    ``||y_j||``.  A column that does not contract asks for every step.
+    """
+    norm = np.linalg.norm(y, axis=1)
+    dev = np.linalg.norm(y - q * np.sum(q.conj() * y, axis=1)[:, None, :], axis=1)
+    s = np.sqrt(norm)
+    goal = RITZ_RTOL * s.max() * s
+    lagging = (np.arange(s.shape[1]) < _kept_end(s, thr)[:, None]) & (dev > goal)
+    if not lagging.any():
+        return 1
+    rate = norm[np.nonzero(lagging)[0], -1] / norm[lagging]
+    if rate.max() >= 1.0:
+        return POWER_STEPS
+    rate = np.maximum(rate, np.finfo(float).tiny)
+    need = np.log(goal[lagging] / dev[lagging]) / np.log(rate)
+    return int(np.clip(np.ceil(need.max()), 1, POWER_STEPS))
 
 
 def _certified(s, res, tail_sq, thr):

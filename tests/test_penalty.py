@@ -489,6 +489,74 @@ class TestTruncatedProx:
             assert 0 < np.count_nonzero(sigma_new) < sigma_new.size
 
     @pytest.mark.parametrize("i3", [1, 2, 5, 6])
+    @pytest.mark.parametrize("i1, i2", [(28, 36), (36, 28)])
+    def test_certified_call_factors_one_ritz_block(self, i1, i2, i3, monkeypatch):
+        # bare power steps between the warm start and the one Rayleigh-Ritz
+        # step: a single SVD of Q^H A per call, and no full one
+        y, w, rho, eps = gapped_instance(i1, i2, i3, 2, seed=i1 + i3)
+        drift = np.random.default_rng(i3).standard_normal(y.shape)
+        basis = weighted_log_prox(y, w, rho, eps)[3]
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        half, p = i3 // 2 + 1, basis.shape[2]
+        for step in range(1, 4):
+            shapes.clear()
+            _, _, sigma_old, basis = weighted_log_prox(y + 1e-3 * step * drift, w, rho, eps,
+                                                       basis=basis)
+            assert np.isnan(sigma_old).any()
+            assert shapes == [(half, p, i2)]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("i3", [1, 2, 5, 6])
+    @pytest.mark.parametrize("weight", ["gapped", "zero"])
+    @pytest.mark.parametrize("kind", ["constant-tubes", "gapped"])
+    def test_random_basis_and_zero_slices_match_oracle(self, kind, weight, i3):
+        # a tensor constant along its tubes has every half-spectrum slice
+        # but the first at zero; a random basis is far from every singular
+        # direction; a zero weight keeps every value, zeros included
+        if kind == "constant-tubes":
+            y, w, rho, eps = gapped_instance(36, 40, 1, 3, seed=50 + i3)
+            y, w = np.repeat(y, i3, axis=2), np.repeat(w, i3, axis=1)
+        else:
+            y, w, rho, eps = gapped_instance(36, 40, i3, 3, seed=50 + i3)
+        if weight == "zero":
+            w = np.zeros_like(w)
+        rng = np.random.default_rng(60 + i3)
+        shape = (i3 // 2 + 1, 36, 3 + 5)
+        basis = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+        truncated = np.isnan(weighted_log_prox(y, w, rho, eps, basis=basis)[2]).any()
+        check = assert_truncated_matches_oracle if truncated else assert_matches_oracle
+        check(y, w, rho, eps, basis=basis)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("i3", [1, 2, 5, 6])
+    def test_basis_column_in_null_space(self, i3):
+        # the last basis columns sit on zero rows, so A A^H maps them to
+        # exact zeros: the predicted contraction rate is zero
+        y, w, rho, eps = gapped_instance(36, 40, i3, 3, seed=80 + i3)
+        y[30:] = 0.0
+        rng = np.random.default_rng(90 + i3)
+        basis = np.zeros((i3 // 2 + 1, 36, 3 + 5), dtype=complex)
+        basis[:, :30, :5] = np.linalg.qr(rng.standard_normal((i3 // 2 + 1, 30, 5)))[0]
+        basis[:, 30:33, 5:] = np.eye(3)
+        assert_truncated_matches_oracle(y, w, rho, eps, basis)
+
+    @pytest.mark.parametrize("i3", [1, 2, 5, 6])
+    def test_result_is_c_contiguous(self, i3):
+        y, w, rho, eps = gapped_instance(28, 36, i3, 2, seed=70 + i3)
+        l, _, _, basis = weighted_log_prox(y, w, rho, eps)
+        assert l.flags.c_contiguous
+        l, _, sigma_old, _ = weighted_log_prox(y, w, rho, eps, basis=basis)
+        assert np.isnan(sigma_old).any()
+        assert l.flags.c_contiguous
+
+    @pytest.mark.parametrize("i3", [1, 2, 5, 6])
     def test_kept_set_not_a_prefix(self, i3):
         y, w, rho, eps = gapped_instance(36, 40, i3, 3, seed=20 + i3)
         # only index 2 escapes a heavy weight: the rebuild must reach it
