@@ -131,17 +131,16 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     this sequence: a ``(I3 // 2 + 1, I1, p)`` array of leading left
     singular vectors of the half-spectrum slices.  With one, only the
     leading ``p`` triplets are computed: block power steps from it, as
-    many as the first step predicts, and then a Rayleigh-Ritz step, with
-    one more power and Rayleigh-Ritz step while some Ritz triplet up to
-    the last kept one has a residual ``||A v - s u|| > RITZ_RTOL *
-    sigma_max``.  A certificate then proves that those Ritz values are the
-    leading singular values to rounding and that every value the
-    shrinkage zeroes, including the uncomputed ones past ``p``, lies at or
-    below its threshold (see :func:`_certified`).  If the iteration cannot
-    converge within ``POWER_STEPS`` steps or the certificate fails, every
-    slice is factored in full instead.  The truncated result agrees with
-    the full factorization to rounding, not bit for bit.  Without a basis,
-    or with one of another shape, every slice is factored in full.
+    many as the first step predicts, and then one Rayleigh-Ritz step.
+    Every Ritz triplet up to the last kept one must have a residual
+    ``||A v - s u|| <= RITZ_RTOL * sigma_max``, and a certificate then
+    proves that those Ritz values are the leading singular values to
+    rounding and that every value the shrinkage zeroes, including the
+    uncomputed ones past ``p``, lies at or below its threshold (see
+    :func:`_certified`).  If the residual test or the certificate fails,
+    every slice is factored in full instead.  The truncated result agrees
+    with the full factorization to rounding, not bit for bit.  Without a
+    basis, or with one of another shape, every slice is factored in full.
 
     Returns
     -------
@@ -202,8 +201,8 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
 # Columns kept past the last kept index: the subspace iteration converges
 # at the rate sigma_{p+1}/sigma_k and the certificate needs the gap.
 OVERSAMPLE = 5
-# Block power steps from the warm start before the truncated factorization
-# gives up.
+# The most block power steps one truncated factorization takes from its
+# warm start.
 POWER_STEPS = 5
 # Truncation is tried only while the basis spans at most this fraction of
 # the slice rank.  Measured per call with a warm basis on 2 cores, the
@@ -234,14 +233,13 @@ def _ritz_triplets(a, q, thr):
     takes bare block power steps ``q <- qr(A A^H q)``, as many as
     :func:`_power_steps` predicts from the first one, without rotating
     the basis in between (randomized subspace iteration, Halko, Martinsson
-    & Tropp 2011, Alg. 4.4).  Then each round takes one Rayleigh-Ritz
-    step, the SVD of ``B = Q^H A``, and checks the residuals ``A v_j - s_j
-    u_j`` of the triplets up to the last kept one against ``RITZ_RTOL``
-    times the largest value of any slice; ``A V`` is the next round's
-    power step.  Returns ``(u, s, vh)`` once those triplets have converged
-    and :func:`_certified` holds; ``None`` when that cannot happen within
-    ``POWER_STEPS`` power steps in all, or when the certificate fails
-    twice on converged triplets.
+    & Tropp 2011, Alg. 4.4).  Then it takes one Rayleigh-Ritz step, the
+    SVD of ``B = Q^H A``, and checks the residuals ``A v_j - s_j u_j`` of
+    the triplets up to the last kept one against ``RITZ_RTOL`` times the
+    largest value of any slice.  Returns ``(u, s, vh)`` when those
+    triplets have converged and :func:`_certified` holds for every slice,
+    with the Schatten-4 or -8 bound where the Frobenius one fails;
+    ``None`` when the residual test or the certificate fails.
     """
     # C-contiguous slices for the products and the norm below.
     a = np.ascontiguousarray(a)
@@ -253,48 +251,32 @@ def _ritz_triplets(a, q, thr):
     a_sq = np.einsum("ij,ij->i", parts, parts)
     # Rounding in ||A||^2 - ||B||^2, in R and in the orthonormality of Q.
     margin = 16 * (i1 + i2) * np.finfo(float).eps * a_sq
-    # y is the latest block power product, orthonormalised at the start of
-    # each round: A A^H Q after the bare steps, then A V.
     ah = a.conj().transpose(0, 2, 1)
     y = a @ (ah @ q)
-    steps = _power_steps(q, y, thr)
-    for _ in range(steps - 1):
+    for _ in range(_power_steps(q, y, thr) - 1):
         y = a @ (ah @ np.linalg.qr(y)[0])
-    refused = False
-    for _ in range(steps, POWER_STEPS + 1):
-        q = np.linalg.qr(y)[0]
-        ub, s, vh = np.linalg.svd(q.conj().transpose(0, 2, 1) @ a, full_matrices=False)
-        u = q @ ub
-        y = a @ vh.conj().transpose(0, 2, 1)
-        res = np.linalg.norm(y - u * s[:, None, :], axis=1)
-        res[np.arange(p) >= _kept_end(s, thr)[:, None]] = 0.0
-        if res.max() > RITZ_RTOL * s[:, 0].max():
-            continue
-        # ||R||_F^2 = ||A||_F^2 - ||B||_F^2 for R = (I - QQ^H) A.
-        tail_sq = np.maximum(a_sq - np.sum(s**2, axis=1), 0.0) + margin
-        ok = _certified(s, res, tail_sq, thr)
-        for i in np.flatnonzero(~ok):
-            # Tighter bounds from the Schatten-4 and -8 norms of R:
-            # ||R||_2^2 <= ||(R R^H)^m||_F^(1/m) for m = 1, 2.
-            resid = a[i] - (u[i] * s[i]) @ vh[i]
-            gram = resid @ resid.conj().T if i1 <= i2 else resid.conj().T @ resid
-            for m in (1, 2):
-                tail_sq[i] = np.linalg.norm(gram) ** (1 / m) * (1 + 1e-10) + margin[i]
-                if _certified(s[i:i + 1], res[i:i + 1], tail_sq[i:i + 1], thr[i:i + 1])[0]:
-                    ok[i] = True
-                    break
-                gram = gram @ gram
-            if not ok[i]:
+    q = np.linalg.qr(y)[0]
+    ub, s, vh = np.linalg.svd(q.conj().transpose(0, 2, 1) @ a, full_matrices=False)
+    u = q @ ub
+    res = np.linalg.norm(a @ vh.conj().transpose(0, 2, 1) - u * s[:, None, :], axis=1)
+    res[np.arange(p) >= _kept_end(s, thr)[:, None]] = 0.0
+    if res.max() > RITZ_RTOL * s[:, 0].max():
+        return None
+    # ||R||_F^2 = ||A||_F^2 - ||B||_F^2 for R = (I - QQ^H) A.
+    tail_sq = np.maximum(a_sq - np.sum(s**2, axis=1), 0.0) + margin
+    for i in np.flatnonzero(~_certified(s, res, tail_sq, thr)):
+        # Tighter bounds from the Schatten-4 and -8 norms of R:
+        # ||R||_2^2 <= ||(R R^H)^m||_F^(1/m) for m = 1, 2.
+        resid = a[i] - (u[i] * s[i]) @ vh[i]
+        gram = resid @ resid.conj().T if i1 <= i2 else resid.conj().T @ resid
+        for m in (1, 2):
+            tail_sq[i] = np.linalg.norm(gram) ** (1 / m) * (1 + 1e-10) + margin[i]
+            if _certified(s[i:i + 1], res[i:i + 1], tail_sq[i:i + 1], thr[i:i + 1])[0]:
                 break
-        if ok.all():
-            return u, s, vh
-        # One more power step can still tighten the bound on R; a second
-        # refusal means the values past the basis sit too close to their
-        # thresholds for more steps to pay.
-        if refused:
+            gram = gram @ gram
+        else:  # neither bound certifies slice i
             return None
-        refused = True
-    return None
+    return u, s, vh
 
 
 def _power_steps(q, y, thr):
@@ -306,7 +288,9 @@ def _power_steps(q, y, thr):
     q_j^H y_j||``; each step contracts that deviation by about
     ``||y_last|| / ||y_j||``, and it must fall to ``RITZ_RTOL * s_max * s_j``,
     which is the residual test's bound relative to ``s_j`` times
-    ``||y_j||``.  A column that does not contract asks for every step.
+    ``||y_j||``.  ``y_last`` is the slice's last column with ``||y_last||
+    > eps * ||y_0||``: a basis column in the slice's null space contracts
+    nothing.  A column that does not contract asks for every step.
     """
     norm = np.linalg.norm(y, axis=1)
     dev = np.linalg.norm(y - q * np.sum(q.conj() * y, axis=1)[:, None, :], axis=1)
@@ -315,7 +299,8 @@ def _power_steps(q, y, thr):
     lagging = (np.arange(s.shape[1]) < _kept_end(s, thr)[:, None]) & (dev > goal)
     if not lagging.any():
         return 1
-    rate = norm[np.nonzero(lagging)[0], -1] / norm[lagging]
+    last = _kept_end(norm, np.finfo(float).eps * norm[:, :1]) - 1
+    rate = norm[np.arange(len(norm)), last][np.nonzero(lagging)[0]] / norm[lagging]
     if rate.max() >= 1.0:
         return POWER_STEPS
     rate = np.maximum(rate, np.finfo(float).tiny)

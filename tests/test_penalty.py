@@ -9,6 +9,7 @@ from tenrec import (
     update_weights,
     weighted_log_prox,
 )
+from tenrec import penalty
 from tenrec.algebra import fourier_singular_values
 
 from oracles import (
@@ -471,6 +472,20 @@ def assert_truncated_matches_oracle(y, w, rho, eps, basis, strict=False):
     return l, sigma_new, sigma_old, next_basis
 
 
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the arrays passed to ``np.linalg.svd``, in call order."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return shapes
+
+
 class TestTruncatedProx:
     @pytest.mark.parametrize("i3", [1, 2, 5, 6])
     @pytest.mark.parametrize("i1, i2", [(28, 36), (36, 28)])
@@ -490,27 +505,19 @@ class TestTruncatedProx:
 
     @pytest.mark.parametrize("i3", [1, 2, 5, 6])
     @pytest.mark.parametrize("i1, i2", [(28, 36), (36, 28)])
-    def test_certified_call_factors_one_ritz_block(self, i1, i2, i3, monkeypatch):
+    def test_certified_call_factors_one_ritz_block(self, i1, i2, i3, svd_shapes):
         # bare power steps between the warm start and the one Rayleigh-Ritz
         # step: a single SVD of Q^H A per call, and no full one
         y, w, rho, eps = gapped_instance(i1, i2, i3, 2, seed=i1 + i3)
         drift = np.random.default_rng(i3).standard_normal(y.shape)
         basis = weighted_log_prox(y, w, rho, eps)[3]
-        shapes = []
-        svd = np.linalg.svd
-
-        def counting_svd(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         half, p = i3 // 2 + 1, basis.shape[2]
         for step in range(1, 4):
-            shapes.clear()
+            svd_shapes.clear()
             _, _, sigma_old, basis = weighted_log_prox(y + 1e-3 * step * drift, w, rho, eps,
                                                        basis=basis)
             assert np.isnan(sigma_old).any()
-            assert shapes == [(half, p, i2)]
+            assert svd_shapes == [(half, p, i2)]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("i3", [1, 2, 5, 6])
@@ -536,16 +543,21 @@ class TestTruncatedProx:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("i3", [1, 2, 5, 6])
-    def test_basis_column_in_null_space(self, i3):
+    def test_basis_column_in_null_space(self, i3, svd_shapes):
         # the last basis columns sit on zero rows, so A A^H maps them to
-        # exact zeros: the predicted contraction rate is zero
+        # exact zeros; the contraction rate comes from the columns before
+        # them, and the predicted power steps reach the residual test
         y, w, rho, eps = gapped_instance(36, 40, i3, 3, seed=80 + i3)
         y[30:] = 0.0
         rng = np.random.default_rng(90 + i3)
-        basis = np.zeros((i3 // 2 + 1, 36, 3 + 5), dtype=complex)
-        basis[:, :30, :5] = np.linalg.qr(rng.standard_normal((i3 // 2 + 1, 30, 5)))[0]
+        half = i3 // 2 + 1
+        basis = np.zeros((half, 36, 3 + 5), dtype=complex)
+        basis[:, :30, :5] = np.linalg.qr(rng.standard_normal((half, 30, 5)))[0]
         basis[:, 30:33, 5:] = np.eye(3)
+        svd_shapes.clear()
         assert_truncated_matches_oracle(y, w, rho, eps, basis)
+        # one Rayleigh-Ritz step, then the oracle's full-spectrum SVD
+        assert svd_shapes == [(half, 8, 40), (i3, 36, 40)]
 
     @pytest.mark.parametrize("i3", [1, 2, 5, 6])
     def test_result_is_c_contiguous(self, i3):
@@ -621,20 +633,48 @@ class TestTruncatedProx:
         # the exact spectrum shows the same tail, so no basis is returned
         assert next_basis is None
 
-    def test_uncertified_tail_stops_after_one_retry(self, monkeypatch):
-        # the Ritz triplets converge at once; after the certificate fails
-        # on them, one more power step is tried before the full SVD
+    def test_uncertified_tail_falls_back_after_one_ritz_step(self, svd_shapes):
+        # the Ritz triplets converge at once; when the certificate fails on
+        # them, the full SVD follows without another power step
         y, w, rho, eps, basis = self.flat_tail_instance()
-        shapes = []
-        svd = np.linalg.svd
-
-        def counting_svd(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         weighted_log_prox(y, w, rho, eps, basis=basis)
-        assert shapes == [(1, 8, 48), (1, 8, 48), (1, 40, 48)]
+        assert svd_shapes == [(1, 8, 48), (1, 40, 48)]
+
+    def test_unconverged_triplets_fall_back_after_one_ritz_step(self, svd_shapes, monkeypatch):
+        # one 20 x 24 slice whose three kept values sit in a tight cluster
+        # with the values just past the basis: every power step is taken,
+        # the residual test still fails, and the full SVD follows without
+        # a certificate.  The basis is wider than MAX_WIDTH_FRACTION of
+        # the rank, so the fallback returns no basis and certifies nothing.
+        rng = np.random.default_rng(44)
+        i1, i2 = 20, 24
+        left = np.linalg.qr(rng.standard_normal((i1, i1)))[0]
+        right = np.linalg.qr(rng.standard_normal((i2, i1)))[0]
+        sigma = np.concatenate([np.linspace(2.0, 1.9, 12), np.linspace(0.5, 0.1, i1 - 12)])
+        y = ((left * sigma) @ right.T)[:, :, None]
+        rho, eps = 2.0, 1e-3
+        threshold = np.full(i1, 10.0)
+        threshold[:3] = 1.0
+        w = (((threshold + eps) / 2) ** 2 * rho)[:, None]
+        basis = np.linalg.qr(left[:, :3 + 5] + 1e-3 * rng.standard_normal((i1, 3 + 5)))[0]
+        steps, certified = [], []
+        power_steps = penalty._power_steps
+
+        def recording_power_steps(*args):
+            steps.append(power_steps(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(penalty, "_power_steps", recording_power_steps)
+        monkeypatch.setattr(penalty, "_certified", lambda *args: certified.append(args))
+        _, sigma_new, sigma_old, next_basis = assert_matches_oracle(
+            y, w, rho, eps, basis=basis[None].astype(complex))
+        assert steps == [penalty.POWER_STEPS]
+        assert not certified
+        # one Rayleigh-Ritz step, the full SVD, then the oracle's
+        assert svd_shapes == [(1, 8, 24), (1, 20, 24), (1, 20, 24)]
+        assert np.count_nonzero(sigma_new) == 3
+        assert not np.isnan(sigma_old).any()
+        assert next_basis is None
 
 
     def test_basis_missing_a_kept_direction_falls_back(self):
