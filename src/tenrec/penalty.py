@@ -127,6 +127,14 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     index kept in any slice, and ``irfft`` returns the result to real
     space, which fills in the mirror slices.
 
+    A call on the full-SVD path holds at its peak three stacks of
+    ``I3 // 2 + 1`` complex ``I1 x I2`` slices while the SVD runs: the
+    slices and the full factors ``u`` and ``vh``.  Then it frees the
+    slices and keeps only the factor columns that the rebuild and the next
+    basis read.  The rebuild holds one stack plus the ``k`` kept columns
+    of ``u``, ``vh`` and their product, which stays below three stacks
+    while ``k`` is at most about two thirds of ``R``.
+
     ``basis`` is ``None`` or the ``next_basis`` of the previous call on
     this sequence: a ``(I3 // 2 + 1, I1, p)`` array of leading left
     singular vectors of the half-spectrum slices.  With one, only the
@@ -166,7 +174,8 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     w_sym = 0.5 * (w + w[:, (-np.arange(i3)) % i3])
 
     half = i3 // 2 + 1
-    a = np.moveaxis(np.fft.rfft(y, axis=2), 2, 0)
+    # One C-contiguous stack of slices; the FFT output is freed here.
+    a = np.ascontiguousarray(np.moveaxis(np.fft.rfft(y, axis=2), 2, 0))
     w_half = w_sym[:, :half].T
     thr = _shrink_threshold(w_half, rho / i3, epsilon)
     factors = None
@@ -176,18 +185,26 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     if not truncated:
         factors = np.linalg.svd(a, full_matrices=False)
     u, s, vh = factors
-    # Free the slices: the rebuild below copies a stack of the same size.
-    del a
+    # Free the slices and the factor tuple: only u, s and vh are read on.
+    del a, factors
     p = s.shape[1]
     s_new = shrink_singular_values(s, w_half[:, :p], rho / i3, epsilon, strict=strict)
     # The weights vary per index, so the kept set need not be a prefix:
     # rebuild through the last index kept in any slice.
     kept = np.flatnonzero(s_new.any(axis=0))
     k = kept[-1] + 1 if kept.size else 0
-    lbar = (u[:, :, :k] * s_new[:, None, :k]) @ vh[:, :k, :]
-    # C-contiguous tubes give a C-contiguous result, so the solver's
-    # elementwise passes and pair-(0, 1) fold run on contiguous memory.
-    l = np.fft.irfft(np.ascontiguousarray(np.moveaxis(lbar, 0, 2)), n=i3, axis=2)
+    # Keep only the columns that the rebuild and _next_basis read, so the
+    # full factors are freed before the rebuild.
+    u = u[:, :, :k + OVERSAMPLE].copy()
+    vh = vh[:, :k, :].copy()
+    lbar = (u[:, :, :k] * s_new[:, None, :k]) @ vh
+    del vh
+    # Transform along the slice axis, then transpose once, so that the
+    # solver's elementwise passes and pair-(0, 1) fold run on C-contiguous
+    # memory.
+    l = np.fft.irfft(lbar, n=i3, axis=0)
+    del lbar
+    l = np.ascontiguousarray(l.transpose(1, 2, 0))
 
     sigma_new = np.zeros((half, r))
     sigma_new[:, :p] = s_new
@@ -229,7 +246,8 @@ def _kept_end(s, thr):
 def _ritz_triplets(a, q, thr):
     """Leading ``p`` singular triplets of each slice of ``a``, or ``None``.
 
-    Starts from the orthonormal columns ``q`` (``half x I1 x p``) and
+    ``a`` is the C-contiguous ``half x I1 x I2`` stack of slices.  Starts
+    from the orthonormal columns ``q`` (``half x I1 x p``) and
     takes bare block power steps ``q <- qr(A A^H q)``, as many as
     :func:`_power_steps` predicts from the first one, without rotating
     the basis in between (randomized subspace iteration, Halko, Martinsson
@@ -241,8 +259,6 @@ def _ritz_triplets(a, q, thr):
     with the Schatten-4 or -8 bound where the Frobenius one fails;
     ``None`` when the residual test or the certificate fails.
     """
-    # C-contiguous slices for the products and the norm below.
-    a = np.ascontiguousarray(a)
     half, i1, i2 = a.shape
     p = q.shape[2]
     # Squared Frobenius norm per slice, over the interleaved real and
@@ -347,25 +363,27 @@ def _certified(s, res, tail_sq, thr):
 
 
 def _next_basis(u, s, k, thr, truncated):
-    """Leading left vectors for the next call, or ``None`` for a full SVD.
+    """``u``, the leading left vectors for the next call, or ``None`` for
+    a full SVD.
 
-    The width is ``k + OVERSAMPLE``, and truncation is tried only while
-    that is at most ``MAX_WIDTH_FRACTION`` of the slice rank.  After a
-    full SVD the exact spectrum must also pass the certificate with the
-    Schatten-8 norm of its tail, the best bound a perfect subspace would
-    give: a slice whose values past the basis sit too close to their
-    thresholds would fail the certificate again and pay for both paths.
+    ``u`` holds the first ``k + OVERSAMPLE`` left vectors, or all ``p``
+    of a truncated factorization if fewer.  Truncation is tried only
+    while ``k + OVERSAMPLE`` is at most ``MAX_WIDTH_FRACTION`` of the
+    slice rank.  After a full SVD the exact spectrum must also pass the
+    certificate with the Schatten-8 norm of its tail, the best bound a
+    perfect subspace would give: a slice whose values past the basis sit
+    too close to their thresholds would fail the certificate again and
+    pay for both paths.
     """
     width = k + OVERSAMPLE
     if width > MAX_WIDTH_FRACTION * thr.shape[1]:
         return None
-    if truncated:
-        return u[:, :, :min(width, u.shape[2])]
-    tail_sq = np.sum(s[:, width:] ** 8, axis=1) ** 0.25
-    head = s[:, :width]
-    if not _certified(head, np.zeros(head.shape), tail_sq, thr).all():
-        return None
-    return u[:, :, :width].copy()
+    if not truncated:
+        tail_sq = np.sum(s[:, width:] ** 8, axis=1) ** 0.25
+        head = s[:, :width]
+        if not _certified(head, np.zeros(head.shape), tail_sq, thr).all():
+            return None
+    return u
 
 
 def update_weights(sigma, w, lam_bar, gamma, rho, epsilon):

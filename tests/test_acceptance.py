@@ -261,6 +261,26 @@ def test_a7_completion_runs_every_sweep():
     assert report.iterations == 100
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "false convergence (ROADMAP item 1): the stop test inf_norm_diff <= tol is met "
+    "by a stalled iterate, after 7, 6 and 4 sweeps at rel_error 0.974"))
+@pytest.mark.parametrize("case", ["uniform-beta", "beta-0.6-0.3-0.1", "unit-peak"])
+def test_robust_pca_never_reports_false_convergence(case):
+    l_true = gen_lowrank((30, 30, 10), 2, seed=7)
+    cfg = trpca_config().updated(max_iter=50)
+    if case == "uniform-beta":
+        cfg = cfg.updated(beta=None)
+    elif case == "beta-0.6-0.3-0.1":
+        cfg = cfg.updated(beta=(0.6, 0.3, 0.1))
+    else:
+        l_true = l_true / np.max(np.abs(l_true))
+    observed = add_mixed_noise(
+        l_true, NoiseSpec(sp_fraction=0.10, gaussian_sigma=0.05, seed=7)
+    )
+    report = decompose(observed, cfg, ground_truth=l_true)
+    assert not report.converged or report.metrics["rel_error"] < 0.5
+
+
 def _read_rows(path, drop="seconds"):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -436,6 +438,23 @@ class TestProx:
         y[0, 0, 0] = np.inf
         with pytest.raises(ValueError):
             weighted_log_prox(y, np.ones((2, 2)), 1.0, 0.1)
+
+    @pytest.mark.parametrize("i1, i2, i3, rank", [(60, 60, 16, 5), (80, 60, 9, 20)])
+    def test_full_svd_working_set(self, i1, i2, i3, rank):
+        # While the SVD runs, a call holds the slices and the full factors
+        # u and vh: three stacks of half-spectrum slices.  Only the kept
+        # columns of the factors may outlive it.
+        y, w, rho, eps = gapped_instance(i1, i2, i3, rank, seed=i1 + i3)
+        weighted_log_prox(y, w, rho, eps)  # lazy imports and FFT plans
+        tracemalloc.start()
+        try:
+            _, sigma_new, _, _ = weighted_log_prox(y, w, rho, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(sigma_new[:, 0]) == rank
+        stack = (i3 // 2 + 1) * i1 * i2 * 16
+        assert peak <= 3.5 * stack
 
 
 def gapped_instance(i1, i2, i3, rank, seed, noise=1e-3):
