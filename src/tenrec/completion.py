@@ -87,9 +87,16 @@ def update_z(observed, mask, z_prev, pairs, betas, m_new, q_old, mu, rho):
     anchored to the previous iterate.  This is the exact minimiser of the
     beta-weighted Lagrangian (:func:`lagrangian_value`) plus the proximal
     term ``(rho/2)*||z - z_prev||^2`` over the unobserved entries.
+
+    ``observed`` and ``mask`` are the data and its boolean mask, or, as the
+    solver passes them, the observed values and their flat C-order indices.
     """
-    numerator, weight = pair_pull(rho * z_prev, rho, observed.shape, pairs, betas, m_new, q_old, mu)
-    return np.where(mask, observed, numerator / weight)
+    numerator, weight = pair_pull(rho * z_prev, rho, z_prev.shape, pairs, betas, m_new, q_old, mu)
+    numerator /= weight
+    if mask.dtype == bool:
+        observed, mask = observed[mask], np.flatnonzero(mask)
+    np.put(numerator, mask, observed)
+    return numerator
 
 
 def update_multiplier(q, z_new_unf, m_new, mu):
@@ -124,8 +131,12 @@ class _MaskedEstimate:
     """Completion's data block for :func:`run_sweeps`: the masked z step."""
 
     def __init__(self, observed, mask, cfg):
-        self.observed, self.mask, self.cfg = observed, mask, cfg
-        self.x = np.where(mask, observed, 0.0)
+        self.cfg = cfg
+        # The observed entries by flat index, found once per solve.
+        self.index = np.flatnonzero(mask)
+        self.values = observed.ravel()[self.index]
+        self.x = np.zeros(observed.shape)
+        np.put(self.x, self.index, self.values)
 
     def lagrangian(self, states, mu):
         return lagrangian_value(self.x, states, mu, self.cfg.gamma, self.cfg.epsilon)
@@ -133,7 +144,7 @@ class _MaskedEstimate:
     def step(self, states, mu, rho, check):
         z = self.x
         self.x = update_z(
-            self.observed, self.mask, z, [st.pair for st in states], [st.beta for st in states],
+            self.values, self.index, z, [st.pair for st in states], [st.beta for st in states],
             [st.m for st in states], [st.q for st in states], mu, rho,
         )
         check("z", rho, self.x, z)
@@ -167,8 +178,10 @@ def complete(observed, mask, config=None, ground_truth=None, track_descent=False
         RecoveryReport with the completed tensor under ``tensors['Z']``.
     """
     cfg = (config or SolverConfig()).validate()
-    observed = np.asarray(observed, dtype=float)
-    mask = np.asarray(mask)
+    # C-ordered copies of inputs held in another memory order, so every
+    # pass of the sweep runs on one layout.
+    observed = np.ascontiguousarray(observed, dtype=float)
+    mask = np.ascontiguousarray(mask)
     if mask.dtype != bool:
         raise ValueError("mask must be boolean")
     if mask.shape != observed.shape:
@@ -177,7 +190,9 @@ def complete(observed, mask, config=None, ground_truth=None, track_descent=False
         raise ValueError("completion needs at least a 2-way tensor")
     if not np.all(np.isfinite(observed[mask])):
         raise ValueError("observed entries must be finite")
-    return run_sweeps(cfg, _MaskedEstimate(observed, mask, cfg), ground_truth, track_descent)
+    block = _MaskedEstimate(observed, mask, cfg)
+    del observed, mask  # the block keeps the observed entries only
+    return run_sweeps(cfg, block, ground_truth, track_descent)
 
 
 def run_sweeps(cfg, block, ground_truth, track_descent):

@@ -21,8 +21,12 @@ and then one Rayleigh-Ritz step.  It takes that result only when a
 certificate proves it exact to rounding: the Ritz triplets up to the last
 kept one have converged, and a bound on the part of each slice outside
 the basis shows that every value left out would have been shrunk to
-zero.  Otherwise it falls back to the full SVD of every slice.  Each call
-returns, with its result, the vectors that seed the next call.
+zero.  Otherwise it takes the full path.  Slices of rank 48 or more are
+factored one at a time, by the Hermitian eigendecomposition of the
+slice's Gram matrix when a certificate proves that exact too (the kept
+set is exact and the kept triplets have converged), or else by the
+slice's SVD; smaller slices take one batched SVD.  Each call returns,
+with its result, the vectors that seed the next call.
 
 Unlike the l1 or nuclear norms, none of the penalties here satisfy the
 triangle inequality; "norm" is used loosely throughout.
@@ -123,17 +127,35 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     columns; the pair means are what the shrinkage uses.
 
     Only the ``I3 // 2 + 1`` half-spectrum slices of the real FFT are
-    factored.  Each is rebuilt from its singular triplets up to the last
-    index kept in any slice, and ``irfft`` returns the result to real
-    space, which fills in the mirror slices.
+    factored.  Each is rebuilt from its kept singular triplets, and
+    ``irfft`` returns the result to real space, which fills in the mirror
+    slices.
 
-    A call on the full-SVD path holds at its peak three stacks of
-    ``I3 // 2 + 1`` complex ``I1 x I2`` slices while the SVD runs: the
-    slices and the full factors ``u`` and ``vh``.  Then it frees the
-    slices and keeps only the factor columns that the rebuild and the next
-    basis read.  The rebuild holds one stack plus the ``k`` kept columns
-    of ``u``, ``vh`` and their product, which stays below three stacks
-    while ``k`` is at most about two thirds of ``R``.
+    The full path, with ``R = min(I1, I2) >= GRAM_MIN_RANK``, takes one
+    slice ``A`` at a time.  It factors the Gram matrix ``A A^H`` (``A^H
+    A`` when ``I1 > I2``) by ``np.linalg.eigh``; the eigenvalues match the
+    squared singular values to within ``delta = 16 (I1 + I2) eps
+    ||A||_F^2``.  The slice's result is taken when every eigenvalue lies
+    more than ``delta`` from its squared non-negative threshold, so that
+    the kept set is exact, and when the kept triplets pass the residual
+    test below; with ``I1 > I2``, the left vectors that the next basis
+    may take, ``A v_j / s_j``, must also come out orthonormal.  The
+    rebuild is then ``U_k diag(s_new / s) (U_k^H A)``.  Any other slice
+    is factored by ``np.linalg.svd``.  On this path a value of
+    ``sigma_old`` is resolved only down to about ``sqrt(delta)``; a kept
+    value is resolved to the residual test.  Smaller slices, and every
+    slice in strict mode, are factored by one batched SVD.
+
+    The slices live in one buffer, one stack of ``I3 // 2 + 1`` complex
+    ``I1 x I2`` slices.  Both paths rebuild the slices in place, and the
+    real result then overwrites the buffer (see
+    :func:`_irfft_over_slices`).  A full-path call on the Gram route
+    holds at its peak the buffer, the Gram matrix and factors of one
+    slice, and up to ``MAX_WIDTH_FRACTION * R`` left vectors per slice
+    for the next basis: 1.6-1.8 stacks on 60 x 60 x 16, 80 x 60 x 9 and
+    100 x 100 x 20 inputs, where the batched SVD holds three.  The
+    returned array is a view of the buffer, which is ``2 * (I3 // 2 +
+    1) / I3`` times its size.
 
     ``basis`` is ``None`` or the ``next_basis`` of the previous call on
     this sequence: a ``(I3 // 2 + 1, I1, p)`` array of leading left
@@ -146,9 +168,9 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     rounding and that every value the shrinkage zeroes, including the
     uncomputed ones past ``p``, lies at or below its threshold (see
     :func:`_certified`).  If the residual test or the certificate fails,
-    every slice is factored in full instead.  The truncated result agrees
-    with the full factorization to rounding, not bit for bit.  Without a
-    basis, or with one of another shape, every slice is factored in full.
+    the call takes the full path instead.  Both paths agree with a
+    batched SVD of every slice to rounding, not bit for bit.  Without a
+    basis, or with one of another shape, the call takes the full path.
 
     Returns
     -------
@@ -174,38 +196,30 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     w_sym = 0.5 * (w + w[:, (-np.arange(i3)) % i3])
 
     half = i3 // 2 + 1
-    # One C-contiguous stack of slices; the FFT output is freed here.
-    a = np.ascontiguousarray(np.moveaxis(np.fft.rfft(y, axis=2), 2, 0))
     w_half = w_sym[:, :half].T
     thr = _shrink_threshold(w_half, rho / i3, epsilon)
+    # One buffer holds the slices, row-major over I1, so that the inverse
+    # transform can write the real result over them; a[j] is slice j.
+    buf = np.empty(2 * i1 * half * i2)
+    rows = buf.view(complex).reshape(i1, half, i2)
+    np.fft.rfft(y, axis=2, out=rows.transpose(0, 2, 1))
+    a = rows.transpose(1, 0, 2)
     factors = None
     if basis is not None and basis.shape[:2] == (half, i1) and basis.shape[2] < r:
         factors = _ritz_triplets(a, basis, thr)
     truncated = factors is not None
-    if not truncated:
-        factors = np.linalg.svd(a, full_matrices=False)
-    u, s, vh = factors
-    # Free the slices and the factor tuple: only u, s and vh are read on.
-    del a, factors
-    p = s.shape[1]
-    s_new = shrink_singular_values(s, w_half[:, :p], rho / i3, epsilon, strict=strict)
-    # The weights vary per index, so the kept set need not be a prefix:
-    # rebuild through the last index kept in any slice.
-    kept = np.flatnonzero(s_new.any(axis=0))
-    k = kept[-1] + 1 if kept.size else 0
-    # Keep only the columns that the rebuild and _next_basis read, so the
-    # full factors are freed before the rebuild.
-    u = u[:, :, :k + OVERSAMPLE].copy()
-    vh = vh[:, :k, :].copy()
-    lbar = (u[:, :, :k] * s_new[:, None, :k]) @ vh
-    del vh
-    # Transform along the slice axis, then transpose once, so that the
-    # solver's elementwise passes and pair-(0, 1) fold run on C-contiguous
-    # memory.
-    l = np.fft.irfft(lbar, n=i3, axis=0)
-    del lbar
-    l = np.ascontiguousarray(l.transpose(1, 2, 0))
+    if truncated:
+        u, s, vh = factors
+        s_new = shrink_singular_values(s, w_half[:, :s.shape[1]], rho / i3, epsilon,
+                                       strict=strict)
+        k = _last_kept(s_new)
+        np.matmul(u[:, :, :k] * s_new[:, None, :k], vh[:, :k], out=a)
+    else:
+        u, s, s_new = _shrink_slices(a, w_half, rho / i3, epsilon, thr, strict)
+        k = _last_kept(s_new)
+    l = _irfft_over_slices(rows, buf, i3)
 
+    p = s.shape[1]
     sigma_new = np.zeros((half, r))
     sigma_new[:, :p] = s_new
     sigma_old = np.full((half, r), np.nan)
@@ -230,6 +244,145 @@ MAX_WIDTH_FRACTION = 0.3
 # Ritz triplets count as converged at this residual, relative to the
 # largest singular value of any slice.
 RITZ_RTOL = 1e-13
+# The full path factors slices of rank R from this up one at a time from
+# their Gram matrices, and smaller ones by one batched SVD: below it the
+# per-slice loop costs more than the eigendecomposition saves.  Measured
+# on 2 cores, the 11 slices of a 30 x 30 x 20 argument took 3.6 ms against
+# 2.7 ms, of 48 x 48 x 20 8.6 against 9.0, of 100 x 100 x 20 39 against 54.
+GRAM_MIN_RANK = 48
+# The inverse transform writes the real result over the slices in row
+# blocks of about this many bytes; NumPy copies each block's input first,
+# because the two overlap.
+IRFFT_BLOCK_BYTES = 1 << 18
+
+
+def _last_kept(s_new):
+    """One past the last index whose shrunk value is non-zero in any slice."""
+    kept = np.flatnonzero(s_new.any(axis=0))
+    return kept[-1] + 1 if kept.size else 0
+
+
+def _rounding_band(a_sq, i1, i2):
+    """Rounding in a slice's Gram matrix or Ritz block, relative to its
+    squared Frobenius norm ``a_sq``."""
+    return 16 * (i1 + i2) * np.finfo(float).eps * a_sq
+
+
+def _shrink_slices(a, w_half, rho, epsilon, thr, strict):
+    """Shrink the singular values of each slice of ``a`` and write the
+    rebuilt slices back in their places: the full path.
+
+    Slices of rank ``R >= GRAM_MIN_RANK`` are factored one at a time, by
+    :func:`_gram_shrink` or else by their SVD, so the factors of only one
+    slice are held at once.  Smaller slices, and all slices in strict
+    mode, are factored by one batched SVD.
+
+    Returns ``(u, s, s_new)``: the values of every slice before and after
+    the shrinkage, and ``u``, the first ``MAX_WIDTH_FRACTION * R`` left
+    singular vectors of every slice, the most :func:`_next_basis` hands
+    on.  ``u`` is ``None`` once a slice keeps too many values for any
+    basis to be handed on.
+    """
+    half, i1, i2 = a.shape
+    r = min(i1, i2)
+    cap = int(MAX_WIDTH_FRACTION * r)
+    if strict or r < GRAM_MIN_RANK:
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        s_new = shrink_singular_values(s, w_half, rho, epsilon, strict=strict)
+        k = _last_kept(s_new)
+        np.matmul(u[:, :, :k] * s_new[:, None, :k], vh[:, :k], out=a)
+        return u[:, :, :cap], s, s_new
+    u, handed_on = None, True
+    s = np.empty((half, r))
+    s_new = np.empty((half, r))
+    for j in range(half):
+        s_top = s[:j, 0].max(initial=0.0)
+        done = _gram_shrink(a[j], w_half[j], rho, epsilon, thr[j], s_top, cap)
+        if done is None:
+            left, s[j], vh = np.linalg.svd(a[j], full_matrices=False)
+            s_new[j] = shrink_singular_values(s[j], w_half[j], rho, epsilon)
+            k = _last_kept(s_new[j:j + 1])
+            np.matmul(left[:, :k] * s_new[j, :k], vh[:k], out=a[j])
+        else:
+            s[j], s_new[j], left = done
+            k = _last_kept(s_new[j:j + 1])
+        if k + OVERSAMPLE > cap:
+            u, handed_on = None, False
+        elif handed_on:
+            if u is None:
+                u = np.empty((half, i1, cap), dtype=complex)
+            u[j] = left[:, :cap]
+    return u, s, s_new
+
+
+def _gram_shrink(x, w, rho, epsilon, thr, s_top, cap):
+    """Shrink slice ``x`` in place through the Hermitian eigendecomposition
+    of its Gram matrix, or return ``None`` where that is not exact.
+
+    Factors ``m m^H`` for ``m = x``, or ``m = x^H`` when ``x`` has more
+    rows than columns.  The eigenvalues match the squared singular values
+    to within ``delta`` (:func:`_rounding_band`), so the kept set is exact
+    when no eigenvalue lies within ``delta`` of its squared non-negative
+    threshold.  The kept triplets, with ``v_j = m^H u_j / s_j``, must pass
+    the residual test of :func:`_ritz_triplets` against ``s_top``, the
+    largest value of the slices before this one, or this slice's own.
+    With ``m = x^H``, the left vectors of ``x`` that :func:`_next_basis`
+    may hand on are formed as ``m^H u_j / s_j`` and must come out
+    orthonormal to ``sqrt(eps)``.  Returns ``(s, s_new, left)``, with the
+    first ``cap`` left vectors of ``x``.
+    """
+    flip = x.shape[0] > x.shape[1]
+    m = x.conj().T if flip else x
+    if not m.imag.any():  # the DC slice, and the Nyquist slice of an even I3
+        m = np.ascontiguousarray(m.real)
+    gram = m @ m.conj().T
+    band = _rounding_band(np.trace(gram).real, *m.shape)
+    lam, vec = np.linalg.eigh(gram)
+    del gram
+    lam, vec = lam[::-1], vec[:, ::-1]
+    if np.any((thr >= 0) & (np.abs(lam - thr**2) <= band)):
+        return None
+    s = np.sqrt(np.maximum(lam, 0.0))
+    k = _kept_end(s[None], thr[None])[0]
+    b = vec[:, :max(k, cap if flip else 0)].conj().T @ m
+    # ||A v_j - s_j u_j|| <= RITZ_RTOL * sigma_max, times s_j
+    res = np.linalg.norm(m @ b[:k].conj().T - vec[:, :k] * s[:k] ** 2, axis=0)
+    del m
+    if np.any(res > RITZ_RTOL * max(s_top, s[0]) * s[:k]):
+        return None
+    s_new = shrink_singular_values(s, w, rho, epsilon)
+    k = _last_kept(s_new[None])
+    scale = np.divide(s_new[:k], s[:k], out=np.zeros(k), where=s[:k] > 0)
+    if not flip:
+        np.matmul(vec[:, :k] * scale, b[:k], out=x)
+        return s, s_new, vec[:, :cap]
+    left = None
+    if k + OVERSAMPLE <= cap:
+        if not np.all(s[:cap] > 0):
+            return None
+        left = b[:cap].conj().T / s[:cap]
+        if np.abs(left.conj().T @ left - np.eye(cap)).max() > np.sqrt(np.finfo(float).eps):
+            return None
+    np.matmul(b[:k].conj().T * scale, vec[:, :k].conj().T, out=x)
+    return s, s_new, left
+
+
+def _irfft_over_slices(rows, buf, i3):
+    """Inverse-transform the slices held in ``rows`` (``I1 x half x I2``,
+    a view of ``buf``) and write the real ``I1 x I2 x I3`` result,
+    C-contiguous, over the start of ``buf``.
+
+    Row ``i`` of the result ends before row ``i + 1`` of the slices
+    begins, so transforming the rows in order never overwrites a row not
+    yet read.
+    """
+    i1, half, i2 = rows.shape
+    out = buf[:i1 * i2 * i3].reshape(i1, i2, i3)
+    step = max(1, IRFFT_BLOCK_BYTES // rows[0].nbytes)
+    for i in range(0, i1, step):
+        np.fft.irfft(rows[i:i + step].transpose(1, 0, 2), n=i3, axis=0,
+                     out=out[i:i + step].transpose(2, 0, 1))
+    return out
 
 
 def _shrink_threshold(w, rho, epsilon):
@@ -246,7 +399,8 @@ def _kept_end(s, thr):
 def _ritz_triplets(a, q, thr):
     """Leading ``p`` singular triplets of each slice of ``a``, or ``None``.
 
-    ``a`` is the C-contiguous ``half x I1 x I2`` stack of slices.  Starts
+    ``a`` is the ``half x I1 x I2`` stack of slices, each with contiguous
+    rows.  Starts
     from the orthonormal columns ``q`` (``half x I1 x p``) and
     takes bare block power steps ``q <- qr(A A^H q)``, as many as
     :func:`_power_steps` predicts from the first one, without rotating
@@ -263,14 +417,15 @@ def _ritz_triplets(a, q, thr):
     p = q.shape[2]
     # Squared Frobenius norm per slice, over the interleaved real and
     # imaginary parts.
-    parts = a.reshape(half, -1).view(float)
-    a_sq = np.einsum("ij,ij->i", parts, parts)
+    parts = a.view(float)
+    a_sq = np.einsum("kij,kij->k", parts, parts)
     # Rounding in ||A||^2 - ||B||^2, in R and in the orthonormality of Q.
-    margin = 16 * (i1 + i2) * np.finfo(float).eps * a_sq
-    ah = a.conj().transpose(0, 2, 1)
-    y = a @ (ah @ q)
+    margin = _rounding_band(a_sq, i1, i2)
+    # A^H q is formed as conj(A^T conj(q)): no conjugate copy of the stack.
+    at = a.transpose(0, 2, 1)
+    y = a @ (at @ q.conj()).conj()
     for _ in range(_power_steps(q, y, thr) - 1):
-        y = a @ (ah @ np.linalg.qr(y)[0])
+        y = a @ (at @ np.linalg.qr(y)[0].conj()).conj()
     q = np.linalg.qr(y)[0]
     ub, s, vh = np.linalg.svd(q.conj().transpose(0, 2, 1) @ a, full_matrices=False)
     u = q @ ub
@@ -363,17 +518,18 @@ def _certified(s, res, tail_sq, thr):
 
 
 def _next_basis(u, s, k, thr, truncated):
-    """``u``, the leading left vectors for the next call, or ``None`` for
-    a full SVD.
+    """The first ``k + OVERSAMPLE`` columns of ``u``, the leading left
+    vectors for the next call, or ``None`` for a full factorization.
 
-    ``u`` holds the first ``k + OVERSAMPLE`` left vectors, or all ``p``
-    of a truncated factorization if fewer.  Truncation is tried only
-    while ``k + OVERSAMPLE`` is at most ``MAX_WIDTH_FRACTION`` of the
-    slice rank.  After a full SVD the exact spectrum must also pass the
-    certificate with the Schatten-8 norm of its tail, the best bound a
-    perfect subspace would give: a slice whose values past the basis sit
-    too close to their thresholds would fail the certificate again and
-    pay for both paths.
+    ``u`` holds the ``p`` left vectors of a truncated factorization (all
+    of them are taken if fewer), or the first ``MAX_WIDTH_FRACTION * R``
+    of the full path, ``None`` where a slice kept more.  Truncation is
+    tried only while ``k + OVERSAMPLE`` is at most ``MAX_WIDTH_FRACTION``
+    of the slice rank.  After the full path the exact spectrum must also
+    pass the certificate with the Schatten-8 norm of its tail, the best
+    bound a perfect subspace would give: a slice whose values past the
+    basis sit too close to their thresholds would fail the certificate
+    again and pay for both paths.
     """
     width = k + OVERSAMPLE
     if width > MAX_WIDTH_FRACTION * thr.shape[1]:
@@ -383,7 +539,7 @@ def _next_basis(u, s, k, thr, truncated):
         head = s[:, :width]
         if not _certified(head, np.zeros(head.shape), tail_sq, thr).all():
             return None
-    return u
+    return u[:, :, :width].copy()
 
 
 def update_weights(sigma, w, lam_bar, gamma, rho, epsilon):

@@ -126,7 +126,9 @@ def decompose(observed, config=None, ground_truth=None, track_descent=False):
         ``tensors['N']``.
     """
     cfg = (config or SolverConfig()).validate()
-    t = np.asarray(observed, dtype=float)
+    # A C-ordered copy of an input held in another memory order, so every
+    # pass of the sweep runs on one layout.
+    t = np.ascontiguousarray(observed, dtype=float)
     if t.ndim < 2:
         raise ValueError("decomposition needs at least a 2-way tensor")
     if not np.all(np.isfinite(t)):

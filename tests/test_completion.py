@@ -242,6 +242,40 @@ class TestSolve:
             SolverConfig(beta=(0.5, 0.4, 0.2)).validate()
 
 
+def memory_orders(x):
+    """``x`` C-ordered, F-ordered and as a non-contiguous view."""
+    spread = np.zeros(x.shape[:-1] + (2 * x.shape[-1],), dtype=x.dtype)
+    spread[..., ::2] = x
+    return {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x),
+            "strided": spread[..., ::2]}
+
+
+class TestMemoryOrder:
+    def test_input_memory_order_does_not_change_the_result(self, monkeypatch):
+        import tenrec.completion as completion_mod
+
+        estimates = []
+
+        def recording(observed, mask, z_prev, *args):
+            estimates.append(z_prev)
+            return update_z(observed, mask, z_prev, *args)
+
+        monkeypatch.setattr(completion_mod, "update_z", recording)
+        gt, mask, obs = small_instance(seed=3)
+        cfg = SMALL_CFG.updated(max_iter=40)
+        observed, masks = memory_orders(obs), memory_orders(mask)
+        assert not observed["strided"].flags.c_contiguous
+        results = {order: complete(observed[order], masks[order], cfg, ground_truth=gt)
+                   for order in observed}
+        # the sweep runs on a C-ordered estimate whatever the input's order
+        assert all(z.flags.c_contiguous for z in estimates)
+        ref = results["C"]
+        for report in results.values():
+            assert report.iterations == ref.iterations
+            assert np.array_equal(report.tensors["Z"], ref.tensors["Z"])
+            assert report.tensors["Z"].flags.c_contiguous
+
+
 class TestDescent:
     def test_frozen_growth_descends(self):
         gt, mask, obs = small_instance(seed=16)

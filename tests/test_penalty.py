@@ -456,6 +456,24 @@ class TestProx:
         stack = (i3 // 2 + 1) * i1 * i2 * 16
         assert peak <= 3.5 * stack
 
+    @pytest.mark.parametrize("i1, i2, i3, rank", [(60, 60, 16, 5), (80, 60, 9, 20)])
+    def test_full_path_working_set(self, i1, i2, i3, rank, full_paths):
+        # One buffer holds the slices, each slice is factored and rebuilt
+        # in its place, and the real result is written over the buffer:
+        # at most two stacks of half-spectrum slices at any time.
+        y, w, rho, eps = gapped_instance(i1, i2, i3, rank, seed=i1 + i3)
+        weighted_log_prox(y, w, rho, eps)  # lazy imports and FFT plans
+        tracemalloc.start()
+        try:
+            _, sigma_new, _, _ = weighted_log_prox(y, w, rho, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(sigma_new[:, 0]) == rank
+        assert full_paths == [(i3 // 2 + 1, i1, i2)] * 2
+        stack = (i3 // 2 + 1) * i1 * i2 * 16
+        assert peak <= 2.0 * stack
+
 
 def gapped_instance(i1, i2, i3, rank, seed, noise=1e-3):
     """Low tubal rank plus small noise, and a uniform weight whose shrink
@@ -503,6 +521,89 @@ def svd_shapes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     return shapes
+
+
+@pytest.fixture
+def full_paths(monkeypatch):
+    """Shapes of the stacks that the full path factors, in call order."""
+    shapes = []
+    shrink_slices = penalty._shrink_slices
+
+    def counting_shrink_slices(a, *args):
+        shapes.append(a.shape)
+        return shrink_slices(a, *args)
+
+    monkeypatch.setattr(penalty, "_shrink_slices", counting_shrink_slices)
+    return shapes
+
+
+class TestGramFullPath:
+    """The full path factors each slice from the eigendecomposition of
+    its Gram matrix and falls back to the SVD per slice."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("i3", [1, 2, 5, 6])
+    @pytest.mark.parametrize("i1, i2", [(48, 56), (56, 48)])
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("kind", ["gapped", "zero-slices", "zero-weights"])
+    def test_matches_svd_oracle(self, kind, strict, i1, i2, i3, svd_shapes):
+        # a tensor constant along its tubes has every half-spectrum slice
+        # but the first at zero; a zero weight keeps every value, zeros
+        # included
+        if kind == "zero-slices":
+            y, w, rho, eps = gapped_instance(i1, i2, 1, 3, seed=i1 + i3)
+            y, w = np.repeat(y, i3, axis=2), np.repeat(w, i3, axis=1)
+        else:
+            y, w, rho, eps = gapped_instance(i1, i2, i3, 3, seed=i1 + i3)
+        if kind == "zero-weights":
+            w = np.zeros_like(w)
+        half = i3 // 2 + 1
+        svd_shapes.clear()
+        got = weighted_log_prox(y, w, rho, eps, strict=strict)
+        factored = list(svd_shapes)
+        assert_matches_oracle(y, w, rho, eps, strict=strict)
+        if strict:
+            assert factored == [(half, i1, i2)]
+        elif kind != "zero-weights":
+            # every slice certified, except that with more rows than
+            # columns the left vectors of an exactly zero slice cannot be
+            # formed as A v / s, so the SVD factors that slice
+            zero = ~np.fft.rfft(y, axis=2).any(axis=(0, 1))
+            assert factored == [(i1, i2)] * int(zero.sum() if i1 > i2 else 0)
+            assert 0 < np.count_nonzero(got[1]) < got[1].size
+
+    @pytest.mark.parametrize("i1, i2", [(20, 24), (24, 20)])
+    def test_small_slices_take_one_batched_svd(self, i1, i2, svd_shapes):
+        y, w, rho, eps = gapped_instance(i1, i2, 6, 3, seed=i1)
+        assert min(i1, i2) < penalty.GRAM_MIN_RANK
+        svd_shapes.clear()
+        weighted_log_prox(y, w, rho, eps)
+        assert svd_shapes == [(4, i1, i2)]
+        assert_matches_oracle(y, w, rho, eps)
+
+    def test_value_within_band_falls_back_for_that_slice_alone(self):
+        # slice 1's fourth value sits 1e-13 below its threshold, inside the
+        # rounding band of its Gram eigenvalues: that slice alone is
+        # factored by the SVD, and the result still matches the oracle
+        i1, i2, i3 = 48, 56, 5
+        y, w, rho, eps = gapped_instance(i1, i2, i3, 3, seed=7)
+        slices = np.moveaxis(np.fft.rfft(y, axis=2), 2, 0)
+        planted = np.linalg.svd(slices[1], compute_uv=False)[3] * (1 + 1e-13)
+        w[3, [1, 4]] = ((planted + eps) / 2) ** 2 * rho / i3
+        args = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *rest, **kwargs):
+            args.append(np.array(a))
+            return svd(a, *rest, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "svd", recording_svd)
+            weighted_log_prox(y, w, rho, eps)
+        assert [a.shape for a in args] == [(i1, i2)]
+        assert np.array_equal(args[0], slices[1])
+        _, sigma_new, sigma_old, _ = assert_matches_oracle(y, w, rho, eps)
+        assert sigma_new[3, 1] == 0.0 and sigma_old[3, 1] < planted
 
 
 class TestTruncatedProx:
@@ -652,17 +753,19 @@ class TestTruncatedProx:
         # the exact spectrum shows the same tail, so no basis is returned
         assert next_basis is None
 
-    def test_uncertified_tail_falls_back_after_one_ritz_step(self, svd_shapes):
+    def test_uncertified_tail_falls_back_after_one_ritz_step(self, svd_shapes, full_paths):
         # the Ritz triplets converge at once; when the certificate fails on
-        # them, the full SVD follows without another power step
+        # them, the full path follows without another power step
         y, w, rho, eps, basis = self.flat_tail_instance()
         weighted_log_prox(y, w, rho, eps, basis=basis)
         assert svd_shapes == [(1, 8, 48), (1, 40, 48)]
+        assert full_paths == [(1, 40, 48)]
 
-    def test_unconverged_triplets_fall_back_after_one_ritz_step(self, svd_shapes, monkeypatch):
+    def test_unconverged_triplets_fall_back_after_one_ritz_step(self, svd_shapes, full_paths,
+                                                               monkeypatch):
         # one 20 x 24 slice whose three kept values sit in a tight cluster
         # with the values just past the basis: every power step is taken,
-        # the residual test still fails, and the full SVD follows without
+        # the residual test still fails, and the full path follows without
         # a certificate.  The basis is wider than MAX_WIDTH_FRACTION of
         # the rank, so the fallback returns no basis and certifies nothing.
         rng = np.random.default_rng(44)
@@ -689,8 +792,10 @@ class TestTruncatedProx:
             y, w, rho, eps, basis=basis[None].astype(complex))
         assert steps == [penalty.POWER_STEPS]
         assert not certified
-        # one Rayleigh-Ritz step, the full SVD, then the oracle's
+        # one Rayleigh-Ritz step, one full-path factorization (its batched
+        # SVD), then the oracle's SVD
         assert svd_shapes == [(1, 8, 24), (1, 20, 24), (1, 20, 24)]
+        assert full_paths == [(1, 20, 24)]
         assert np.count_nonzero(sigma_new) == 3
         assert not np.isnan(sigma_old).any()
         assert next_basis is None

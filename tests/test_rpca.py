@@ -6,6 +6,8 @@ from tenrec.algebra import unfold_mode_pair
 from tenrec.completion import update_m_pair
 from tenrec.rpca import update_e, update_l, update_n
 
+from test_completion import memory_orders
+
 RAW_CFG = SolverConfig(beta=(1.0, 0.0, 0.0), mu0=2e-3, rho0=2.3e-6, growth=1.08,
                        gamma=1e4, epsilon=0.21, penalty_tau=6e-5, tau1_scale=0.3,
                        tol=2e-4, max_iter=500)
@@ -211,6 +213,33 @@ class TestSolve:
 
         ref, _, _, _ = weighted_log_prox(arg, w, rho1, eps)
         assert np.allclose(g_new, ref, atol=1e-12)
+
+
+class TestMemoryOrder:
+    def test_input_memory_order_does_not_change_the_result(self, monkeypatch):
+        import tenrec.rpca as rpca_mod
+
+        data = []
+
+        def recording(t, *args):
+            data.append(t)
+            return update_l(t, *args)
+
+        monkeypatch.setattr(rpca_mod, "update_l", recording)
+        l_true = gen_lowrank((20, 20, 6), 2, seed=14)
+        t = add_mixed_noise(l_true, NoiseSpec(sp_fraction=0.05, gaussian_sigma=0.02, seed=4))
+        cfg = RAW_CFG.updated(max_iter=30)
+        inputs = memory_orders(t)
+        assert not inputs["strided"].flags.c_contiguous
+        results = {order: decompose(x, cfg) for order, x in inputs.items()}
+        # the sweep runs on a C-ordered copy of the data
+        assert all(t.flags.c_contiguous for t in data)
+        ref = results["C"]
+        for report in results.values():
+            assert report.iterations == ref.iterations
+            for name in ("L", "E", "N"):
+                assert np.array_equal(report.tensors[name], ref.tensors[name])
+                assert report.tensors[name].flags.c_contiguous
 
 
 class TestDescent:
