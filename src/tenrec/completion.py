@@ -79,7 +79,7 @@ def pair_pull(numerator, weight, shape, pairs, betas, m_new, q_old, mu):
     return numerator, weight
 
 
-def update_z(observed, mask, z_prev, pairs, betas, m_new, q_old, mu, rho):
+def update_z(observed, index, z_prev, pairs, betas, m_new, q_old, mu, rho):
     """Closed-form estimate update.
 
     Observed entries are fixed to the data; unobserved entries average the
@@ -88,14 +88,12 @@ def update_z(observed, mask, z_prev, pairs, betas, m_new, q_old, mu, rho):
     beta-weighted Lagrangian (:func:`lagrangian_value`) plus the proximal
     term ``(rho/2)*||z - z_prev||^2`` over the unobserved entries.
 
-    ``observed`` and ``mask`` are the data and its boolean mask, or, as the
-    solver passes them, the observed values and their flat C-order indices.
+    ``observed`` holds the observed values and ``index`` their flat C-order
+    indices.
     """
     numerator, weight = pair_pull(rho * z_prev, rho, z_prev.shape, pairs, betas, m_new, q_old, mu)
     numerator /= weight
-    if mask.dtype == bool:
-        observed, mask = observed[mask], np.flatnonzero(mask)
-    np.put(numerator, mask, observed)
+    np.put(numerator, index, observed)
     return numerator
 
 
@@ -240,7 +238,7 @@ def run_sweeps(cfg, block, ground_truth, track_descent):
         check = _StepCheck(block, states, mu) if track_descent else _unchecked
         x = block.x
         for st in states:
-            _pair_step(st, x, mu, rho, cfg, notes, check)
+            notes["strict_flips"] += _pair_step(st, x, mu, rho, cfg, check)
         block.step(states, mu, rho, check)
 
         if track_descent:
@@ -288,10 +286,11 @@ def run_sweeps(cfg, block, ground_truth, track_descent):
     )
 
 
-def _pair_step(st, x, mu, rho, cfg, notes, check):
+def _pair_step(st, x, mu, rho, cfg, check):
     """Weights, surrogate shrinkage (with its next warm start) and weight
     targets of one pair, each written into ``st`` and then checked; the
-    multiplier is left to the ascent."""
+    multiplier is left to the ascent.  Returns the number of values that
+    strict mode zeroes and the default rule keeps (0 outside strict mode)."""
     rho1 = GAMMA1 * mu
     w_old, lam_old, m_old = st.w, st.lam_bar, st.m
     st.w = update_weights(st.sigma, w_old, lam_old, cfg.gamma, rho, cfg.epsilon)
@@ -303,12 +302,13 @@ def _pair_step(st, x, mu, rho, cfg, notes, check):
     )
     st.sigma = -np.sort(-sigma_new, axis=0)
     check(st.label + ".m", st.beta * (rho1 - mu), st.m, m_old)
-    if cfg.strict_prox:
-        default_vals = shrink_singular_values(sigma_arg, st.w, rho1 / m_old.shape[2], cfg.epsilon)
-        notes["strict_flips"] += int(np.count_nonzero(default_vals != sigma_new))
 
     st.lam_bar = update_lambda_bar(st.w, lam_old, cfg.gamma, rho)
     check(st.label + ".lam", st.beta * rho, st.lam_bar, lam_old)
+    if not cfg.strict_prox:
+        return 0
+    default_vals = shrink_singular_values(sigma_arg, st.w, rho1 / m_old.shape[2], cfg.epsilon)
+    return int(np.count_nonzero(default_vals != sigma_new))
 
 
 def _unchecked(name, scale, new, old):

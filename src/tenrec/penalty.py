@@ -13,20 +13,10 @@ and, with the weight held fixed, the remaining singular-value subproblem
 has a closed-form shrinkage.
 
 The singular-value proximal step, :func:`weighted_log_prox`, factors the
-half-spectrum Fourier slices of its argument.  A solver calls it once per
-mode pair and sweep, and the shrinkage usually keeps only a few values per
-slice.  Given the previous call's leading left singular vectors, the prox
-computes only the leading triplets, by warm-started block power steps
-and then one Rayleigh-Ritz step.  It takes that result only when a
-certificate proves it exact to rounding: the Ritz triplets up to the last
-kept one have converged, and a bound on the part of each slice outside
-the basis shows that every value left out would have been shrunk to
-zero.  Otherwise it takes the full path.  Slices of rank 48 or more are
-factored one at a time, by the Hermitian eigendecomposition of the
-slice's Gram matrix when a certificate proves that exact too (the kept
-set is exact and the kept triplets have converged), or else by the
-slice's SVD; smaller slices take one batched SVD.  Each call returns,
-with its result, the vectors that seed the next call.
+half-spectrum Fourier slices of its argument by one of four routes, each
+certified exact to rounding, and shrinks and rebuilds them in one place.
+A solver calls it once per mode pair and sweep; each call returns, with
+its result, the vectors that seed the next call.
 
 Unlike the l1 or nuclear norms, none of the penalties here satisfy the
 triangle inequality; "norm" is used loosely throughout.
@@ -39,13 +29,23 @@ import numpy as np
 from .algebra import _mirror_index, _require_3way
 
 
+# The range checks are written so that NaN fails them.
 def _validate_params(lam, gamma, epsilon):
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if np.any(np.asarray(lam) < 0):
+    if not np.all(np.asarray(lam) >= 0):
         raise ValueError("lam must be non-negative")
+
+
+def _validate_shrink(w, rho, epsilon):
+    if not np.all(w >= 0):
+        raise ValueError("weights must be non-negative")
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 
 def mlcp(z, lam, gamma, epsilon):
@@ -82,19 +82,16 @@ def shrink_singular_values(y, w, rho, epsilon, strict=False):
     ``strict=True`` to resolve that band by comparing the two candidates
     explicitly.
 
-    Accepts scalars or arrays (``w`` broadcasts against ``y``).
+    Accepts scalars or arrays (``w`` broadcasts against ``y``).  A NaN
+    value of ``y``, which stands for one a truncated factorization did not
+    compute, shrinks to zero.
     """
     scalar_in = np.ndim(y) == 0 and np.ndim(w) == 0
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     if np.any(y < 0):
         raise ValueError("values to shrink must be non-negative")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _validate_shrink(w, rho, epsilon)
 
     alpha = w / rho
     above = y > _shrink_threshold(w, rho, epsilon)
@@ -126,29 +123,34 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     only depends on ``w`` through the mean of each mirror pair of
     columns; the pair means are what the shrinkage uses.
 
-    Only the ``I3 // 2 + 1`` half-spectrum slices of the real FFT are
-    factored.  Each is rebuilt from its kept singular triplets, and
+    Only the ``I3 // 2 + 1`` half-spectrum slices ``A`` of the real FFT
+    are factored, by one of four routes.  A route only returns singular
+    triplets; :func:`_rebuild` then shrinks the values and writes each
+    slice, rebuilt from its kept triplets, back in its place, and
     ``irfft`` returns the result to real space, which fills in the mirror
-    slices.
+    slices.  The routes agree with a batched SVD of every slice to
+    rounding, not bit for bit.
 
-    The full path, with ``R = min(I1, I2) >= GRAM_MIN_RANK``, takes one
-    slice ``A`` at a time.  It factors the Gram matrix ``A A^H`` (``A^H
-    A`` when ``I1 > I2``) by ``np.linalg.eigh``; the eigenvalues match the
-    squared singular values to within ``delta = 16 (I1 + I2) eps
-    ||A||_F^2``.  The slice's result is taken when every eigenvalue lies
-    more than ``delta`` from its squared non-negative threshold, so that
-    the kept set is exact, and when the kept triplets pass the residual
-    test below; with ``I1 > I2``, the left vectors that the next basis
-    may take, ``A v_j / s_j``, must also come out orthonormal.  The
-    rebuild is then ``U_k diag(s_new / s) (U_k^H A)``.  Any other slice
-    is factored by ``np.linalg.svd``.  On this path a value of
-    ``sigma_old`` is resolved only down to about ``sqrt(delta)``; a kept
-    value is resolved to the residual test.  Smaller slices, and every
-    slice in strict mode, are factored by one batched SVD.
+    - Ritz step (:func:`_ritz_triplets`), given ``basis``: the
+      ``next_basis`` of the previous call on this sequence, a ``(I3 // 2
+      + 1, I1, p)`` array of leading left singular vectors.  Only the
+      leading ``p`` triplets are computed, by block power steps from the
+      basis and one Rayleigh-Ritz step, and they are taken when they have
+      converged and a certificate proves that every value left out
+      shrinks to zero (:func:`_certified`).  Otherwise, or without a
+      basis of this shape, the call takes the full path, one of:
+    - Gram route (:func:`_gram_triplets`), one slice at a time when ``R =
+      min(I1, I2) >= GRAM_MIN_RANK``: the ``eigh`` of the slice's Gram
+      matrix, taken when it decides the kept set exactly and the kept
+      triplets have converged.  A value of ``sigma_old`` is then resolved
+      only down to about ``sqrt(16 (I1 + I2) eps) ||A||_F``; a kept value
+      to the residual test.
+    - Per-slice SVD, for a slice that the Gram route does not take.
+    - Batched SVD of every slice, for ``R < GRAM_MIN_RANK`` and in strict
+      mode.
 
     The slices live in one buffer, one stack of ``I3 // 2 + 1`` complex
-    ``I1 x I2`` slices.  Both paths rebuild the slices in place, and the
-    real result then overwrites the buffer (see
+    ``I1 x I2`` slices, and the real result overwrites it (see
     :func:`_irfft_over_slices`).  A full-path call on the Gram route
     holds at its peak the buffer, the Gram matrix and factors of one
     slice, and up to ``MAX_WIDTH_FRACTION * R`` left vectors per slice
@@ -156,21 +158,6 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     100 x 100 x 20 inputs, where the batched SVD holds three.  The
     returned array is a view of the buffer, which is ``2 * (I3 // 2 +
     1) / I3`` times its size.
-
-    ``basis`` is ``None`` or the ``next_basis`` of the previous call on
-    this sequence: a ``(I3 // 2 + 1, I1, p)`` array of leading left
-    singular vectors of the half-spectrum slices.  With one, only the
-    leading ``p`` triplets are computed: block power steps from it, as
-    many as the first step predicts, and then one Rayleigh-Ritz step.
-    Every Ritz triplet up to the last kept one must have a residual
-    ``||A v - s u|| <= RITZ_RTOL * sigma_max``, and a certificate then
-    proves that those Ritz values are the leading singular values to
-    rounding and that every value the shrinkage zeroes, including the
-    uncomputed ones past ``p``, lies at or below its threshold (see
-    :func:`_certified`).  If the residual test or the certificate fails,
-    the call takes the full path instead.  Both paths agree with a
-    batched SVD of every slice to rounding, not bit for bit.  Without a
-    basis, or with one of another shape, the call takes the full path.
 
     Returns
     -------
@@ -193,6 +180,7 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     w = np.asarray(w, dtype=float)
     if w.shape != (r, i3):
         raise ValueError(f"weight shape {w.shape} does not match ({r}, {i3})")
+    _validate_shrink(w, rho, epsilon)
     w_sym = 0.5 * (w + w[:, (-np.arange(i3)) % i3])
 
     half = i3 // 2 + 1
@@ -209,14 +197,11 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
         factors = _ritz_triplets(a, basis, thr)
     truncated = factors is not None
     if truncated:
-        u, s, vh = factors
-        s_new = shrink_singular_values(s, w_half[:, :s.shape[1]], rho / i3, epsilon,
-                                       strict=strict)
-        k = _last_kept(s_new)
-        np.matmul(u[:, :, :k] * s_new[:, None, :k], vh[:, :k], out=a)
+        u, s, _ = factors
+        s_new = _rebuild(a, *factors, w_half, rho / i3, epsilon, strict)
     else:
         u, s, s_new = _shrink_slices(a, w_half, rho / i3, epsilon, thr, strict)
-        k = _last_kept(s_new)
+    k = _last_kept(s_new)
     l = _irfft_over_slices(rows, buf, i3)
 
     p = s.shape[1]
@@ -258,7 +243,7 @@ IRFFT_BLOCK_BYTES = 1 << 18
 
 def _last_kept(s_new):
     """One past the last index whose shrunk value is non-zero in any slice."""
-    kept = np.flatnonzero(s_new.any(axis=0))
+    kept = np.flatnonzero(s_new.reshape(-1, s_new.shape[-1]).any(axis=0))
     return kept[-1] + 1 if kept.size else 0
 
 
@@ -269,11 +254,11 @@ def _rounding_band(a_sq, i1, i2):
 
 
 def _shrink_slices(a, w_half, rho, epsilon, thr, strict):
-    """Shrink the singular values of each slice of ``a`` and write the
-    rebuilt slices back in their places: the full path.
+    """Factor each slice of ``a`` and shrink and rebuild it in its place:
+    the full path.
 
     Slices of rank ``R >= GRAM_MIN_RANK`` are factored one at a time, by
-    :func:`_gram_shrink` or else by their SVD, so the factors of only one
+    :func:`_gram_triplets` or else by their SVD, so the factors of only one
     slice are held at once.  Smaller slices, and all slices in strict
     mode, are factored by one batched SVD.
 
@@ -281,55 +266,62 @@ def _shrink_slices(a, w_half, rho, epsilon, thr, strict):
     the shrinkage, and ``u``, the first ``MAX_WIDTH_FRACTION * R`` left
     singular vectors of every slice, the most :func:`_next_basis` hands
     on.  ``u`` is ``None`` once a slice keeps too many values for any
-    basis to be handed on.
+    basis to be handed on, or the Gram route formed fewer left vectors.
     """
     half, i1, i2 = a.shape
     r = min(i1, i2)
     cap = int(MAX_WIDTH_FRACTION * r)
     if strict or r < GRAM_MIN_RANK:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
-        s_new = shrink_singular_values(s, w_half, rho, epsilon, strict=strict)
-        k = _last_kept(s_new)
-        np.matmul(u[:, :, :k] * s_new[:, None, :k], vh[:, :k], out=a)
-        return u[:, :, :cap], s, s_new
-    u, handed_on = None, True
+        return u[:, :, :cap], s, _rebuild(a, u, s, vh, w_half, rho, epsilon, strict)
+    u = None
     s = np.empty((half, r))
     s_new = np.empty((half, r))
     for j in range(half):
-        s_top = s[:j, 0].max(initial=0.0)
-        done = _gram_shrink(a[j], w_half[j], rho, epsilon, thr[j], s_top, cap)
-        if done is None:
-            left, s[j], vh = np.linalg.svd(a[j], full_matrices=False)
-            s_new[j] = shrink_singular_values(s[j], w_half[j], rho, epsilon)
-            k = _last_kept(s_new[j:j + 1])
-            np.matmul(left[:, :k] * s_new[j, :k], vh[:k], out=a[j])
-        else:
-            s[j], s_new[j], left = done
-            k = _last_kept(s_new[j:j + 1])
-        if k + OVERSAMPLE > cap:
-            u, handed_on = None, False
-        elif handed_on:
+        left, s[j], vh = (_gram_triplets(a[j], thr[j], s[:j, 0].max(initial=0.0), cap)
+                          or np.linalg.svd(a[j], full_matrices=False))
+        s_new[j] = _rebuild(a[j], left, s[j], vh, w_half[j], rho, epsilon)
+        # u is None past the first slice once a slice has dropped it
+        if ((j == 0 or u is not None) and left.shape[1] >= cap
+                and not s_new[j, cap - OVERSAMPLE:].any()):
             if u is None:
                 u = np.empty((half, i1, cap), dtype=complex)
             u[j] = left[:, :cap]
+        else:
+            u = None
+        del left, vh  # not held while the next slice is factored
     return u, s, s_new
 
 
-def _gram_shrink(x, w, rho, epsilon, thr, s_top, cap):
-    """Shrink slice ``x`` in place through the Hermitian eigendecomposition
-    of its Gram matrix, or return ``None`` where that is not exact.
+def _rebuild(a, u, s, vh, w, rho, epsilon, strict=False):
+    """Shrink the values ``s`` of slice ``a``, or of a stack, under weights
+    ``w`` (cut to their number), write the slices rebuilt from the kept
+    triplets over ``a``, and return the shrunk values."""
+    s_new = shrink_singular_values(s, w[..., :s.shape[-1]], rho, epsilon, strict=strict)
+    k = _last_kept(s_new)
+    np.matmul(u[..., :k] * s_new[..., None, :k], vh[..., :k, :], out=a)
+    return s_new
+
+
+def _gram_triplets(x, thr, s_top, cap):
+    """Singular triplets ``(u, s, vh)`` of slice ``x`` from the Hermitian
+    eigendecomposition of its Gram matrix, or ``None`` where that is not
+    exact.
 
     Factors ``m m^H`` for ``m = x``, or ``m = x^H`` when ``x`` has more
-    rows than columns.  The eigenvalues match the squared singular values
-    to within ``delta`` (:func:`_rounding_band`), so the kept set is exact
-    when no eigenvalue lies within ``delta`` of its squared non-negative
-    threshold.  The kept triplets, with ``v_j = m^H u_j / s_j``, must pass
-    the residual test of :func:`_ritz_triplets` against ``s_top``, the
-    largest value of the slices before this one, or this slice's own.
-    With ``m = x^H``, the left vectors of ``x`` that :func:`_next_basis`
-    may hand on are formed as ``m^H u_j / s_j`` and must come out
-    orthonormal to ``sqrt(eps)``.  Returns ``(s, s_new, left)``, with the
-    first ``cap`` left vectors of ``x``.
+    rows than columns: the eigenvectors are the left singular vectors of
+    ``m``, and the rows of ``U^H m`` divided by ``s`` its right ones.  The
+    eigenvalues match the squared singular values to within ``delta``
+    (:func:`_rounding_band`), so the kept set is exact when no eigenvalue
+    lies within ``delta`` of its squared non-negative threshold.  The
+    first ``k`` triplets, up to the last value above its threshold, must
+    pass the residual test of :func:`_ritz_triplets` against ``s_top``,
+    the largest value of the slices before this one, or this slice's own.
+    Only those are returned in full, with every left vector of ``x`` when
+    ``m = x``.  With ``m = x^H``, the left vectors ``m^H u_j / s_j`` are
+    formed for those ``k``, or, when ``k + OVERSAMPLE <= cap``, for the
+    first ``cap``, which :func:`_next_basis` may hand on and which must
+    then come out orthonormal to ``sqrt(eps)``.
     """
     flip = x.shape[0] > x.shape[1]
     m = x.conj().T if flip else x
@@ -343,28 +335,25 @@ def _gram_shrink(x, w, rho, epsilon, thr, s_top, cap):
     if np.any((thr >= 0) & (np.abs(lam - thr**2) <= band)):
         return None
     s = np.sqrt(np.maximum(lam, 0.0))
-    k = _kept_end(s[None], thr[None])[0]
-    b = vec[:, :max(k, cap if flip else 0)].conj().T @ m
+    k = _last_kept(s > thr)
+    n = cap if flip and k + OVERSAMPLE <= cap else k
+    b = vec[:, :n].conj().T @ m
     # ||A v_j - s_j u_j|| <= RITZ_RTOL * sigma_max, times s_j
     res = np.linalg.norm(m @ b[:k].conj().T - vec[:, :k] * s[:k] ** 2, axis=0)
     del m
-    if np.any(res > RITZ_RTOL * max(s_top, s[0]) * s[:k]):
+    if np.any(res > RITZ_RTOL * max(s_top, s[0]) * s[:k]) or (n > k and not np.all(s[:n] > 0)):
         return None
-    s_new = shrink_singular_values(s, w, rho, epsilon)
-    k = _last_kept(s_new[None])
-    scale = np.divide(s_new[:k], s[:k], out=np.zeros(k), where=s[:k] > 0)
+    # b's rows over s, on its real view: the right vectors of m (a zero
+    # value that passed the residual test gets a zero row)
+    parts = b.view(float)
+    np.multiply(parts, np.divide(1.0, s[:n], out=np.zeros(n), where=s[:n] > 0)[:, None],
+                out=parts)
     if not flip:
-        np.matmul(vec[:, :k] * scale, b[:k], out=x)
-        return s, s_new, vec[:, :cap]
-    left = None
-    if k + OVERSAMPLE <= cap:
-        if not np.all(s[:cap] > 0):
-            return None
-        left = b[:cap].conj().T / s[:cap]
-        if np.abs(left.conj().T @ left - np.eye(cap)).max() > np.sqrt(np.finfo(float).eps):
-            return None
-    np.matmul(b[:k].conj().T * scale, vec[:, :k].conj().T, out=x)
-    return s, s_new, left
+        return vec, s, b
+    u = b.conj().T
+    if n > k and np.abs(b @ u - np.eye(n)).max() > np.sqrt(np.finfo(float).eps):
+        return None
+    return u, s, vec[:, :k].conj().T
 
 
 def _irfft_over_slices(rows, buf, i3):
@@ -554,10 +543,10 @@ def update_weights(sigma, w, lam_bar, gamma, rho, epsilon):
     lam_bar = np.asarray(lam_bar, dtype=float)
     if w.shape != lam_bar.shape:
         raise ValueError(f"weight and target shapes differ: {w.shape} vs {lam_bar.shape}")
-    if np.any(w < 0) or np.any(lam_bar < 0):
-        raise ValueError("weights and targets must be non-negative")
+    if not np.all(w >= 0):
+        raise ValueError("weights must be non-negative")
     _validate_params(lam_bar, gamma, epsilon)
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError(f"rho must be non-negative, got {rho}")
     sigma = np.asarray(sigma, dtype=float)
     t = np.log1p(sigma / epsilon)
@@ -566,9 +555,9 @@ def update_weights(sigma, w, lam_bar, gamma, rho, epsilon):
 
 def update_lambda_bar(w_new, lam_bar, gamma, rho):
     """Proximal step on the weight target: ``(gamma*w + rho*lam_bar)/(gamma + rho)``."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError(f"rho must be non-negative, got {rho}")
     return (gamma * np.asarray(w_new, dtype=float) + rho * np.asarray(lam_bar, dtype=float)) / (
         gamma + rho

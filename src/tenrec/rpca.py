@@ -21,7 +21,7 @@ from .config import SolverConfig
 
 def soft_threshold(x, lam):
     """Elementwise shrinkage toward zero: 0 inside [-lam, lam], else |x|-lam."""
-    if np.any(np.asarray(lam) < 0):
+    if not np.all(np.asarray(lam) >= 0):
         raise ValueError("threshold must be non-negative")
     x = np.asarray(x, dtype=float)
     out = np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)

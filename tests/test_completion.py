@@ -76,7 +76,7 @@ class TestUpdatePieces:
         pairs = [(0, 1)]
         m = [unfold_mode_pair(z, 0, 1)]
         q = [np.zeros_like(m[0])]
-        z_new = update_z(obs, mask, z, pairs, [1.0], m, q, 0.9, 0.1)
+        z_new = update_z(obs[mask], np.flatnonzero(mask), z, pairs, [1.0], m, q, 0.9, 0.1)
         assert np.allclose(z_new, z, atol=1e-12)
 
     def test_z_update_large_rho_limit(self):
@@ -85,7 +85,7 @@ class TestUpdatePieces:
         z = rng.standard_normal(obs.shape)
         m = [rng.standard_normal((12, 12, 6))]
         q = [rng.standard_normal((12, 12, 6))]
-        z_new = update_z(obs, mask, z, [(0, 1)], [1.0], m, q, 1.0, 1e12)
+        z_new = update_z(obs[mask], np.flatnonzero(mask), z, [(0, 1)], [1.0], m, q, 1.0, 1e12)
         assert np.allclose(z_new[~mask], z[~mask], atol=1e-9)
         assert np.array_equal(z_new[mask], obs[mask])
 
@@ -100,7 +100,7 @@ class TestUpdatePieces:
         q = [rng.standard_normal(unfold_mode_pair(z, *p).shape) for p in pairs]
         betas = [0.5, 0.3, 0.2]
         mu, rho = 0.7, 0.2
-        z_new = update_z(obs, mask, z, pairs, betas, m, q, mu, rho)
+        z_new = update_z(obs[mask], np.flatnonzero(mask), z, pairs, betas, m, q, mu, rho)
 
         num = rho * z.copy()
         den = rho
@@ -123,7 +123,7 @@ class TestUpdatePieces:
         m = [rng.standard_normal(unfold_mode_pair(z, *p).shape) for p in pairs]
         q = [rng.standard_normal(unfold_mode_pair(z, *p).shape) for p in pairs]
         mu, rho = 0.7, 0.2
-        z_new = update_z(obs, mask, z, pairs, betas, m, q, mu, rho)
+        z_new = update_z(obs[mask], np.flatnonzero(mask), z, pairs, betas, m, q, mu, rho)
 
         def obj(x):
             value = 0.5 * rho * np.sum((x - z) ** 2)

@@ -114,6 +114,12 @@ class TestScalarPenalty:
             assert np.all(cur >= prev - 1e-12)
             prev = cur
 
+    @pytest.mark.parametrize("lam, gamma, eps", [(np.nan, 10.0, 0.1), (1.0, np.nan, 0.1),
+                                                 (1.0, 10.0, np.nan)])
+    def test_nan_params_rejected(self, lam, gamma, eps):
+        with pytest.raises(ValueError):
+            mlcp(1.0, lam, gamma, eps)
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             mlcp(1.0, 1.0, 0.0, 1.0)
@@ -270,6 +276,18 @@ class TestShrink:
             shrink_singular_values(1.0, -1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             shrink_singular_values(1.0, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("w, rho, eps", [([1.0, np.nan], 1.0, 0.1), (np.nan, 1.0, 0.1),
+                                             (1.0, np.nan, 0.1), (1.0, 1.0, np.nan)],
+                             ids=["nan-weight", "nan-scalar-weight", "nan-rho", "nan-eps"])
+    def test_nan_parameters_rejected(self, w, rho, eps):
+        with pytest.raises(ValueError):
+            shrink_singular_values([1.0, 2.0], w, rho, eps)
+
+    def test_nan_value_shrinks_to_zero(self):
+        # a value that a truncated factorization did not compute
+        out = shrink_singular_values([np.nan, 3.0], 1.0, 1.0, 1.0)
+        assert out[0] == 0.0 and out[1] == shrink_singular_values(3.0, 1.0, 1.0, 1.0)
 
     def test_strict_mode_matches_grid_oracle(self):
         rng = np.random.default_rng(8)
@@ -439,6 +457,21 @@ class TestProx:
         with pytest.raises(ValueError):
             weighted_log_prox(y, np.ones((2, 2)), 1.0, 0.1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", ["nan-weight", "negative-weight", "nan-rho", "zero-rho",
+                                     "nan-eps"])
+    def test_invalid_parameters_rejected_before_any_warning(self, bad):
+        y = np.random.default_rng(16).standard_normal((3, 4, 2))
+        w, rho, eps = np.ones((3, 2)), 1.0, 0.1
+        if bad.endswith("weight"):
+            w[1, 0] = np.nan if bad.startswith("nan") else -1.0
+        elif bad.endswith("rho"):
+            rho = np.nan if bad.startswith("nan") else 0.0
+        else:
+            eps = np.nan
+        with pytest.raises(ValueError):
+            weighted_log_prox(y, w, rho, eps)
+
     @pytest.mark.parametrize("i1, i2, i3, rank", [(60, 60, 16, 5), (80, 60, 9, 20)])
     def test_full_svd_working_set(self, i1, i2, i3, rank):
         # While the SVD runs, a call holds the slices and the full factors
@@ -581,11 +614,13 @@ class TestGramFullPath:
         assert svd_shapes == [(4, i1, i2)]
         assert_matches_oracle(y, w, rho, eps)
 
-    def test_value_within_band_falls_back_for_that_slice_alone(self):
+    @pytest.mark.parametrize("i1, i2", [(48, 56), (56, 48)])
+    def test_value_within_band_falls_back_for_that_slice_alone(self, i1, i2):
         # slice 1's fourth value sits 1e-13 below its threshold, inside the
-        # rounding band of its Gram eigenvalues: that slice alone is
-        # factored by the SVD, and the result still matches the oracle
-        i1, i2, i3 = 48, 56, 5
+        # rounding band of its Gram eigenvalues (of A^H A when the slice is
+        # tall): that slice alone is factored by the SVD, and the result
+        # still matches the oracle
+        i3 = 5
         y, w, rho, eps = gapped_instance(i1, i2, i3, 3, seed=7)
         slices = np.moveaxis(np.fft.rfft(y, axis=2), 2, 0)
         planted = np.linalg.svd(slices[1], compute_uv=False)[3] * (1 + 1e-13)
@@ -860,10 +895,21 @@ class TestWeightUpdates:
         (np.full((2, 2), -0.1), np.ones((2, 2)), "must be non-negative"),
         (np.ones((2, 2)), np.full((2, 2), -0.1), "must be non-negative"),
         (np.ones((2, 2)), np.ones((2, 3)), "shapes differ"),
-    ], ids=["negative-w", "negative-target", "mismatched-shapes"])
+        (np.full((2, 2), np.nan), np.ones((2, 2)), "must be non-negative"),
+        (np.ones((2, 2)), np.full((2, 2), np.nan), "must be non-negative"),
+    ], ids=["negative-w", "negative-target", "mismatched-shapes", "nan-w", "nan-target"])
     def test_refuses_invalid_weights(self, w_old, lam_bar, message):
         with pytest.raises(ValueError, match=message):
             update_weights(np.zeros((2, 2)), w_old, lam_bar, 2.0, 1.0, 1.0)
+
+    def test_refuses_nan_rho(self):
+        with pytest.raises(ValueError, match="rho must be non-negative"):
+            update_weights(np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2)), 2.0, np.nan, 1.0)
+
+    @pytest.mark.parametrize("gamma, rho", [(np.nan, 1.0), (2.0, np.nan)])
+    def test_lambda_bar_refuses_nan(self, gamma, rho):
+        with pytest.raises(ValueError):
+            update_lambda_bar(np.ones((2, 2)), np.ones((2, 2)), gamma, rho)
 
     def test_lambda_bar_update(self):
         # gamma=2, rho=1, w=0.9, lam=0.3 -> 0.7

@@ -30,6 +30,12 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(1.0, -0.1)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            soft_threshold(1.0, np.nan)
+        with pytest.raises(ValueError):
+            soft_threshold(np.ones(3), np.array([0.1, np.nan, 0.1]))
+
 
 class TestUpdatePieces:
     def test_l_update_fixed_point(self):
