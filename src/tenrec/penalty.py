@@ -124,27 +124,30 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     columns; the pair means are what the shrinkage uses.
 
     Only the ``I3 // 2 + 1`` half-spectrum slices ``A`` of the real FFT
-    are factored, by one of four routes.  A route only returns singular
-    triplets; :func:`_rebuild` then shrinks the values and writes each
-    slice, rebuilt from its kept triplets, back in its place, and
-    ``irfft`` returns the result to real space, which fills in the mirror
-    slices.  The routes agree with a batched SVD of every slice to
-    rounding, not bit for bit.
+    are factored, by one of four routes; when ``I1 > I2`` their
+    transposes are, through a view of the same buffer, so every route
+    sees ``R x max(I1, I2)`` slices, ``R = min(I1, I2)``.  A route only
+    returns singular triplets; :func:`_rebuild` then shrinks the values
+    and writes each slice, rebuilt from its kept triplets, back in its
+    place, and ``irfft`` returns the result to real space, which fills in
+    the mirror slices.  The routes agree with a batched SVD of every
+    slice to rounding, not bit for bit.
 
     - Ritz step (:func:`_ritz_triplets`), given ``basis``: the
       ``next_basis`` of the previous call on this sequence, a ``(I3 // 2
-      + 1, I1, p)`` array of leading left singular vectors.  Only the
-      leading ``p`` triplets are computed, by block power steps from the
-      basis and one Rayleigh-Ritz step, and they are taken when they have
-      converged and a certificate proves that every value left out
-      shrinks to zero (:func:`_certified`).  Otherwise, or without a
-      basis of this shape, the call takes the full path, one of:
-    - Gram route (:func:`_gram_triplets`), one slice at a time when ``R =
-      min(I1, I2) >= GRAM_MIN_RANK``: the ``eigh`` of the slice's Gram
-      matrix, taken when it decides the kept set exactly and the kept
-      triplets have converged.  A value of ``sigma_old`` is then resolved
-      only down to about ``sqrt(16 (I1 + I2) eps) ||A||_F``; a kept value
-      to the residual test.
+      + 1, R, p)`` array, ``0 < p < R``, of leading left singular vectors
+      of the slices as factored.  Only the leading ``p`` triplets are
+      computed, by block power steps from the basis and one Rayleigh-Ritz
+      step, and they are taken when they have converged and a
+      certificate proves that every value left out shrinks to zero
+      (:func:`_certified`).  Otherwise, or without a basis of this shape,
+      the call takes the full path, one of:
+    - Gram route (:func:`_gram_triplets`), one slice at a time when ``R
+      >= GRAM_MIN_RANK``: the ``eigh`` of the slice's Gram matrix, taken
+      when it decides the kept set exactly and the kept triplets have
+      converged.  A value of ``sigma_old`` is then resolved only down to
+      about ``sqrt(16 (I1 + I2) eps) ||A||_F``; a kept value to the
+      residual test.
     - Per-slice SVD, for a slice that the Gram route does not take.
     - Batched SVD of every slice, for ``R < GRAM_MIN_RANK`` and in strict
       mode.
@@ -155,9 +158,10 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     holds at its peak the buffer, the Gram matrix and factors of one
     slice, and up to ``MAX_WIDTH_FRACTION * R`` left vectors per slice
     for the next basis: 1.6-1.8 stacks on 60 x 60 x 16, 80 x 60 x 9 and
-    100 x 100 x 20 inputs, where the batched SVD holds three.  The
-    returned array is a view of the buffer, which is ``2 * (I3 // 2 +
-    1) / I3`` times its size.
+    100 x 100 x 20 inputs, where the batched SVD holds three.  A tall
+    argument holds what its transpose does: 1.3 stacks on a 200 x 100 x
+    20 input of tubal rank 5.  The returned array is a view of the
+    buffer, which is ``2 * (I3 // 2 + 1) / I3`` times its size.
 
     Returns
     -------
@@ -187,13 +191,15 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     w_half = w_sym[:, :half].T
     thr = _shrink_threshold(w_half, rho / i3, epsilon)
     # One buffer holds the slices, row-major over I1, so that the inverse
-    # transform can write the real result over them; a[j] is slice j.
+    # transform can write the real result over them.  a[j] is slice j, or
+    # its transpose when I1 > I2, a view either way: every route factors
+    # R x max(I1, I2) slices and rebuilds them in place.
     buf = np.empty(2 * i1 * half * i2)
     rows = buf.view(complex).reshape(i1, half, i2)
     np.fft.rfft(y, axis=2, out=rows.transpose(0, 2, 1))
-    a = rows.transpose(1, 0, 2)
+    a = rows.transpose(1, 2, 0) if i1 > i2 else rows.transpose(1, 0, 2)
     factors = None
-    if basis is not None and basis.shape[:2] == (half, i1) and basis.shape[2] < r:
+    if np.ndim(basis) == 3 and np.shape(basis)[:2] == (half, r) and 0 < np.shape(basis)[2] < r:
         factors = _ritz_triplets(a, basis, thr)
     truncated = factors is not None
     if truncated:
@@ -201,7 +207,7 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
         s_new = _rebuild(a, *factors, w_half, rho / i3, epsilon, strict)
     else:
         u, s, s_new = _shrink_slices(a, w_half, rho / i3, epsilon, thr, strict)
-    k = _last_kept(s_new)
+    k = _kept_end(s_new > 0).max()
     l = _irfft_over_slices(rows, buf, i3)
 
     p = s.shape[1]
@@ -241,12 +247,6 @@ GRAM_MIN_RANK = 48
 IRFFT_BLOCK_BYTES = 1 << 18
 
 
-def _last_kept(s_new):
-    """One past the last index whose shrunk value is non-zero in any slice."""
-    kept = np.flatnonzero(s_new.reshape(-1, s_new.shape[-1]).any(axis=0))
-    return kept[-1] + 1 if kept.size else 0
-
-
 def _rounding_band(a_sq, i1, i2):
     """Rounding in a slice's Gram matrix or Ritz block, relative to its
     squared Frobenius norm ``a_sq``."""
@@ -266,10 +266,9 @@ def _shrink_slices(a, w_half, rho, epsilon, thr, strict):
     the shrinkage, and ``u``, the first ``MAX_WIDTH_FRACTION * R`` left
     singular vectors of every slice, the most :func:`_next_basis` hands
     on.  ``u`` is ``None`` once a slice keeps too many values for any
-    basis to be handed on, or the Gram route formed fewer left vectors.
+    basis to be handed on.
     """
-    half, i1, i2 = a.shape
-    r = min(i1, i2)
+    half, r, _ = a.shape
     cap = int(MAX_WIDTH_FRACTION * r)
     if strict or r < GRAM_MIN_RANK:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
@@ -278,14 +277,13 @@ def _shrink_slices(a, w_half, rho, epsilon, thr, strict):
     s = np.empty((half, r))
     s_new = np.empty((half, r))
     for j in range(half):
-        left, s[j], vh = (_gram_triplets(a[j], thr[j], s[:j, 0].max(initial=0.0), cap)
+        left, s[j], vh = (_gram_triplets(a[j], thr[j], s[:j, 0].max(initial=0.0))
                           or np.linalg.svd(a[j], full_matrices=False))
         s_new[j] = _rebuild(a[j], left, s[j], vh, w_half[j], rho, epsilon)
         # u is None past the first slice once a slice has dropped it
-        if ((j == 0 or u is not None) and left.shape[1] >= cap
-                and not s_new[j, cap - OVERSAMPLE:].any()):
+        if (j == 0 or u is not None) and not s_new[j, cap - OVERSAMPLE:].any():
             if u is None:
-                u = np.empty((half, i1, cap), dtype=complex)
+                u = np.empty((half, r, cap), dtype=complex)
             u[j] = left[:, :cap]
         else:
             u = None
@@ -298,62 +296,48 @@ def _rebuild(a, u, s, vh, w, rho, epsilon, strict=False):
     ``w`` (cut to their number), write the slices rebuilt from the kept
     triplets over ``a``, and return the shrunk values."""
     s_new = shrink_singular_values(s, w[..., :s.shape[-1]], rho, epsilon, strict=strict)
-    k = _last_kept(s_new)
+    k = _kept_end(s_new > 0).max()
     np.matmul(u[..., :k] * s_new[..., None, :k], vh[..., :k, :], out=a)
     return s_new
 
 
-def _gram_triplets(x, thr, s_top, cap):
-    """Singular triplets ``(u, s, vh)`` of slice ``x`` from the Hermitian
-    eigendecomposition of its Gram matrix, or ``None`` where that is not
-    exact.
+def _gram_triplets(x, thr, s_top):
+    """Singular triplets ``(u, s, vh)`` of slice ``x``, which has no more
+    rows than columns, from the Hermitian eigendecomposition of its Gram
+    matrix ``x x^H``, or ``None`` where that is not exact.
 
-    Factors ``m m^H`` for ``m = x``, or ``m = x^H`` when ``x`` has more
-    rows than columns: the eigenvectors are the left singular vectors of
-    ``m``, and the rows of ``U^H m`` divided by ``s`` its right ones.  The
-    eigenvalues match the squared singular values to within ``delta``
+    The eigenvectors are the left singular vectors of ``x``, and the rows
+    of ``U^H x`` divided by ``s`` its right ones.  The eigenvalues match
+    the squared singular values to within ``delta``
     (:func:`_rounding_band`), so the kept set is exact when no eigenvalue
     lies within ``delta`` of its squared non-negative threshold.  The
     first ``k`` triplets, up to the last value above its threshold, must
     pass the residual test of :func:`_ritz_triplets` against ``s_top``,
     the largest value of the slices before this one, or this slice's own.
-    Only those are returned in full, with every left vector of ``x`` when
-    ``m = x``.  With ``m = x^H``, the left vectors ``m^H u_j / s_j`` are
-    formed for those ``k``, or, when ``k + OVERSAMPLE <= cap``, for the
-    first ``cap``, which :func:`_next_basis` may hand on and which must
-    then come out orthonormal to ``sqrt(eps)``.
+    Every left vector is returned, and the right vectors of those ``k``.
     """
-    flip = x.shape[0] > x.shape[1]
-    m = x.conj().T if flip else x
-    if not m.imag.any():  # the DC slice, and the Nyquist slice of an even I3
-        m = np.ascontiguousarray(m.real)
-    gram = m @ m.conj().T
-    band = _rounding_band(np.trace(gram).real, *m.shape)
+    if not x.imag.any():  # the DC slice, and the Nyquist slice of an even I3
+        x = np.ascontiguousarray(x.real)
+    gram = x @ x.conj().T
+    band = _rounding_band(np.trace(gram).real, *x.shape)
     lam, vec = np.linalg.eigh(gram)
     del gram
     lam, vec = lam[::-1], vec[:, ::-1]
     if np.any((thr >= 0) & (np.abs(lam - thr**2) <= band)):
         return None
     s = np.sqrt(np.maximum(lam, 0.0))
-    k = _last_kept(s > thr)
-    n = cap if flip and k + OVERSAMPLE <= cap else k
-    b = vec[:, :n].conj().T @ m
+    k = _kept_end(s > thr)
+    b = vec[:, :k].conj().T @ x
     # ||A v_j - s_j u_j|| <= RITZ_RTOL * sigma_max, times s_j
-    res = np.linalg.norm(m @ b[:k].conj().T - vec[:, :k] * s[:k] ** 2, axis=0)
-    del m
-    if np.any(res > RITZ_RTOL * max(s_top, s[0]) * s[:k]) or (n > k and not np.all(s[:n] > 0)):
+    res = np.linalg.norm(x @ b.conj().T - vec[:, :k] * s[:k] ** 2, axis=0)
+    if np.any(res > RITZ_RTOL * max(s_top, s[0]) * s[:k]):
         return None
-    # b's rows over s, on its real view: the right vectors of m (a zero
+    # b's rows over s, on its real view: the right vectors of x (a zero
     # value that passed the residual test gets a zero row)
     parts = b.view(float)
-    np.multiply(parts, np.divide(1.0, s[:n], out=np.zeros(n), where=s[:n] > 0)[:, None],
+    np.multiply(parts, np.divide(1.0, s[:k], out=np.zeros(k), where=s[:k] > 0)[:, None],
                 out=parts)
-    if not flip:
-        return vec, s, b
-    u = b.conj().T
-    if n > k and np.abs(b @ u - np.eye(n)).max() > np.sqrt(np.finfo(float).eps):
-        return None
-    return u, s, vec[:, :k].conj().T
+    return vec, s, b
 
 
 def _irfft_over_slices(rows, buf, i3):
@@ -379,20 +363,20 @@ def _shrink_threshold(w, rho, epsilon):
     return 2.0 * np.sqrt(w / rho) - epsilon
 
 
-def _kept_end(s, thr):
-    """Per slice, one past the last index whose value exceeds its threshold."""
-    above = s > thr[:, :s.shape[1]]
-    return np.where(above.any(axis=1), s.shape[1] - np.argmax(above[:, ::-1], axis=1), 0)
+def _kept_end(kept):
+    """Per slice (row of the last axis), one past the last true index of
+    the mask ``kept``, or 0; ``.max()`` gives it for a whole stack."""
+    n = kept.shape[-1]
+    return np.where(kept.any(axis=-1), n - np.argmax(kept[..., ::-1], axis=-1), 0)
 
 
 def _ritz_triplets(a, q, thr):
     """Leading ``p`` singular triplets of each slice of ``a``, or ``None``.
 
-    ``a`` is the ``half x I1 x I2`` stack of slices, each with contiguous
-    rows.  Starts
-    from the orthonormal columns ``q`` (``half x I1 x p``) and
-    takes bare block power steps ``q <- qr(A A^H q)``, as many as
-    :func:`_power_steps` predicts from the first one, without rotating
+    ``a`` is the ``half x R x n`` stack of slices, ``n >= R``, a view of
+    any strides.  Starts from the orthonormal columns ``q`` (``half x R x
+    p``) and takes bare block power steps ``q <- qr(A A^H q)``, as many
+    as :func:`_power_steps` predicts from the first one, without rotating
     the basis in between (randomized subspace iteration, Halko, Martinsson
     & Tropp 2011, Alg. 4.4).  Then it takes one Rayleigh-Ritz step, the
     SVD of ``B = Q^H A``, and checks the residuals ``A v_j - s_j u_j`` of
@@ -404,10 +388,8 @@ def _ritz_triplets(a, q, thr):
     """
     half, i1, i2 = a.shape
     p = q.shape[2]
-    # Squared Frobenius norm per slice, over the interleaved real and
-    # imaginary parts.
-    parts = a.view(float)
-    a_sq = np.einsum("kij,kij->k", parts, parts)
+    # Squared Frobenius norm per slice (vecdot conjugates its first factor).
+    a_sq = np.vecdot(a, a).real.sum(axis=1)
     # Rounding in ||A||^2 - ||B||^2, in R and in the orthonormality of Q.
     margin = _rounding_band(a_sq, i1, i2)
     # A^H q is formed as conj(A^T conj(q)): no conjugate copy of the stack.
@@ -419,7 +401,7 @@ def _ritz_triplets(a, q, thr):
     ub, s, vh = np.linalg.svd(q.conj().transpose(0, 2, 1) @ a, full_matrices=False)
     u = q @ ub
     res = np.linalg.norm(a @ vh.conj().transpose(0, 2, 1) - u * s[:, None, :], axis=1)
-    res[np.arange(p) >= _kept_end(s, thr)[:, None]] = 0.0
+    res[np.arange(p) >= _kept_end(s > thr[:, :p])[:, None]] = 0.0
     if res.max() > RITZ_RTOL * s[:, 0].max():
         return None
     # ||R||_F^2 = ||A||_F^2 - ||B||_F^2 for R = (I - QQ^H) A.
@@ -428,7 +410,7 @@ def _ritz_triplets(a, q, thr):
         # Tighter bounds from the Schatten-4 and -8 norms of R:
         # ||R||_2^2 <= ||(R R^H)^m||_F^(1/m) for m = 1, 2.
         resid = a[i] - (u[i] * s[i]) @ vh[i]
-        gram = resid @ resid.conj().T if i1 <= i2 else resid.conj().T @ resid
+        gram = resid @ resid.conj().T
         for m in (1, 2):
             tail_sq[i] = np.linalg.norm(gram) ** (1 / m) * (1 + 1e-10) + margin[i]
             if _certified(s[i:i + 1], res[i:i + 1], tail_sq[i:i + 1], thr[i:i + 1])[0]:
@@ -456,10 +438,10 @@ def _power_steps(q, y, thr):
     dev = np.linalg.norm(y - q * np.sum(q.conj() * y, axis=1)[:, None, :], axis=1)
     s = np.sqrt(norm)
     goal = RITZ_RTOL * s.max() * s
-    lagging = (np.arange(s.shape[1]) < _kept_end(s, thr)[:, None]) & (dev > goal)
+    lagging = (np.arange(s.shape[1]) < _kept_end(s > thr[:, :s.shape[1]])[:, None]) & (dev > goal)
     if not lagging.any():
         return 1
-    last = _kept_end(norm, np.finfo(float).eps * norm[:, :1]) - 1
+    last = _kept_end(norm > np.finfo(float).eps * norm[:, :1]) - 1
     rate = norm[np.arange(len(norm)), last][np.nonzero(lagging)[0]] / norm[lagging]
     if rate.max() >= 1.0:
         return POWER_STEPS
@@ -492,7 +474,7 @@ def _certified(s, res, tail_sq, thr):
     values.
     """
     half, p = s.shape
-    k = _kept_end(s, thr)
+    k = _kept_end(s > thr[:, :p])
     s_full = np.zeros(thr.shape)
     s_full[:, :p] = s
     rows = np.arange(half)

@@ -478,13 +478,7 @@ class TestProx:
         # u and vh: three stacks of half-spectrum slices.  Only the kept
         # columns of the factors may outlive it.
         y, w, rho, eps = gapped_instance(i1, i2, i3, rank, seed=i1 + i3)
-        weighted_log_prox(y, w, rho, eps)  # lazy imports and FFT plans
-        tracemalloc.start()
-        try:
-            _, sigma_new, _, _ = weighted_log_prox(y, w, rho, eps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, (_, sigma_new, _, _) = peak_bytes(lambda: weighted_log_prox(y, w, rho, eps))
         assert np.count_nonzero(sigma_new[:, 0]) == rank
         stack = (i3 // 2 + 1) * i1 * i2 * 16
         assert peak <= 3.5 * stack
@@ -495,17 +489,42 @@ class TestProx:
         # in its place, and the real result is written over the buffer:
         # at most two stacks of half-spectrum slices at any time.
         y, w, rho, eps = gapped_instance(i1, i2, i3, rank, seed=i1 + i3)
-        weighted_log_prox(y, w, rho, eps)  # lazy imports and FFT plans
-        tracemalloc.start()
-        try:
-            _, sigma_new, _, _ = weighted_log_prox(y, w, rho, eps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, (_, sigma_new, _, _) = peak_bytes(lambda: weighted_log_prox(y, w, rho, eps))
         assert np.count_nonzero(sigma_new[:, 0]) == rank
-        assert full_paths == [(i3 // 2 + 1, i1, i2)] * 2
+        # a tall argument is factored through its transposed view
+        assert full_paths == [(i3 // 2 + 1, min(i1, i2), max(i1, i2))] * 2
         stack = (i3 // 2 + 1) * i1 * i2 * 16
         assert peak <= 2.0 * stack
+
+    @pytest.mark.parametrize("i1, i2, i3, rank", [(56, 48, 5, 3), (36, 28, 6, 2)])
+    def test_tall_argument_matches_its_transpose(self, i1, i2, i3, rank):
+        # a tall argument is factored through its transposed view: the same
+        # values, the same warm-start basis shape and the same working set
+        # as its transpose
+        y, w, rho, eps = gapped_instance(i1, i2, i3, rank, seed=i1 + i3)
+        yt = y.transpose(1, 0, 2)
+        tall_peak, tall = peak_bytes(lambda: weighted_log_prox(y, w, rho, eps))
+        wide_peak, wide = peak_bytes(lambda: weighted_log_prox(yt, w, rho, eps))
+        assert np.max(np.abs(tall[0] - wide[0].transpose(1, 0, 2))) <= 1e-12 * np.max(
+            np.abs(wide[0]))
+        for got, ref in zip(tall[1:3], wide[1:3]):
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-14 * np.max(wide[2]))
+        assert tall[3].shape == wide[3].shape == (i3 // 2 + 1, i2, rank + 5)
+        assert abs(tall_peak - wide_peak) <= 0.05 * wide_peak
+        sigma_old = weighted_log_prox(y, w, rho, eps, basis=tall[3])[2]
+        assert np.isnan(sigma_old).any()
+
+
+def peak_bytes(call):
+    """The tracemalloc peak of ``call()`` and its result, after one
+    untraced call for lazy imports and FFT plans."""
+    call()
+    tracemalloc.start()
+    try:
+        out = call()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
 
 
 def gapped_instance(i1, i2, i3, rank, seed, noise=1e-3):
@@ -596,13 +615,11 @@ class TestGramFullPath:
         factored = list(svd_shapes)
         assert_matches_oracle(y, w, rho, eps, strict=strict)
         if strict:
-            assert factored == [(half, i1, i2)]
+            # a tall argument is factored through its transposed view
+            assert factored == [(half, min(i1, i2), max(i1, i2))]
         elif kind != "zero-weights":
-            # every slice certified, except that with more rows than
-            # columns the left vectors of an exactly zero slice cannot be
-            # formed as A v / s, so the SVD factors that slice
-            zero = ~np.fft.rfft(y, axis=2).any(axis=(0, 1))
-            assert factored == [(i1, i2)] * int(zero.sum() if i1 > i2 else 0)
+            # every slice certified, exactly zero slices included
+            assert factored == []
             assert 0 < np.count_nonzero(got[1]) < got[1].size
 
     @pytest.mark.parametrize("i1, i2", [(20, 24), (24, 20)])
@@ -611,18 +628,20 @@ class TestGramFullPath:
         assert min(i1, i2) < penalty.GRAM_MIN_RANK
         svd_shapes.clear()
         weighted_log_prox(y, w, rho, eps)
-        assert svd_shapes == [(4, i1, i2)]
+        assert svd_shapes == [(4, min(i1, i2), max(i1, i2))]
         assert_matches_oracle(y, w, rho, eps)
 
     @pytest.mark.parametrize("i1, i2", [(48, 56), (56, 48)])
     def test_value_within_band_falls_back_for_that_slice_alone(self, i1, i2):
         # slice 1's fourth value sits 1e-13 below its threshold, inside the
-        # rounding band of its Gram eigenvalues (of A^H A when the slice is
-        # tall): that slice alone is factored by the SVD, and the result
+        # rounding band of its Gram eigenvalues: that slice alone, or its
+        # transpose when it is tall, is factored by the SVD, and the result
         # still matches the oracle
         i3 = 5
         y, w, rho, eps = gapped_instance(i1, i2, i3, 3, seed=7)
         slices = np.moveaxis(np.fft.rfft(y, axis=2), 2, 0)
+        if i1 > i2:
+            slices = slices.transpose(0, 2, 1)
         planted = np.linalg.svd(slices[1], compute_uv=False)[3] * (1 + 1e-13)
         w[3, [1, 4]] = ((planted + eps) / 2) ** 2 * rho / i3
         args = []
@@ -635,7 +654,7 @@ class TestGramFullPath:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(np.linalg, "svd", recording_svd)
             weighted_log_prox(y, w, rho, eps)
-        assert [a.shape for a in args] == [(i1, i2)]
+        assert [a.shape for a in args] == [(min(i1, i2), max(i1, i2))]
         assert np.array_equal(args[0], slices[1])
         _, sigma_new, sigma_old, _ = assert_matches_oracle(y, w, rho, eps)
         assert sigma_new[3, 1] == 0.0 and sigma_old[3, 1] < planted
@@ -651,7 +670,7 @@ class TestTruncatedProx:
         # the first call factors every slice in full and returns a basis
         _, sigma_new, sigma_old, basis = weighted_log_prox(y, w, rho, eps, strict=strict)
         assert not np.isnan(sigma_old).any()
-        assert basis.shape == (i3 // 2 + 1, i1, 2 + 5)
+        assert basis.shape == (i3 // 2 + 1, min(i1, i2), 2 + 5)
         for step in range(1, 4):
             y_step = y + 1e-3 * step * drift
             _, sigma_new, _, basis = assert_truncated_matches_oracle(y_step, w, rho, eps, basis,
@@ -672,7 +691,7 @@ class TestTruncatedProx:
             _, _, sigma_old, basis = weighted_log_prox(y + 1e-3 * step * drift, w, rho, eps,
                                                        basis=basis)
             assert np.isnan(sigma_old).any()
-            assert svd_shapes == [(half, p, i2)]
+            assert svd_shapes == [(half, p, max(i1, i2))]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("i3", [1, 2, 5, 6])
@@ -747,7 +766,10 @@ class TestTruncatedProx:
         y, w, rho, eps = gapped_instance(28, 36, 5, 2, seed=40)
         ref = weighted_log_prox(y, w, rho, eps)
         mismatched = np.linalg.qr(np.ones((3, 30, 7), dtype=complex))[0]
-        for basis in (None, mismatched):
+        # not a (half, R, p) array with 0 < p < R
+        malformed = [np.ones(shape, dtype=complex) for shape in [(3, 28), (3, 28, 0),
+                                                                 (3, 28, 2, 1)]]
+        for basis in (None, mismatched, *malformed):
             got = weighted_log_prox(y, w, rho, eps, basis=basis)
             assert all(np.array_equal(a, b) for a, b in zip(got, ref))
             assert got[3].shape == (3, 28, 2 + 5)
