@@ -615,8 +615,8 @@ class TestGramFullPath:
         factored = list(svd_shapes)
         assert_matches_oracle(y, w, rho, eps, strict=strict)
         if strict:
-            # a tall argument is factored through its transposed view
-            assert factored == [(half, min(i1, i2), max(i1, i2))]
+            # the batched SVD factors the n x R view of either orientation
+            assert factored == [(half, max(i1, i2), min(i1, i2))]
         elif kind != "zero-weights":
             # every slice certified, exactly zero slices included
             assert factored == []
@@ -628,7 +628,7 @@ class TestGramFullPath:
         assert min(i1, i2) < penalty.GRAM_MIN_RANK
         svd_shapes.clear()
         weighted_log_prox(y, w, rho, eps)
-        assert svd_shapes == [(4, min(i1, i2), max(i1, i2))]
+        assert svd_shapes == [(4, max(i1, i2), min(i1, i2))]
         assert_matches_oracle(y, w, rho, eps)
 
     @pytest.mark.parametrize("i1, i2", [(48, 56), (56, 48)])
@@ -815,7 +815,8 @@ class TestTruncatedProx:
         # them, the full path follows without another power step
         y, w, rho, eps, basis = self.flat_tail_instance()
         weighted_log_prox(y, w, rho, eps, basis=basis)
-        assert svd_shapes == [(1, 8, 48), (1, 40, 48)]
+        # the full path's batched SVD factors the n x R view
+        assert svd_shapes == [(1, 8, 48), (1, 48, 40)]
         assert full_paths == [(1, 40, 48)]
 
     def test_unconverged_triplets_fall_back_after_one_ritz_step(self, svd_shapes, full_paths,
@@ -850,8 +851,8 @@ class TestTruncatedProx:
         assert steps == [penalty.POWER_STEPS]
         assert not certified
         # one Rayleigh-Ritz step, one full-path factorization (its batched
-        # SVD), then the oracle's SVD
-        assert svd_shapes == [(1, 8, 24), (1, 20, 24), (1, 20, 24)]
+        # SVD, of the n x R view), then the oracle's SVD
+        assert svd_shapes == [(1, 8, 24), (1, 24, 20), (1, 20, 24)]
         assert full_paths == [(1, 20, 24)]
         assert np.count_nonzero(sigma_new) == 3
         assert not np.isnan(sigma_old).any()
