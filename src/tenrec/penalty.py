@@ -140,8 +140,8 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
       computed, by block power steps from the basis and one Rayleigh-Ritz
       step, and they are taken when they have converged and a
       certificate proves that every value left out shrinks to zero
-      (:func:`_certified`).  Otherwise, or without a basis of this shape,
-      the call takes the full path, one of:
+      (:func:`_certified`).  Otherwise, or without a finite basis of this
+      shape, the call takes the full path, one of:
     - Gram route (:func:`_gram_triplets`), one slice at a time when ``R
       >= GRAM_MIN_RANK``: the ``eigh`` of the slice's Gram matrix, taken
       when it decides the kept set exactly and the kept triplets have
@@ -156,12 +156,12 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     ``I1 x I2`` slices, and the real result overwrites it (see
     :func:`_irfft_over_slices`).  A full-path call on the Gram route
     holds at its peak the buffer, the Gram matrix and factors of one
-    slice, and up to ``MAX_WIDTH_FRACTION * R`` left vectors per slice
-    for the next basis: 1.6-1.8 stacks on 60 x 60 x 16, 80 x 60 x 9 and
-    100 x 100 x 20 inputs, where the batched SVD holds three.  A tall
-    argument holds what its transpose does: 1.3 stacks on a 200 x 100 x
-    20 input of tubal rank 5.  The returned array is a view of the
-    buffer, which is ``2 * (I3 // 2 + 1) / I3`` times its size.
+    slice, and ``MAX_WIDTH_FRACTION * R`` left vectors per slice for the
+    next basis: 1.5-1.9 stacks on 60 x 60 x 16, 80 x 60 x 9 and 100 x 100
+    x 20 inputs, where the batched SVD holds three.  A tall argument holds
+    what its transpose does: 1.3 stacks on a 200 x 100 x 20 input of
+    tubal rank 5.  The returned array is a view of the buffer, which is
+    ``2 * (I3 // 2 + 1) / I3`` times its size.
 
     Returns
     -------
@@ -173,7 +173,9 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
         there, as the certificate proves.  ``next_basis`` holds the
         leading vectors to pass as ``basis`` to the next call, or is
         ``None`` where truncation would not pay or could not be certified
-        (see :func:`_next_basis`).
+        (see :func:`_next_basis`, the only judge of it).  A ``basis``
+        that is malformed or not finite is not used: the call takes the
+        full path.
     """
     y = np.asarray(y, dtype=float)
     y = _require_3way(y)
@@ -199,15 +201,14 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     np.fft.rfft(y, axis=2, out=rows.transpose(0, 2, 1))
     a = rows.transpose(1, 2, 0) if i1 > i2 else rows.transpose(1, 0, 2)
     factors = None
-    if np.ndim(basis) == 3 and np.shape(basis)[:2] == (half, r) and 0 < np.shape(basis)[2] < r:
+    if (np.ndim(basis) == 3 and np.shape(basis)[:2] == (half, r) and 0 < np.shape(basis)[2] < r
+            and np.isfinite(basis).all()):
         factors = _ritz_triplets(a, basis, thr)
-    truncated = factors is not None
-    if truncated:
+    if factors is not None:
         u, s, _ = factors
         s_new = _rebuild(a, *factors, w_half, rho / i3, epsilon, strict)
     else:
         u, s, s_new = _shrink_slices(a, w_half, rho / i3, epsilon, thr, strict)
-    k = _kept_end(s_new).max()
     l = _irfft_over_slices(rows, buf, i3)
 
     p = s.shape[1]
@@ -216,7 +217,7 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     sigma_old = np.full((half, r), np.nan)
     sigma_old[:, :p] = s
     mirror = _mirror_index(i3)
-    next_basis = _next_basis(u, s, k, thr, truncated)
+    next_basis = _next_basis(u, s, s_new, thr)
     return l, sigma_new.T[:, mirror], sigma_old.T[:, mirror], next_basis
 
 
@@ -266,8 +267,7 @@ def _shrink_slices(a, w_half, rho, epsilon, thr, strict):
     Returns ``(u, s, s_new)``: the values of every slice before and after
     the shrinkage, and ``u``, the first ``MAX_WIDTH_FRACTION * R`` left
     singular vectors of every slice, the most :func:`_next_basis` hands
-    on.  ``u`` is ``None`` once a slice keeps too many values for any
-    basis to be handed on.
+    on; it decides whether to.
     """
     half, r, _ = a.shape
     cap = int(MAX_WIDTH_FRACTION * r)
@@ -280,20 +280,14 @@ def _shrink_slices(a, w_half, rho, epsilon, thr, strict):
         else:
             u, s, vh = np.linalg.svd(a, full_matrices=False)
         return u[:, :, :cap], s, _rebuild(a, u, s, vh, w_half, rho, epsilon, strict)
-    u = None
+    u = np.empty((half, r, cap), dtype=complex)
     s = np.empty((half, r))
     s_new = np.empty((half, r))
     for j in range(half):
         left, s[j], vh = (_gram_triplets(a[j], thr[j], s[:j, 0].max(initial=0.0))
                           or np.linalg.svd(a[j], full_matrices=False))
         s_new[j] = _rebuild(a[j], left, s[j], vh, w_half[j], rho, epsilon)
-        # u is None past the first slice once a slice has dropped it
-        if (j == 0 or u is not None) and not s_new[j, cap - OVERSAMPLE:].any():
-            if u is None:
-                u = np.empty((half, r, cap), dtype=complex)
-            u[j] = left[:, :cap]
-        else:
-            u = None
+        u[j] = left[:, :cap]
         del left, vh  # not held while the next slice is factored
     return u, s, s_new
 
@@ -497,24 +491,26 @@ def _certified(s, res, tail_sq, thr):
     return separated & np.all((below & (s_full > thr)) | proven, axis=1)
 
 
-def _next_basis(u, s, k, thr, truncated):
-    """The first ``k + OVERSAMPLE`` columns of ``u``, the leading left
-    vectors for the next call, or ``None`` for a full factorization.
+def _next_basis(u, s, s_new, thr):
+    """The leading left vectors for the next call, or ``None`` for a full
+    factorization: the only place that decides the warm start.
 
-    ``u`` holds the ``p`` left vectors of a truncated factorization (all
-    of them are taken if fewer), or the first ``MAX_WIDTH_FRACTION * R``
-    of the full path, ``None`` where a slice kept more.  Truncation is
-    tried only while ``k + OVERSAMPLE`` is at most ``MAX_WIDTH_FRACTION``
-    of the slice rank.  After the full path the exact spectrum must also
-    pass the certificate with the Schatten-8 norm of its tail, the best
-    bound a perfect subspace would give: a slice whose values past the
-    basis sit too close to their thresholds would fail the certificate
-    again and pay for both paths.
+    ``u`` holds the ``p`` left vectors of a truncated factorization, or
+    the first ``MAX_WIDTH_FRACTION * R`` of the full path, and ``s`` and
+    ``s_new`` the values before and after the shrinkage.  The basis is the
+    first ``k + OVERSAMPLE`` columns of ``u`` (all of them if fewer), with
+    ``k`` one past the last index any slice keeps, and truncation is tried
+    only while that width is at most ``MAX_WIDTH_FRACTION`` of the slice
+    rank.  When ``s`` holds every value, after the full path, the exact
+    spectrum must also pass the certificate with the Schatten-8 norm of
+    its tail, the best bound a perfect subspace would give: a slice whose
+    values past the basis sit too close to their thresholds would fail
+    the certificate again and pay for both paths.
     """
-    width = k + OVERSAMPLE
+    width = _kept_end(s_new).max() + OVERSAMPLE
     if width > MAX_WIDTH_FRACTION * thr.shape[1]:
         return None
-    if not truncated:
+    if s.shape[1] == thr.shape[1]:
         tail_sq = np.sum(s[:, width:] ** 8, axis=1) ** 0.25
         head = s[:, :width]
         if not _certified(head, np.zeros(head.shape), tail_sq, thr).all():

@@ -483,16 +483,23 @@ class TestProx:
         stack = (i3 // 2 + 1) * i1 * i2 * 16
         assert peak <= 3.5 * stack
 
-    @pytest.mark.parametrize("i1, i2, i3, rank", [(60, 60, 16, 5), (80, 60, 9, 20)])
+    @pytest.mark.parametrize("i1, i2, i3, rank", [(60, 60, 16, 5), (80, 60, 9, 20),
+                                                  (100, 100, 20, 40)])
     def test_full_path_working_set(self, i1, i2, i3, rank, full_paths):
         # One buffer holds the slices, each slice is factored and rebuilt
         # in its place, and the real result is written over the buffer:
-        # at most two stacks of half-spectrum slices at any time.
+        # at most two stacks of half-spectrum slices at any time, also
+        # when so many values are kept that no basis is handed on.
         y, w, rho, eps = gapped_instance(i1, i2, i3, rank, seed=i1 + i3)
-        peak, (_, sigma_new, _, _) = peak_bytes(lambda: weighted_log_prox(y, w, rho, eps))
+        peak, (_, sigma_new, _, next_basis) = peak_bytes(lambda: weighted_log_prox(y, w, rho, eps))
         assert np.count_nonzero(sigma_new[:, 0]) == rank
         # a tall argument is factored through its transposed view
         assert full_paths == [(i3 // 2 + 1, min(i1, i2), max(i1, i2))] * 2
+        # a basis only while rank + OVERSAMPLE <= MAX_WIDTH_FRACTION * R
+        if rank + 5 <= 0.3 * min(i1, i2):
+            assert next_basis.shape == (i3 // 2 + 1, min(i1, i2), rank + 5)
+        else:
+            assert next_basis is None
         stack = (i3 // 2 + 1) * i1 * i2 * 16
         assert peak <= 2.0 * stack
 
@@ -769,7 +776,11 @@ class TestTruncatedProx:
         # not a (half, R, p) array with 0 < p < R
         malformed = [np.ones(shape, dtype=complex) for shape in [(3, 28), (3, 28, 0),
                                                                  (3, 28, 2, 1)]]
-        for basis in (None, mismatched, *malformed):
+        # of the right shape, but not finite
+        not_finite = [np.linalg.qr(np.ones((3, 28, 7), dtype=complex))[0] for _ in range(2)]
+        not_finite[0][1, 2, 3] = np.nan
+        not_finite[1][0, 5, 0] = np.inf
+        for basis in (None, mismatched, *malformed, *not_finite):
             got = weighted_log_prox(y, w, rho, eps, basis=basis)
             assert all(np.array_equal(a, b) for a, b in zip(got, ref))
             assert got[3].shape == (3, 28, 2 + 5)
