@@ -6,16 +6,19 @@ auxiliary low-rank surrogate through an augmented Lagrangian.  One sweep
 variables once: the pair steps (per pair: singular-value weights,
 surrogate shrinkage, weight targets), the data step, the descent check,
 the multiplier ascent, the trace row, and the geometric growth of the
-penalties.  For completion the data block is the estimate itself:
-observed entries are copied from the data, unobserved entries take a
-beta-weighted average of the surrogates.  Robust PCA (:mod:`tenrec.rpca`)
-runs the same sweep with its L/E/N block: completion is robust PCA with
-E = N = 0 plus a mask projection.
+penalties.  Only the sweep reads the pairs: it hands the data block their
+pull (:func:`pair_pull`) and adds their part of the Lagrangian
+(:func:`lagrangian_value`).  For completion the data block is the
+estimate itself: observed entries are copied from the data, unobserved
+entries take a beta-weighted average of the surrogates.  Robust PCA
+(:mod:`tenrec.rpca`) runs the same sweep with its L/E/N block:
+completion is robust PCA with E = N = 0 plus a mask projection.
 """
 
 from __future__ import annotations
 
 import time
+from functools import reduce
 
 import numpy as np
 
@@ -45,8 +48,9 @@ class PairState:
         self.q = np.zeros_like(m)
         self.w = np.ones((min(m.shape[0], m.shape[1]), m.shape[2]))
         self.lam_bar = np.ones_like(self.w)
-        # Fourier-slice singular values of m, sorted per column; carried
-        # between sweeps so only the shrinkage step has to factor slices.
+        # Fourier-slice singular values of m, non-increasing per column;
+        # carried between sweeps so only the shrinkage step has to factor
+        # slices.
         self.sigma = fourier_singular_values(m)
         self.basis = None
 
@@ -70,31 +74,30 @@ def update_m_pair(m, z_unf, q, w_new, mu, rho1, epsilon, strict=False, basis=Non
     return weighted_log_prox(arg, w_new, rho1, epsilon, strict=strict, basis=basis)
 
 
-def pair_pull(numerator, weight, shape, pairs, betas, m_new, q_old, mu):
-    """Add ``sum(beta * fold(mu*M - Q))`` to ``numerator`` and ``sum(beta*mu)``
-    to ``weight``: the pairs' pull on a data block's estimate."""
-    for pair, beta, m, q in zip(pairs, betas, m_new, q_old):
-        numerator = numerator + beta * fold_mode_pair(mu * m - q, pair[0], pair[1], shape)
-        weight += beta * mu
-    return numerator, weight
+def pair_pull(states, mu, shape):
+    """The pairs' pull on a data block's estimate of ``shape``:
+    ``(sum(beta * fold(mu*M - Q)), sum(beta*mu))``.  The sum starts from
+    the first pair's term, so one pair's pull is that term exactly."""
+    pull = reduce(np.add, (st.beta * fold_mode_pair(mu * st.m - st.q, *st.pair, shape)
+                           for st in states))
+    return pull, sum(st.beta * mu for st in states)
 
 
-def update_z(observed, index, z_prev, pairs, betas, m_new, q_old, mu, rho):
+def update_z(observed, index, z_prev, pull, weight, rho):
     """Closed-form estimate update.
 
     Observed entries are fixed to the data; unobserved entries average the
-    folded surrogates minus multipliers, each pair weighted by its beta,
-    anchored to the previous iterate.  This is the exact minimiser of the
-    beta-weighted Lagrangian (:func:`lagrangian_value`) plus the proximal
-    term ``(rho/2)*||z - z_prev||^2`` over the unobserved entries.
+    pairs' pull (see :func:`pair_pull`) with the previous iterate.  This is
+    the exact minimiser of the beta-weighted Lagrangian
+    (:func:`lagrangian_value`) plus the proximal term ``(rho/2)*||z -
+    z_prev||^2`` over the unobserved entries.
 
     ``observed`` holds the observed values and ``index`` their flat C-order
     indices.
     """
-    numerator, weight = pair_pull(rho * z_prev, rho, z_prev.shape, pairs, betas, m_new, q_old, mu)
-    numerator /= weight
-    np.put(numerator, index, observed)
-    return numerator
+    z = (rho * z_prev + pull) / (rho + weight)
+    np.put(z, index, observed)
+    return z
 
 
 def update_multiplier(q, z_new_unf, m_new, mu):
@@ -102,10 +105,11 @@ def update_multiplier(q, z_new_unf, m_new, mu):
     return q + mu * (z_new_unf - m_new)
 
 
-def pair_lagrangian(total, x, states, mu, gamma, epsilon):
-    """Add to ``total`` each pair's beta * (penalty block + constraint
-    quadratic): its weighted log term and target tether, and
-    ``(mu/2)*||unfold(x) - M + Q/mu||^2``."""
+def lagrangian_value(x, states, mu, gamma, epsilon):
+    """The pairs' part of the augmented Lagrangian at the estimate ``x``:
+    per pair, beta * (its weighted log term and target tether, and
+    ``(mu/2)*||unfold(x) - M + Q/mu||^2``)."""
+    total = 0.0
     for st in states:
         energy = (np.sum(st.w * np.log1p(st.sigma / epsilon))
                   + 0.5 * gamma * np.sum((st.w - st.lam_bar) ** 2))
@@ -114,37 +118,22 @@ def pair_lagrangian(total, x, states, mu, gamma, epsilon):
     return total
 
 
-def lagrangian_value(z, states, mu, gamma, epsilon):
-    """Pair-weighted augmented Lagrangian at the current variables.
-
-    Each pair contributes beta * (penalty block + constraint quadratic);
-    the indicator of the observation constraint is zero by construction.
-    This value is non-increasing across one sweep of the primal updates
-    (multipliers and penalty scalars held fixed).
-    """
-    return pair_lagrangian(0.0, z, states, mu, gamma, epsilon)
-
-
 class _MaskedEstimate:
     """Completion's data block for :func:`run_sweeps`: the masked z step."""
 
-    def __init__(self, observed, mask, cfg):
-        self.cfg = cfg
+    def __init__(self, observed, mask):
         # The observed entries by flat index, found once per solve.
         self.index = np.flatnonzero(mask)
         self.values = observed.ravel()[self.index]
         self.x = np.zeros(observed.shape)
         np.put(self.x, self.index, self.values)
 
-    def lagrangian(self, states, mu):
-        return lagrangian_value(self.x, states, mu, self.cfg.gamma, self.cfg.epsilon)
+    def lagrangian(self):
+        return 0.0  # the indicator of the observation constraint
 
-    def step(self, states, mu, rho, check):
+    def step(self, pull, weight, rho, check):
         z = self.x
-        self.x = update_z(
-            self.values, self.index, z, [st.pair for st in states], [st.beta for st in states],
-            [st.m for st in states], [st.q for st in states], mu, rho,
-        )
+        self.x = update_z(self.values, self.index, z, pull, weight, rho)
         check("z", rho, self.x, z)
 
     def ascend(self):
@@ -188,7 +177,7 @@ def complete(observed, mask, config=None, ground_truth=None, track_descent=False
         raise ValueError("completion needs at least a 2-way tensor")
     if not np.all(np.isfinite(observed[mask])):
         raise ValueError("observed entries must be finite")
-    block = _MaskedEstimate(observed, mask, cfg)
+    block = _MaskedEstimate(observed, mask)
     del observed, mask  # the block keeps the observed entries only
     return run_sweeps(cfg, block, ground_truth, track_descent)
 
@@ -200,10 +189,12 @@ def run_sweeps(cfg, block, ground_truth, track_descent):
     A sweep runs the pair steps, the data step, the descent check, the
     ascent, the trace row and the penalty growth.  ``block`` is the
     solver's data block.  It holds the estimate ``x`` and provides
-    ``step(states, mu, rho, check)`` (its primal update, which reads each
-    pair's new ``m``), ``lagrangian(states, mu)``, ``ascend()`` (its own
-    multiplier step; returns extra trace columns), ``grow(growth)`` and
-    ``tensors()``.
+    ``step(pull, weight, rho, check)`` (its primal update, given the
+    pairs' pull on ``x`` from :func:`pair_pull`), ``lagrangian()`` (its
+    own part of the Lagrangian, to which the sweep adds the pairs' part,
+    :func:`lagrangian_value`), ``ascend()`` (its own multiplier step;
+    returns extra trace columns), ``grow(growth)`` and ``tensors()``.
+    Only the sweep reads the pairs' states and ``mu``.
 
     Each primal step writes its variables, then calls ``check(name, scale,
     new, old)``: per pair ``"<pair>.w"``, ``"<pair>.m"``, ``"<pair>.lam"``,
@@ -232,14 +223,17 @@ def run_sweeps(cfg, block, ground_truth, track_descent):
     converged = False
     started = time.perf_counter()
 
+    def lagrangian():  # at the current mu
+        return block.lagrangian() + lagrangian_value(block.x, states, mu, cfg.gamma, cfg.epsilon)
+
     iterations = 0
     for it in range(1, cfg.max_iter + 1):
         iterations = it
-        check = _StepCheck(block, states, mu) if track_descent else _unchecked
+        check = _StepCheck(lagrangian) if track_descent else _unchecked
         x = block.x
         for st in states:
             notes["strict_flips"] += _pair_step(st, x, mu, rho, cfg, check)
-        block.step(states, mu, rho, check)
+        block.step(*pair_pull(states, mu, x.shape), rho, check)
 
         if track_descent:
             notes["descent_violations"] += _rose(check.first, check.last, DESCENT_RTOL)
@@ -255,7 +249,7 @@ def run_sweeps(cfg, block, ground_truth, track_descent):
         row = {
             "iter": it,
             "inf_norm_diff": diff,
-            "lagrangian": block.lagrangian(states, mu),
+            "lagrangian": lagrangian(),
             "seconds": time.perf_counter() - started,
             **columns,
         }
@@ -296,11 +290,10 @@ def _pair_step(st, x, mu, rho, cfg, check):
     st.w = update_weights(st.sigma, w_old, lam_old, cfg.gamma, rho, cfg.epsilon)
     check(st.label + ".w", st.beta * rho, st.w, w_old)
 
-    st.m, sigma_new, sigma_arg, st.basis = update_m_pair(
+    st.m, st.sigma, sigma_arg, st.basis = update_m_pair(
         m_old, unfold_mode_pair(x, st.pair[0], st.pair[1]), st.q, st.w, mu, rho1, cfg.epsilon,
         strict=cfg.strict_prox, basis=st.basis,
     )
-    st.sigma = -np.sort(-sigma_new, axis=0)
     check(st.label + ".m", st.beta * (rho1 - mu), st.m, m_old)
 
     st.lam_bar = update_lambda_bar(st.w, lam_old, cfg.gamma, rho)
@@ -308,7 +301,7 @@ def _pair_step(st, x, mu, rho, cfg, check):
     if not cfg.strict_prox:
         return 0
     default_vals = shrink_singular_values(sigma_arg, st.w, rho1 / m_old.shape[2], cfg.epsilon)
-    return int(np.count_nonzero(default_vals != sigma_new))
+    return int(np.count_nonzero(default_vals != st.sigma))
 
 
 def _unchecked(name, scale, new, old):
@@ -323,9 +316,9 @@ class _StepCheck:
     """``check`` of a tracked sweep: the Lagrangian at its start (``first``),
     after its latest step (``last``), and per step ``steps[name]``."""
 
-    def __init__(self, block, states, mu):
-        self.lagrangian = lambda: block.lagrangian(states, mu)
-        self.first = self.last = self.lagrangian()
+    def __init__(self, lagrangian):
+        self.lagrangian = lagrangian
+        self.first = self.last = lagrangian()
         self.steps = {}
 
     def __call__(self, name, scale, new, old):

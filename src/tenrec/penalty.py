@@ -140,8 +140,9 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
       computed, by block power steps from the basis and one Rayleigh-Ritz
       step, and they are taken when they have converged and a
       certificate proves that every value left out shrinks to zero
-      (:func:`_certified`).  Otherwise, or without a finite basis of this
-      shape, the call takes the full path, one of:
+      (:func:`_certified`).  Otherwise, or when ``basis`` is not of this
+      shape or has an entry above 1 in magnitude (no orthonormal column
+      has), the call takes the full path, one of:
     - Gram route (:func:`_gram_triplets`), one slice at a time when ``R
       >= GRAM_MIN_RANK``: the ``eigh`` of the slice's Gram matrix, taken
       when it decides the kept set exactly and the kept triplets have
@@ -174,8 +175,8 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
         leading vectors to pass as ``basis`` to the next call, or is
         ``None`` where truncation would not pay or could not be certified
         (see :func:`_next_basis`, the only judge of it).  A ``basis``
-        that is malformed or not finite is not used: the call takes the
-        full path.
+        that is malformed, or has an entry above 1 in magnitude (so also a
+        NaN or inf one), is not used: the call takes the full path.
     """
     y = np.asarray(y, dtype=float)
     y = _require_3way(y)
@@ -201,8 +202,9 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     np.fft.rfft(y, axis=2, out=rows.transpose(0, 2, 1))
     a = rows.transpose(1, 2, 0) if i1 > i2 else rows.transpose(1, 0, 2)
     factors = None
+    # An orthonormal column has no entry above 1; the margin is rounding.
     if (np.ndim(basis) == 3 and np.shape(basis)[:2] == (half, r) and 0 < np.shape(basis)[2] < r
-            and np.isfinite(basis).all()):
+            and np.abs(basis).max() <= 1 + 1e-12):
         factors = _ritz_triplets(a, basis, thr)
     if factors is not None:
         u, s, _ = factors

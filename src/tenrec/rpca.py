@@ -7,15 +7,16 @@ ridge step.  All three terms live in one augmented Lagrangian whose
 penalties may grow geometrically between sweeps.
 
 The sweep is :func:`tenrec.completion.run_sweeps`; this module supplies
-its data block: the L, E and N steps and the ascent on the residual
-multiplier F.
+its data block: the L, E and N steps, their part of the Lagrangian and
+the ascent on the residual multiplier F.  The sweep hands the L step the
+pairs' pull as two arrays and adds the pairs' part of the Lagrangian.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .completion import pair_lagrangian, pair_pull, run_sweeps
+from .completion import run_sweeps
 from .config import SolverConfig
 
 
@@ -30,16 +31,14 @@ def soft_threshold(x, lam):
     return out
 
 
-def update_l(t, e, n, f, l_prev, pairs, betas, m_new, r_old, mu, ptau, rho):
+def update_l(t, e, n, f, l_prev, pull, weight, ptau, rho):
     """Closed-form low-rank update.
 
-    Averages the folded pair surrogates (each pair's quadratic scaled by
-    its beta weight) with the data residual and the proximal anchor.
+    Averages the pairs' pull (``pull`` of total weight ``weight``, see
+    :func:`tenrec.completion.pair_pull`) with the data residual and the
+    proximal anchor.
     """
-    numerator, denom = pair_pull(
-        ptau * (t - e - n) + f + rho * l_prev, ptau + rho, t.shape, pairs, betas, m_new, r_old, mu
-    )
-    return numerator / denom
+    return (ptau * (t - e - n) + f + rho * l_prev + pull) / (ptau + rho + weight)
 
 
 def update_e(t, l_new, n_prev, e_prev, f, ptau, tau1, rho):
@@ -57,19 +56,18 @@ def update_n(t, l_new, e_new, n_prev, f, ptau, tau2, rho):
     return (ptau * (t - l_new - e_new) + f + rho * n_prev) / (2.0 * tau2 + ptau + rho)
 
 
-def _lagrangian(t, l, e, n, f, states, mu, ptau, tau1, tau2, gamma, epsilon):
-    """Pair-weighted augmented Lagrangian; non-increasing across one sweep
-    of the primal updates (multipliers and penalty scalars held fixed)."""
+def _lagrangian(t, l, e, n, f, ptau, tau1, tau2):
+    """The data block's part of the augmented Lagrangian: the sparse and
+    Gaussian penalties and the residual quadratic."""
     total = tau1 * float(np.sum(np.abs(e))) + tau2 * float(np.sum(n**2))
-    total += 0.5 * ptau * float(np.sum((t - l - e - n + f / ptau) ** 2))
-    return pair_lagrangian(total, l, states, mu, gamma, epsilon)
+    return total + 0.5 * ptau * float(np.sum((t - l - e - n + f / ptau) ** 2))
 
 
 class _LowRankSparseNoise:
     """Robust PCA's data block for :func:`tenrec.completion.run_sweeps`."""
 
     def __init__(self, t, cfg):
-        self.t, self.cfg = t, cfg
+        self.t = t
         self.tau1, self.tau2 = cfg.resolve_tau(t.shape)
         self.ptau = cfg.penalty_tau
         self.x = t.copy()
@@ -77,14 +75,12 @@ class _LowRankSparseNoise:
         self.n = np.zeros_like(t)
         self.f = np.zeros_like(t)
 
-    def lagrangian(self, states, mu):
-        return _lagrangian(self.t, self.x, self.e, self.n, self.f, states, mu, self.ptau,
-                           self.tau1, self.tau2, self.cfg.gamma, self.cfg.epsilon)
+    def lagrangian(self):
+        return _lagrangian(self.t, self.x, self.e, self.n, self.f, self.ptau, self.tau1, self.tau2)
 
-    def step(self, states, mu, rho, check):
+    def step(self, pull, weight, rho, check):
         t, l, e, n, f, ptau = self.t, self.x, self.e, self.n, self.f, self.ptau
-        self.x = update_l(t, e, n, f, l, [st.pair for st in states], [st.beta for st in states],
-                          [st.m for st in states], [st.q for st in states], mu, ptau, rho)
+        self.x = update_l(t, e, n, f, l, pull, weight, ptau, rho)
         check("l", rho, self.x, l)
         self.e = update_e(t, self.x, n, e, f, ptau, self.tau1, rho)
         check("e", rho, self.e, e)

@@ -22,10 +22,28 @@ from tenrec.algebra import (
     unfold_mode_pair,
 )
 from tenrec.penalty import _validate_params, mlcp, weighted_log_prox
+from tenrec.simulate import gen_mask, make_rng
 
 # A singular tube/value counts as nonzero when it exceeds this fraction of
 # the largest singular value of the whole tensor.
 RANK_RTOL = 1e-8
+
+
+# -- Instances ---------------------------------------------------------------
+
+
+def cp_completion_instance(seed):
+    """A9's completion instance: a 30 x 30 x 20 CP-rank-3 tensor at unit
+    peak, low rank in every mode-pair unfolding, 30 % observed.
+
+    Returns (ground truth, mask, observed with zeros off the mask).
+    """
+    rng = make_rng(seed)
+    factors = [rng.standard_normal((n, 3)) for n in (30, 30, 20)]
+    gt = np.einsum("ir,jr,kr->ijk", *factors)
+    gt = gt / np.max(np.abs(gt))
+    mask = gen_mask(gt.shape, 0.3, seed).mask
+    return gt, mask, np.where(mask, gt, 0.0)
 
 
 # -- t-SVD toolkit -----------------------------------------------------------

@@ -30,7 +30,7 @@ from tenrec import (
 from tenrec.algebra import fourier_singular_values, mode_pairs
 from tenrec.cli import main
 
-from oracles import lgamma_norm, mlcp_weight_minimizer, t_svd
+from oracles import cp_completion_instance, lgamma_norm, mlcp_weight_minimizer, t_svd
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -311,3 +311,23 @@ def test_a8_determinism(tmp_path):
         assert _read_rows(dirs[0] / "trace.csv") == _read_rows(dirs[1] / "trace.csv")
     print("A8 determinism: PASS (tensors bitwise equal, traces equal "
           "up to the wall-clock column)")
+
+
+def test_a9_multi_pair_completion():
+    # Every pair carries signal here, so weighting all three (beta = None)
+    # must recover the tensor within A1's bounds and beat the (1, 2) pair
+    # alone, which is A1's shipped weighting.
+    started = time.perf_counter()
+    rows = []
+    for seed in (42, 43):
+        gt, mask, observed = cp_completion_instance(seed)
+        every, single = (complete(observed, mask, lrtc_config().updated(beta=beta), ground_truth=gt)
+                         for beta in (None, (1.0, 0.0, 0.0)))
+        rel = every.metrics["rel_error"]
+        assert rel <= 1e-2
+        assert every.iterations <= 500
+        assert rel < single.metrics["rel_error"]
+        rows.append(f"seed {seed}: rel_error={rel:.3e}, iters={every.iterations}, "
+                    f"pair 12 alone {single.metrics['rel_error']:.3e}")
+    elapsed = time.perf_counter() - started
+    print(f"A9 multi-pair completion: PASS ({'; '.join(rows)}; {elapsed:.1f}s)")

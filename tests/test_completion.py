@@ -1,10 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from tenrec import (NoiseSpec, SolverConfig, add_mixed_noise, complete, decompose, gen_lowrank,
                     gen_mask)
 from tenrec.algebra import fold_mode_pair, fourier_singular_values, unfold_mode_pair
-from tenrec.completion import SUBPROBLEM_RTOL, update_m_pair, update_multiplier, update_z
+from tenrec.completion import (SUBPROBLEM_RTOL, pair_pull, update_m_pair, update_multiplier,
+                               update_z)
 from tenrec.penalty import update_lambda_bar, weighted_log_prox
 
 from oracles import prox_lgamma_norm
@@ -19,6 +22,14 @@ def small_instance(seed=0, shape=(12, 12, 6), rank=2, sr=0.5):
 
 SMALL_CFG = SolverConfig(beta=(1.0, 0.0, 0.0), mu0=5.0, rho0=1e-3, growth=1.05,
                          gamma=1e4, epsilon=0.01, tol=1e-5, max_iter=300)
+
+
+def pull_of(pairs, betas, m, q, mu, shape):
+    """The pairs' pull on an estimate of ``shape``, as the sweep hands it
+    to a data block: ``(pull, weight)`` from :func:`pair_pull`."""
+    states = [SimpleNamespace(pair=p, beta=b, m=mp, q=qp)
+              for p, b, mp, qp in zip(pairs, betas, m, q)]
+    return pair_pull(states, mu, shape)
 
 
 class TestUpdatePieces:
@@ -76,7 +87,8 @@ class TestUpdatePieces:
         pairs = [(0, 1)]
         m = [unfold_mode_pair(z, 0, 1)]
         q = [np.zeros_like(m[0])]
-        z_new = update_z(obs[mask], np.flatnonzero(mask), z, pairs, [1.0], m, q, 0.9, 0.1)
+        z_new = update_z(obs[mask], np.flatnonzero(mask), z,
+                         *pull_of(pairs, [1.0], m, q, 0.9, z.shape), 0.1)
         assert np.allclose(z_new, z, atol=1e-12)
 
     def test_z_update_large_rho_limit(self):
@@ -85,7 +97,8 @@ class TestUpdatePieces:
         z = rng.standard_normal(obs.shape)
         m = [rng.standard_normal((12, 12, 6))]
         q = [rng.standard_normal((12, 12, 6))]
-        z_new = update_z(obs[mask], np.flatnonzero(mask), z, [(0, 1)], [1.0], m, q, 1.0, 1e12)
+        z_new = update_z(obs[mask], np.flatnonzero(mask), z,
+                         *pull_of([(0, 1)], [1.0], m, q, 1.0, z.shape), 1e12)
         assert np.allclose(z_new[~mask], z[~mask], atol=1e-9)
         assert np.array_equal(z_new[mask], obs[mask])
 
@@ -100,7 +113,8 @@ class TestUpdatePieces:
         q = [rng.standard_normal(unfold_mode_pair(z, *p).shape) for p in pairs]
         betas = [0.5, 0.3, 0.2]
         mu, rho = 0.7, 0.2
-        z_new = update_z(obs[mask], np.flatnonzero(mask), z, pairs, betas, m, q, mu, rho)
+        z_new = update_z(obs[mask], np.flatnonzero(mask), z,
+                         *pull_of(pairs, betas, m, q, mu, shape), rho)
 
         num = rho * z.copy()
         den = rho
@@ -123,7 +137,8 @@ class TestUpdatePieces:
         m = [rng.standard_normal(unfold_mode_pair(z, *p).shape) for p in pairs]
         q = [rng.standard_normal(unfold_mode_pair(z, *p).shape) for p in pairs]
         mu, rho = 0.7, 0.2
-        z_new = update_z(obs[mask], np.flatnonzero(mask), z, pairs, betas, m, q, mu, rho)
+        z_new = update_z(obs[mask], np.flatnonzero(mask), z,
+                         *pull_of(pairs, betas, m, q, mu, shape), rho)
 
         def obj(x):
             value = 0.5 * rho * np.sum((x - z) ** 2)
@@ -289,14 +304,19 @@ class TestDescent:
     def test_z_monitor_weights_pairs_by_beta(self, monkeypatch):
         # The z entry is the beta-weighted Lagrangian before the z step and
         # after it plus the proximal term, recomputed here from what the
-        # sweep passed to its z and weight-target steps.
+        # sweep passed to its pull, z and weight-target steps.
         import tenrec.completion as completion_mod
 
-        steps, targets = [], []
+        pulls, steps, targets = [], [], []
 
-        def recording(observed, mask, z_prev, pairs, betas, m_new, q_old, mu, rho):
-            z_new = update_z(observed, mask, z_prev, pairs, betas, m_new, q_old, mu, rho)
-            steps.append((z_prev, z_new, pairs, betas, m_new, q_old, mu, rho))
+        def recording_pull(states, mu, shape):
+            pulls.append(([st.pair for st in states], [st.beta for st in states],
+                          [st.m for st in states], [st.q for st in states], mu))
+            return pair_pull(states, mu, shape)
+
+        def recording(observed, mask, z_prev, pull, weight, rho):
+            z_new = update_z(observed, mask, z_prev, pull, weight, rho)
+            steps.append((z_prev, z_new) + pulls[-1] + (rho,))
             return z_new
 
         def recording_target(w_new, lam_old, gamma, rho):
@@ -304,6 +324,7 @@ class TestDescent:
             targets.append((w_new, lam_new))
             return lam_new
 
+        monkeypatch.setattr(completion_mod, "pair_pull", recording_pull)
         monkeypatch.setattr(completion_mod, "update_z", recording)
         monkeypatch.setattr(completion_mod, "update_lambda_bar", recording_target)
         gt, mask, obs = small_instance(seed=18)

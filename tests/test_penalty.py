@@ -776,11 +776,13 @@ class TestTruncatedProx:
         # not a (half, R, p) array with 0 < p < R
         malformed = [np.ones(shape, dtype=complex) for shape in [(3, 28), (3, 28, 0),
                                                                  (3, 28, 2, 1)]]
-        # of the right shape, but not finite
+        # of the right shape, but not finite, or finite and so large that
+        # the first power step would overflow
         not_finite = [np.linalg.qr(np.ones((3, 28, 7), dtype=complex))[0] for _ in range(2)]
         not_finite[0][1, 2, 3] = np.nan
         not_finite[1][0, 5, 0] = np.inf
-        for basis in (None, mismatched, *malformed, *not_finite):
+        huge = np.full((3, 28, 7), 1e300, dtype=complex)
+        for basis in (None, mismatched, *malformed, *not_finite, huge):
             got = weighted_log_prox(y, w, rho, eps, basis=basis)
             assert all(np.array_equal(a, b) for a, b in zip(got, ref))
             assert got[3].shape == (3, 28, 2 + 5)

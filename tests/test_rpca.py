@@ -6,7 +6,7 @@ from tenrec.algebra import unfold_mode_pair
 from tenrec.completion import update_m_pair
 from tenrec.rpca import update_e, update_l, update_n
 
-from test_completion import memory_orders
+from test_completion import memory_orders, pull_of
 
 RAW_CFG = SolverConfig(beta=(1.0, 0.0, 0.0), mu0=2e-3, rho0=2.3e-6, growth=1.08,
                        gamma=1e4, epsilon=0.21, penalty_tau=6e-5, tau1_scale=0.3,
@@ -45,7 +45,8 @@ class TestUpdatePieces:
         zero = np.zeros_like(l)
         g = [unfold_mode_pair(l, 0, 1)]
         r = [np.zeros_like(g[0])]
-        out = update_l(t, zero, zero, zero, l, [(0, 1)], [1.0], g, r, 0.7, 0.4, 0.2)
+        out = update_l(t, zero, zero, zero, l, *pull_of([(0, 1)], [1.0], g, r, 0.7, l.shape),
+                       0.4, 0.2)
         assert np.allclose(out, l, atol=1e-12)
 
     def test_l_update_single_pair_unit_scalars(self):
@@ -54,7 +55,8 @@ class TestUpdatePieces:
         zero = np.zeros_like(t)
         g = [np.zeros((3, 3, 2))]
         r = [np.zeros((3, 3, 2))]
-        out = update_l(t, zero, zero, zero, zero, [(0, 1)], [1.0], g, r, 1.0, 1.0, 1.0)
+        out = update_l(t, zero, zero, zero, zero, *pull_of([(0, 1)], [1.0], g, r, 1.0, t.shape),
+                       1.0, 1.0)
         assert np.allclose(out, t / 3.0, atol=1e-12)
 
     def test_l_update_matches_transcription(self):
@@ -70,7 +72,7 @@ class TestUpdatePieces:
         g = [rng.standard_normal(unfold_mode_pair(l, *p).shape) for p in pairs]
         r = [rng.standard_normal(unfold_mode_pair(l, *p).shape) for p in pairs]
         mu, ptau, rho = 0.7, 0.4, 0.1
-        out = update_l(t, e, n, f, l, pairs, betas, g, r, mu, ptau, rho)
+        out = update_l(t, e, n, f, l, *pull_of(pairs, betas, g, r, mu, shape), ptau, rho)
 
         from tenrec.algebra import fold_mode_pair
 

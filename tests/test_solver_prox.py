@@ -80,6 +80,23 @@ def test_solvers_reach_prox_through_traced_names(monkeypatch, run):
 
 
 @pytest.mark.parametrize("run", [completion_run, decomposition_run])
+def test_prox_values_stay_sorted(monkeypatch, run):
+    # The sweep carries each pair's shrunk values into its next weight step
+    # as the prox returns them, so every column must be non-increasing.
+    returned = []
+
+    def recording(*args, **kwargs):
+        out = weighted_log_prox(*args, **kwargs)
+        returned.append(out[1])
+        return out
+
+    wrap_everywhere(monkeypatch, weighted_log_prox, recording)
+    report = run()()
+    assert report.converged and len(returned) == report.iterations
+    assert all((np.diff(sigma, axis=0) <= 0).all() for sigma in returned)
+
+
+@pytest.mark.parametrize("run", [completion_run, decomposition_run])
 def test_strict_run_matches_full_factorization(monkeypatch, run):
     truncated = []
 
@@ -118,7 +135,7 @@ def test_every_traced_name_exists():
 @pytest.mark.parametrize("run, names", [
     (completion_run, [("completion", "update_z"), ("completion", "lagrangian_value")]),
     (decomposition_run, [("rpca", "update_l"), ("rpca", "update_e"), ("rpca", "update_n"),
-                         ("rpca", "_lagrangian")]),
+                         ("rpca", "_lagrangian"), ("completion", "lagrangian_value")]),
 ])
 def test_traced_data_block_runs_once_per_sweep(monkeypatch, run, names):
     assert set(names) <= traced_names()
