@@ -189,6 +189,15 @@ def _out_dir(args):
     return out
 
 
+def _ground_truth(args, data, fallback):
+    """``--gt``, else ``data`` if ``fallback``; refused before the solve if not shaped as ``data``."""
+    ground_truth = load_tensor(args.gt) if args.gt else (data if fallback else None)
+    if ground_truth is not None and ground_truth.shape != data.shape:
+        raise ValueError(f"ground truth shape {ground_truth.shape} does not match "
+                         f"data {data.shape}")
+    return ground_truth
+
+
 def _run_complete(args, data, cfg):
     """Mask from ``--mask`` or ``--sr``, then the completion solver."""
     inputs = {"tensor": str(args.input)}
@@ -205,8 +214,8 @@ def _run_complete(args, data, cfg):
         mask = gen_mask(data.shape, args.sr, args.seed).mask
         label, observation = f"sr={args.sr}", {"sr": args.sr}
 
-    ground_truth = load_tensor(args.gt) if args.gt else (data if args.sr is not None else None)
-    report = complete(np.where(mask, data, 0.0), mask, cfg, ground_truth=ground_truth)
+    ground_truth = _ground_truth(args, data, args.sr is not None)
+    report = complete(np.where(mask, data, 0.0), mask, cfg)
     return report, ground_truth, inputs, label, observation
 
 
@@ -218,11 +227,11 @@ def _run_denoise(args, data, cfg):
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     noise_requested = args.sp_fraction > 0 or args.gaussian_sigma > 0 or args.noniid
-    ground_truth = load_tensor(args.gt) if args.gt else (data if noise_requested else None)
+    ground_truth = _ground_truth(args, data, noise_requested)
     observed, label = data, "as-given"
     if noise_requested:
         observed, label = add_mixed_noise(data, spec), spec.describe()
-    report = decompose(observed, cfg, ground_truth=ground_truth)
+    report = decompose(observed, cfg)
     return report, ground_truth, {"tensor": str(args.input)}, label, asdict(spec)
 
 
@@ -253,7 +262,6 @@ def cmd_solve(args):
         peak = float(np.max(np.abs(ground_truth))) or 1.0
         scored = report.tensors[next(iter(written.values()))]
         values = evaluate_all(scored, ground_truth, peak=peak)
-        values.update(report.metrics)
 
     out = _out_dir(args)
     outputs = {name: str(out / f"{name}.tns") for name in written}
@@ -265,8 +273,7 @@ def cmd_solve(args):
     if ground_truth is not None:
         outputs["metrics"] = str(out / "metrics.csv")
         write_metrics_csv(outputs["metrics"], [metric_row(method, label, values)])
-        summary = (f"rel_error={report.metrics.get('rel_error', float('nan')):.4e} "
-                   f"psnr={values['psnr']:.3f} {summary}")
+        summary = f"rel_error={values['rel_error']:.4e} psnr={values['psnr']:.3f} {summary}"
     print(f"{verb}: {summary}")
 
     _write_manifest(out / "manifest.json", args.command, asdict(cfg), inputs, outputs,

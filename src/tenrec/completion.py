@@ -146,14 +146,13 @@ class _MaskedEstimate:
         return {"Z": self.x}
 
 
-def complete(observed, mask, config=None, ground_truth=None, track_descent=False):
+def complete(observed, mask, config=None, track_descent=False):
     """Recover missing entries of a partially observed tensor.
 
     Args:
         observed: data tensor; only entries under ``mask`` are trusted.
         mask: boolean tensor of observed positions, same shape.
         config: SolverConfig; package defaults when omitted.
-        ground_truth: optional reference; adds a ``rel_error`` metric.
         track_descent: check every step of each sweep against the
             augmented Lagrangian: trace rows gain ``lag_before``,
             ``lag_after`` and per-step ``subproblems``, and ``notes``
@@ -162,7 +161,8 @@ def complete(observed, mask, config=None, ground_truth=None, track_descent=False
             surrogate (M) step's check.
 
     Returns:
-        RecoveryReport with the completed tensor under ``tensors['Z']``.
+        RecoveryReport with the completed tensor under ``tensors['Z']``, which
+        :mod:`tenrec.metrics` scores against a ground truth.
     """
     cfg = (config or SolverConfig()).validate()
     # C-ordered copies of inputs held in another memory order, so every
@@ -179,10 +179,10 @@ def complete(observed, mask, config=None, ground_truth=None, track_descent=False
         raise ValueError("observed entries must be finite")
     block = _MaskedEstimate(observed, mask)
     del observed, mask  # the block keeps the observed entries only
-    return run_sweeps(cfg, block, ground_truth, track_descent)
+    return run_sweeps(cfg, block, track_descent)
 
 
-def run_sweeps(cfg, block, ground_truth, track_descent):
+def run_sweeps(cfg, block, track_descent):
     """The sweeps of both solvers, until no entry of the estimate moves more
     than ``cfg.tol``.
 
@@ -208,11 +208,6 @@ def run_sweeps(cfg, block, ground_truth, track_descent):
     ``beta*(rho1 - mu)/2*||dM||^2``, which only the exact proximal map
     (``strict_prox``) guarantees.
     """
-    if ground_truth is not None:
-        ground_truth = np.asarray(ground_truth, dtype=float)
-        if ground_truth.shape != block.x.shape:
-            raise ValueError(f"ground truth shape {ground_truth.shape} does not match "
-                             f"data {block.x.shape}")
     states = [
         PairState(pair, beta, unfold_mode_pair(block.x, pair[0], pair[1]))
         for pair, beta in cfg.pair_weights(block.x.ndim)
@@ -264,20 +259,8 @@ def run_sweeps(cfg, block, ground_truth, track_descent):
             converged = True
             break
 
-    metrics = {}
-    if ground_truth is not None:
-        denom = max(float(np.linalg.norm(ground_truth)), 1e-300)
-        metrics["rel_error"] = float(np.linalg.norm(block.x - ground_truth)) / denom
-
-    return RecoveryReport(
-        tensors=block.tensors(),
-        trace=trace,
-        metrics=metrics,
-        converged=converged,
-        iterations=iterations,
-        wall_seconds=time.perf_counter() - started,
-        notes=notes,
-    )
+    return RecoveryReport(tensors=block.tensors(), trace=trace, converged=converged,
+                          iterations=iterations, notes=notes)
 
 
 def _pair_step(st, x, mu, rho, cfg, check):

@@ -1,4 +1,4 @@
-"""Recovery quality metrics: PSNR, single-scale SSIM, ERGAS.
+"""Recovery quality metrics: relative error, PSNR, single-scale SSIM, ERGAS.
 
 N-way inputs are scored per frontal slice of the first two modes and the
 per-slice values are averaged, so a hyperspectral cube is treated as a
@@ -22,6 +22,12 @@ def _as_bands(x, ref):
     if x.ndim < 2:
         raise ValueError("metrics need at least a 2-way array")
     return x.reshape(x.shape[0], x.shape[1], -1), ref.reshape(x.shape[0], x.shape[1], -1)
+
+
+def rel_error(x, ref):
+    """``||x - ref|| / ||ref||`` in the Frobenius norm, ``||ref||`` floored at 1e-300."""
+    xb, rb = _as_bands(x, ref)
+    return float(np.linalg.norm(xb - rb)) / max(float(np.linalg.norm(rb)), 1e-300)
 
 
 def psnr(x, ref, peak=1.0):
@@ -94,8 +100,9 @@ def ergas(x, ref, ratio=1.0):
 
 
 def evaluate_all(x, ref, peak=1.0):
-    """psnr/ssim/ergas of ``x`` against a reference of its own shape, as a dict."""
+    """rel_error/psnr/ssim/ergas of ``x`` against a reference of its shape, as a dict."""
     return {
+        "rel_error": rel_error(x, ref),
         "psnr": psnr(x, ref, peak=peak),
         "ssim": ssim(x, ref, peak=peak),
         "ergas": ergas(x, ref),

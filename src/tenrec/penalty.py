@@ -149,7 +149,9 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
       converged.  A value of ``sigma_old`` is then resolved only down to
       about ``sqrt(16 (I1 + I2) eps) ||A||_F``; a kept value to the
       residual test.
-    - Per-slice SVD, for a slice that the Gram route does not take.
+    - Per-slice SVD, for a slice that the Gram route does not take or
+      whose last threshold is negative (it keeps values that the Gram
+      matrix does not resolve).
     - Batched SVD of every slice, for ``R < GRAM_MIN_RANK`` and in strict
       mode, through the ``max(I1, I2) x R`` view of non-square slices.
 
@@ -286,8 +288,9 @@ def _shrink_slices(a, w_half, rho, epsilon, thr, strict):
     s = np.empty((half, r))
     s_new = np.empty((half, r))
     for j in range(half):
-        left, s[j], vh = (_gram_triplets(a[j], thr[j], s[:j, 0].max(initial=0.0))
-                          or np.linalg.svd(a[j], full_matrices=False))
+        # a negative last threshold keeps values that the Gram matrix cannot resolve
+        gram = thr[j, -1] >= 0 and _gram_triplets(a[j], thr[j], s[:j, 0].max(initial=0.0))
+        left, s[j], vh = gram or np.linalg.svd(a[j], full_matrices=False)
         s_new[j] = _rebuild(a[j], left, s[j], vh, w_half[j], rho, epsilon)
         u[j] = left[:, :cap]
         del left, vh  # not held while the next slice is factored

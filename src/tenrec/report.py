@@ -1,4 +1,4 @@
-"""Run results: recovered tensors, per-iteration trace, final metrics."""
+"""Run results: recovered tensors and per-iteration trace; CSV writers."""
 
 from __future__ import annotations
 
@@ -13,15 +13,14 @@ class RecoveryReport:
     ``tensors`` maps result names to arrays ('Z' for completion; 'L', 'E',
     'N' for robust PCA).  ``trace`` holds one dict per iteration; the keys
     written to CSV are fixed per solver, extra keys (the per-step descent
-    checks) stay in memory.
+    checks) stay in memory.  A report holds no score: :mod:`tenrec.metrics`
+    measures a recovery against its ground truth.
     """
 
     tensors: dict
     trace: list
-    metrics: dict = field(default_factory=dict)
     converged: bool = False
     iterations: int = 0
-    wall_seconds: float = 0.0
     notes: dict = field(default_factory=dict)
 
 

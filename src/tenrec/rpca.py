@@ -103,13 +103,12 @@ class _LowRankSparseNoise:
         return {"L": self.x, "E": self.e, "N": self.n}
 
 
-def decompose(observed, config=None, ground_truth=None, track_descent=False):
+def decompose(observed, config=None, track_descent=False):
     """Split a corrupted tensor into low-rank, sparse and Gaussian parts.
 
     Args:
         observed: the corrupted data tensor (any number of modes >= 2).
         config: SolverConfig; package defaults when omitted.
-        ground_truth: optional clean low-rank reference; adds ``rel_error``.
         track_descent: check every step of each sweep against the
             augmented Lagrangian: trace rows gain ``lag_before``,
             ``lag_after`` and per-step ``subproblems``, and ``notes``
@@ -118,8 +117,8 @@ def decompose(observed, config=None, ground_truth=None, track_descent=False):
             pass the surrogate (M) step's check.
 
     Returns:
-        RecoveryReport with ``tensors['L']``, ``tensors['E']``,
-        ``tensors['N']``.
+        RecoveryReport with ``tensors['L']``, ``tensors['E']``, ``tensors['N']``;
+        :mod:`tenrec.metrics` scores L against a ground truth.
     """
     cfg = (config or SolverConfig()).validate()
     # A C-ordered copy of an input held in another memory order, so every
@@ -129,4 +128,4 @@ def decompose(observed, config=None, ground_truth=None, track_descent=False):
         raise ValueError("decomposition needs at least a 2-way tensor")
     if not np.all(np.isfinite(t)):
         raise ValueError("observed tensor must be finite")
-    return run_sweeps(cfg, _LowRankSparseNoise(t, cfg), ground_truth, track_descent)
+    return run_sweeps(cfg, _LowRankSparseNoise(t, cfg), track_descent)

@@ -181,6 +181,19 @@ class TestTProduct:
             t_product(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)))
         with pytest.raises(ValueError):
             t_product(np.zeros((2, 3, 4)), np.zeros((3, 2, 5)))
+        with pytest.raises(ValueError, match="a must be a 3-way array"):
+            t_product(np.zeros((2, 3)), np.zeros((3, 2)))
+
+    def test_complex_input_gives_complex_result(self):
+        # the product is linear in a, so a complex a splits into two real products
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+        b = rng.standard_normal((4, 2, 5))
+        c = t_product(a, b)
+        assert np.iscomplexobj(c)
+        ref = t_product(a.real, b) + 1j * t_product(a.imag, b)
+        assert np.allclose(c, ref, atol=1e-12)
+        assert np.abs(c.imag).max() > 0.1
 
 
 class TestConjTranspose:

@@ -11,7 +11,8 @@ import pytest
 
 import tenrec
 import tenrec.completion
-from tenrec import NoiseSpec, SolverConfig, add_mixed_noise, gen_lowrank, load_tensor, save_tensor
+from tenrec import (NoiseSpec, SolverConfig, add_mixed_noise, gen_lowrank, gen_mask, load_tensor,
+                    save_tensor)
 from tenrec.cli import _resolve_config, build_parser, main
 
 from oracles import tubal_rank
@@ -90,6 +91,23 @@ class TestComplete:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["mu0"] == 5.0
         assert manifest["observation"] == {"sr": 0.5}
+
+    def test_mask_file_recovery_scored_against_gt(self, tmp_path, capsys):
+        # the mask that --sr 0.5 --seed 5 draws, read from a file
+        gt, path = make_instance(tmp_path)
+        mask = tmp_path / "mask.tns"
+        save_tensor(mask, gen_mask(gt.shape, 0.5, 5).mask.astype(float))
+        out = tmp_path / "run"
+        code = main(["complete", str(path), "--mask", str(mask), "--gt", str(path),
+                     "--out", str(out)] + COMPLETE_FLAGS)
+        assert code == 0
+        rec = load_tensor(out / "recovered.tns")
+        assert np.linalg.norm(rec - gt) / np.linalg.norm(gt) <= 1e-2
+        assert read_csv(out / "metrics.csv")[0]["sr_or_noise"] == "mask-file"
+        assert capsys.readouterr().out.startswith("completed: rel_error=")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"]["mask"] == str(mask)
+        assert manifest["observation"] == {"mask": str(mask)}
 
     def test_mask_file_shape_mismatch(self, tmp_path, capsys):
         gt, path = make_instance(tmp_path)
@@ -194,6 +212,20 @@ class TestDenoise:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["observation"] == {
             "sp_fraction": 0.05, "gaussian_sigma": 0.2, "noniid": None, "seed": 7}
+
+    def test_noniid_noise_metrics_row(self, tmp_path, capsys):
+        t = gen_lowrank((15, 15, 5), 2, seed=3)
+        t = (t - t.min()) / (t.max() - t.min())
+        path = tmp_path / "t.tns"
+        save_tensor(path, t)
+        out = tmp_path / "run"
+        code = main(["denoise", str(path), "--noniid", "0.02,0.08", "--gaussian-sigma", "0.2",
+                     "--seed", "7", "--out", str(out), "--max-iter", "40", "--tol", "1e-300"])
+        assert code in (0, 3)
+        assert read_csv(out / "metrics.csv")[0]["sr_or_noise"] == "sp~U(0.02,0.08) nu=0.2"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["observation"] == {
+            "sp_fraction": 0.0, "gaussian_sigma": 0.2, "noniid": [0.02, 0.08], "seed": 7}
 
     @pytest.mark.parametrize("flags", [["--sp-fraction", "1.5"], ["--gaussian-sigma", "-0.1"],
                                        ["--gaussian-sigma", "nan"], ["--gaussian-sigma", "inf"]])

@@ -61,6 +61,7 @@ def test_scalar_validation():
         dict(penalty_tau=float("nan")),
         dict(tau1_scale=float("inf")),
         dict(beta=(float("nan"),) * 3),
+        dict(beta=(-0.5, 1.0, 0.5)),
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad).validate()
@@ -91,6 +92,13 @@ def test_config_file_unknown_key(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("bogus = 1\n")
     with pytest.raises(ValueError):
+        load_config_file(path)
+
+
+def test_config_file_line_without_equals_sign(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# comment\ngamma 100\n")
+    with pytest.raises(ValueError, match=":2: expected 'key = value'"):
         load_config_file(path)
 
 

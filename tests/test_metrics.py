@@ -8,7 +8,7 @@ import pytest
 
 import tenrec
 from tenrec import ergas, psnr, ssim
-from tenrec.metrics import SSIM_SIGMA, _filter, _gaussian_window, evaluate_all
+from tenrec.metrics import SSIM_SIGMA, _filter, _gaussian_window, evaluate_all, rel_error
 
 
 class TestPsnr:
@@ -34,6 +34,10 @@ class TestPsnr:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             psnr(np.zeros((3, 3)), np.zeros((3, 4)))
+
+    def test_one_way_input_rejected(self):
+        with pytest.raises(ValueError, match="at least a 2-way array"):
+            psnr(np.zeros(3), np.zeros(3))
 
 
 class TestSsim:
@@ -163,9 +167,27 @@ class TestErgas:
             ergas(np.ones((4, 4)), np.zeros((4, 4)))
 
 
+class TestRelError:
+    def test_value(self):
+        ref = np.random.default_rng(12).random((6, 5, 4, 3))
+        assert rel_error(3.0 * ref, ref) == 2.0
+        assert rel_error(ref, ref) == 0.0
+
+    def test_zero_reference_is_floored(self):
+        # the 1e-300 floor keeps a zero reference from dividing by zero
+        assert rel_error(np.zeros((3, 3)), np.zeros((3, 3))) == 0.0
+        assert rel_error(np.ones((2, 2)), np.zeros((2, 2))) == 2.0 / 1e-300
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shapes differ"):
+            rel_error(np.zeros((3, 3)), np.zeros((3, 4)))
+
+
 def test_evaluate_all_keys():
     x = np.random.default_rng(11).random((12, 12, 2)) + 0.1
     out = evaluate_all(x, x)
+    assert list(out) == ["rel_error", "psnr", "ssim", "ergas"]
+    assert out["rel_error"] == 0.0
     assert out["psnr"] == float("inf")
     assert out["ssim"] == pytest.approx(1.0)
     assert out["ergas"] == 0.0

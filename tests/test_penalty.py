@@ -458,12 +458,14 @@ class TestProx:
             weighted_log_prox(y, np.ones((2, 2)), 1.0, 0.1)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("bad", ["nan-weight", "negative-weight", "nan-rho", "zero-rho",
-                                     "nan-eps"])
+    @pytest.mark.parametrize("bad", ["nan-weight", "negative-weight", "misshapen-weight",
+                                     "nan-rho", "zero-rho", "nan-eps"])
     def test_invalid_parameters_rejected_before_any_warning(self, bad):
         y = np.random.default_rng(16).standard_normal((3, 4, 2))
         w, rho, eps = np.ones((3, 2)), 1.0, 0.1
-        if bad.endswith("weight"):
+        if bad == "misshapen-weight":
+            w = np.ones((4, 2))  # R x I3 is 3 x 2
+        elif bad.endswith("weight"):
             w[1, 0] = np.nan if bad.startswith("nan") else -1.0
         elif bad.endswith("rho"):
             rho = np.nan if bad.startswith("nan") else 0.0
@@ -628,6 +630,29 @@ class TestGramFullPath:
             # every slice certified, exactly zero slices included
             assert factored == []
             assert 0 < np.count_nonzero(got[1]) < got[1].size
+
+    @pytest.mark.parametrize("i1, i2, i3", [(48, 56, 5), (56, 48, 5), (100, 100, 6)])
+    def test_zero_weights_skip_the_gram_route(self, i1, i2, i3, svd_shapes, monkeypatch):
+        # a zero weight keeps every value, also those far below what the
+        # Gram matrix resolves: each slice goes straight to its SVD, while
+        # the gapped weights still certify every slice from its Gram matrix
+        grams = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            grams.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        y, w, rho, eps = gapped_instance(i1, i2, i3, 3, seed=1)
+        half, r, n = i3 // 2 + 1, min(i1, i2), max(i1, i2)
+        for weights, gram_slices, svd_slices in ((w, half, 0), (np.zeros_like(w), 0, half)):
+            grams.clear()
+            svd_shapes.clear()
+            weighted_log_prox(y, weights, rho, eps)
+            assert grams == [(r, r)] * gram_slices
+            assert svd_shapes == [(r, n)] * svd_slices
+            assert_matches_oracle(y, weights, rho, eps)
 
     @pytest.mark.parametrize("i1, i2", [(20, 24), (24, 20)])
     def test_small_slices_take_one_batched_svd(self, i1, i2, svd_shapes):

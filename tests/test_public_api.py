@@ -2,12 +2,13 @@
 
 Reference implementations that only the tests compare against live in
 ``tests/oracles.py``; these checks keep them from drifting back into the
-package or its public names.  The solver options and command-line flags
-are pinned the same way, so an option cannot be added or come back
-unnoticed.
+package or its public names.  The solver options, the solvers'
+parameters, the report's fields and the command-line flags are pinned
+the same way, so an option cannot be added or come back unnoticed.
 """
 
 import argparse
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
@@ -52,6 +53,15 @@ SOLVER_CONFIG_FIELDS = [
     "tau1_scale", "strict_prox",
 ]
 
+# the solvers take no ground truth, and a report holds no score:
+# tenrec.metrics measures a recovery
+SOLVER_PARAMETERS = {
+    "complete": ["observed", "mask", "config", "track_descent"],
+    "decompose": ["observed", "config", "track_descent"],
+}
+
+RECOVERY_REPORT_FIELDS = ["tensors", "trace", "converged", "iterations", "notes"]
+
 CONFIG_FLAGS = ["--" + name.replace("_", "-") for name in SOLVER_CONFIG_FIELDS] + ["--config"]
 
 # each subcommand's positional arguments and flags, --help aside
@@ -84,6 +94,15 @@ def test_package_does_not_reach_into_the_test_oracles():
 
 def test_solver_config_fields():
     assert [f.name for f in fields(tenrec.SolverConfig)] == SOLVER_CONFIG_FIELDS
+
+
+def test_solver_parameters():
+    assert {name: list(inspect.signature(getattr(tenrec, name)).parameters)
+            for name in SOLVER_PARAMETERS} == SOLVER_PARAMETERS
+
+
+def test_recovery_report_fields():
+    assert [f.name for f in fields(tenrec.RecoveryReport)] == RECOVERY_REPORT_FIELDS
 
 
 def test_subcommand_arguments():

@@ -85,3 +85,18 @@ def test_truncated_header(tmp_path):
     path.write_bytes(b"TNS1" + bytes([1, 2]) + struct.pack("<Q", 3))
     with pytest.raises(TensorFormatError):
         load_tensor(path)
+
+
+def test_cut_off_before_the_mode_count(tmp_path):
+    path = tmp_path / "bad.tns"
+    path.write_bytes(b"TNS1" + bytes([1]))
+    with pytest.raises(TensorFormatError, match="missing mode count") as err:
+        load_tensor(path)
+    assert err.value.offset == 5
+
+
+def test_zero_way_tensor_is_not_saved(tmp_path):
+    path = tmp_path / "scalar.tns"
+    with pytest.raises(ValueError, match="cannot store a 0-way tensor"):
+        save_tensor(path, 3.0)
+    assert not path.exists()
