@@ -12,6 +12,10 @@ Exit codes: 0 on success (including runs where convergence was not
 requested), 1 on runtime errors and 2 on usage errors and bad option values
 (each with one JSON error line on stderr), 3 when a solver finished without
 reaching its tolerance.
+
+Every score a command writes or prints is :func:`tenrec.metrics.evaluate_all`'s,
+in its order, so ``eval`` of a run's output against its ground truth
+repeats the run's metrics row.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ def _number(accept, expected):
     return parse
 
 
-_positive = _number(lambda v: 0 < v < np.inf, "a positive finite number")  # --peak
+_positive = _number(lambda v: 0 < v < np.inf, "a positive finite number")  # synth --peak
 _sampling_rate = _number(lambda v: 0 < v <= 1, "a number in (0, 1]")  # --sr
 
 
@@ -259,9 +263,7 @@ def cmd_solve(args):
     report, ground_truth, inputs, label, observation = run(args, data, cfg)
     # Score before writing anything, so a run that cannot be scored leaves no output.
     if ground_truth is not None:
-        peak = float(np.max(np.abs(ground_truth))) or 1.0
-        scored = report.tensors[next(iter(written.values()))]
-        values = evaluate_all(scored, ground_truth, peak=peak)
+        values = evaluate_all(report.tensors[next(iter(written.values()))], ground_truth)
 
     out = _out_dir(args)
     outputs = {name: str(out / f"{name}.tns") for name in written}
@@ -288,18 +290,13 @@ def cmd_solve(args):
 
 def cmd_eval(args):
     started = time.perf_counter()
-    x = load_tensor(args.recovered)
-    ref = load_tensor(args.reference)
-    if x.shape != ref.shape:
-        return _error(f"shapes differ: {x.shape} vs {ref.shape}")
-    values = evaluate_all(x, ref, peak=args.peak)
-    row = metric_row("eval", "n/a", values)
-    print(",".join(str(row[c]) for c in ("psnr", "ssim", "fsim", "ergas")))
+    values = evaluate_all(load_tensor(args.recovered), load_tensor(args.reference))
+    print(",".join(str(v) for v in values.values()))
     if args.out:
         out = _out_dir(args)
-        write_metrics_csv(out / "metrics.csv", [row])
+        write_metrics_csv(out / "metrics.csv", [metric_row("eval", "n/a", values)])
         _write_manifest(
-            out / "manifest.json", "eval", {"peak": args.peak},
+            out / "manifest.json", "eval", {},
             {"recovered": str(args.recovered), "reference": str(args.reference)},
             {"metrics": str(out / "metrics.csv")}, None, time.perf_counter() - started,
         )
@@ -351,7 +348,6 @@ def build_parser():
     p_eval = sub.add_parser("eval", help="score one tensor file against another")
     p_eval.add_argument("recovered")
     p_eval.add_argument("reference")
-    p_eval.add_argument("--peak", type=_positive, default=1.0)
     p_eval.add_argument("--out", default=None, help="optional output directory")
     p_eval.set_defaults(func=cmd_eval)
     return parser

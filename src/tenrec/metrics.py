@@ -82,11 +82,12 @@ def ssim(x, ref, peak=1.0):
     return float(np.mean(num / den))
 
 
-def ergas(x, ref, ratio=1.0):
+def ergas(x, ref):
     """Band-relative global RMSE error; zero only for a perfect match.
 
-    ``100/ratio * sqrt(mean_b((RMSE_b / mean_b)^2))`` where ``mean_b`` is
-    the reference band mean.  Not symmetric in its arguments.
+    ``100 * sqrt(mean_b((RMSE_b / mean_b)^2))`` where ``mean_b`` is the
+    reference band mean: the resolution ratio of the pan-sharpening form
+    is 1.  Not symmetric in its arguments.
     """
     xb, rb = _as_bands(x, ref)
     terms = []
@@ -96,14 +97,17 @@ def ergas(x, ref, ratio=1.0):
             raise ValueError(f"reference band {b} has zero mean; ERGAS undefined")
         rmse = float(np.sqrt(np.mean((xb[:, :, b] - rb[:, :, b]) ** 2)))
         terms.append((rmse / band_mean) ** 2)
-    return float(100.0 / ratio * np.sqrt(np.mean(terms)))
+    return float(100.0 * np.sqrt(np.mean(terms)))
 
 
-def evaluate_all(x, ref, peak=1.0):
-    """rel_error/psnr/ssim/ergas of ``x`` against a reference of its shape, as a dict."""
-    return {
-        "rel_error": rel_error(x, ref),
-        "psnr": psnr(x, ref, peak=peak),
-        "ssim": ssim(x, ref, peak=peak),
-        "ergas": ergas(x, ref),
-    }
+def evaluate_all(x, ref):
+    """rel_error/psnr/ssim/ergas of ``x`` against a reference of its shape, as a dict.
+
+    This is the metric set of every score the CLI reports, in its order.
+    PSNR and SSIM take the reference's largest magnitude as the peak, 1
+    for an all-zero reference.
+    """
+    rel = rel_error(x, ref)  # refuses a reference of another shape first
+    peak = float(np.max(np.abs(ref))) or 1.0
+    return {"rel_error": rel, "psnr": psnr(x, ref, peak), "ssim": ssim(x, ref, peak),
+            "ergas": ergas(x, ref)}

@@ -36,24 +36,15 @@ def write_trace_csv(path, trace, columns):
             writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c] for c in columns])
 
 
-METRIC_COLUMNS = ("method", "sr_or_noise", "psnr", "ssim", "fsim", "ergas")
-
-
 def metric_row(method, sr_or_noise, values):
-    """One metrics-table row; the FSIM column is always reported as n/a."""
-    return {
-        "method": method,
-        "sr_or_noise": sr_or_noise,
-        "psnr": values.get("psnr", "n/a"),
-        "ssim": values.get("ssim", "n/a"),
-        "fsim": "n/a",
-        "ergas": values.get("ergas", "n/a"),
-    }
+    """One metrics-table row: the two labels, then ``values`` as given, in its order."""
+    return {"method": method, "sr_or_noise": sr_or_noise, **values}
 
 
 def write_metrics_csv(path, rows):
+    """Write ``rows`` under a header taken from the first row's keys."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRIC_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

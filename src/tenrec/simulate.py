@@ -33,8 +33,6 @@ def gen_lowrank(shape, rank, seed):
     rng = make_rng(seed)
     a = rng.standard_normal((i1, rank, i3))
     b = rng.standard_normal((rank, i2, i3))
-    if rank == 0:
-        return np.zeros((i1, i2, i3))
     return t_product(a, b)
 
 
@@ -45,10 +43,6 @@ class SamplingMask:
     mask: np.ndarray
     sampling_rate: float
     seed: int
-
-    @property
-    def observed_count(self):
-        return int(np.count_nonzero(self.mask))
 
 
 def gen_mask(shape, sampling_rate, seed):

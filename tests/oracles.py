@@ -32,15 +32,25 @@ RANK_RTOL = 1e-8
 # -- Instances ---------------------------------------------------------------
 
 
+def cp_tensor(shape, rank, seed):
+    """A 3-way tensor of CP rank at most ``rank``, low rank in every
+    mode-pair unfolding.
+
+    The sum of ``rank`` outer products of standard normal factor
+    columns, the factors drawn mode by mode from ``make_rng(seed)``.
+    """
+    rng = make_rng(seed)
+    factors = [rng.standard_normal((n, rank)) for n in shape]
+    return np.einsum("ir,jr,kr->ijk", *factors)
+
+
 def cp_completion_instance(seed):
     """A9's completion instance: a 30 x 30 x 20 CP-rank-3 tensor at unit
     peak, low rank in every mode-pair unfolding, 30 % observed.
 
     Returns (ground truth, mask, observed with zeros off the mask).
     """
-    rng = make_rng(seed)
-    factors = [rng.standard_normal((n, 3)) for n in (30, 30, 20)]
-    gt = np.einsum("ir,jr,kr->ijk", *factors)
+    gt = cp_tensor((30, 30, 20), 3, seed)
     gt = gt / np.max(np.abs(gt))
     mask = gen_mask(gt.shape, 0.3, seed).mask
     return gt, mask, np.where(mask, gt, 0.0)

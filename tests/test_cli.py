@@ -14,6 +14,7 @@ import tenrec.completion
 from tenrec import (NoiseSpec, SolverConfig, add_mixed_noise, gen_lowrank, gen_mask, load_tensor,
                     save_tensor)
 from tenrec.cli import _resolve_config, build_parser, main
+from tenrec.metrics import evaluate_all
 
 from oracles import tubal_rank
 
@@ -21,6 +22,10 @@ from oracles import tubal_rank
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+# the header of every metrics.csv: two labels, then evaluate_all's keys
+METRICS_HEADER = ["method", "sr_or_noise", "rel_error", "psnr", "ssim", "ergas"]
 
 
 class TestSynth:
@@ -76,7 +81,7 @@ class TestComplete:
         assert np.allclose(load_tensor(out / "recovered.tns"), gt, atol=1e-12)
         rows = read_csv(out / "metrics.csv")
         assert rows[0]["psnr"] == "inf"
-        assert rows[0]["fsim"] == "n/a"
+        assert list(rows[0]) == METRICS_HEADER
 
     def test_recovery_and_outputs(self, tmp_path, capsys):
         gt, path = make_instance(tmp_path)
@@ -207,8 +212,7 @@ class TestDenoise:
         rows = read_csv(out / "metrics.csv")
         assert rows[0]["method"] == "emlcp-rpca"
         assert rows[0]["sr_or_noise"] == "sp=0.05 nu=0.2"
-        assert rows[0]["fsim"] == "n/a"
-        assert set(rows[0]) == {"method", "sr_or_noise", "psnr", "ssim", "fsim", "ergas"}
+        assert list(rows[0]) == METRICS_HEADER
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["observation"] == {
             "sp_fraction": 0.05, "gaussian_sigma": 0.2, "noniid": None, "seed": 7}
@@ -245,20 +249,24 @@ class TestEval:
         out = tmp_path / "m"
         code = main(["eval", str(a), str(a), "--out", str(out)])
         assert code == 0
-        stdout = capsys.readouterr().out
-        assert stdout.startswith("inf,")
+        assert capsys.readouterr().out == "0.0,inf,1.0,0.0\n"
         rows = read_csv(out / "metrics.csv")
+        assert list(rows[0]) == METRICS_HEADER
         assert rows[0]["psnr"] == "inf"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {}
 
     def test_known_offset_20db(self, tmp_path, capsys):
+        # the peak is the reference's largest magnitude, exactly 1 here
         rng = np.random.default_rng(1)
         ref = rng.random((10, 10, 3))
+        ref = ref / ref.max()
         a, b = tmp_path / "a.tns", tmp_path / "b.tns"
         save_tensor(a, ref + 0.1)
         save_tensor(b, ref)
         code = main(["eval", str(a), str(b)])
         assert code == 0
-        psnr_text = capsys.readouterr().out.split(",")[0]
+        psnr_text = capsys.readouterr().out.split(",")[1]
         assert float(psnr_text) == pytest.approx(20.0, abs=1e-9)
 
     def test_shape_mismatch(self, tmp_path, capsys):
@@ -266,6 +274,23 @@ class TestEval:
         save_tensor(a, np.zeros((3, 3)))
         save_tensor(b, np.zeros((4, 3)))
         assert main(["eval", str(a), str(b)]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "shapes differ: (3, 3) vs (4, 3)"}
+
+    def test_repeats_the_row_of_a_run_off_unit_peak(self, tmp_path, capsys):
+        # denoise and eval score at the same peak, the ground truth's largest magnitude
+        t = gen_lowrank((12, 12, 6), 2, seed=5)
+        assert np.max(np.abs(t)) > 2.0
+        path = tmp_path / "t.tns"
+        save_tensor(path, t)
+        out = tmp_path / "run"
+        code = main(["denoise", str(path), "--sp-fraction", "0.05", "--gaussian-sigma", "0.02",
+                     "--seed", "9", "--max-iter", "20", "--tol", "1e-300", "--out", str(out)])
+        assert code in (0, 3)
+        row = read_csv(out / "metrics.csv")[0]
+        assert float(row["rel_error"]) == evaluate_all(load_tensor(out / "L.tns"), t)["rel_error"]
+        capsys.readouterr()
+        assert main(["eval", str(out / "L.tns"), str(path)]) == 0
+        assert capsys.readouterr().out.strip().split(",") == [row[c] for c in METRICS_HEADER[2:]]
 
     def test_missing_file(self, tmp_path, capsys):
         a = tmp_path / "a.tns"
@@ -300,8 +325,6 @@ def test_solver_failure_is_one_json_error_line(tmp_path, capsys, monkeypatch, co
     ("complete", ["--sr", "0.5", "--max-iter", "1.5"]),
     ("complete", ["--sr", "0.5", "--mask", "mask.tns"]),
     ("denoise", ["--noniid", "0.1,0.2", "--sp-fraction", "0.5"]),
-    ("eval", ["--peak", "0"]),
-    ("eval", ["--peak", "-1"]),
     ("synth", ["--shape", "8,7,5", "--rank", "2", "--peak", "nan"]),
     ("synth", ["--shape", "5,4,3", "--rank", "-1"]),
     ("synth", ["--shape", "5,4,3", "--rank", "9"]),

@@ -2,8 +2,8 @@
 
 Reference implementations that only the tests compare against live in
 ``tests/oracles.py``; these checks keep them from drifting back into the
-package or its public names.  The solver options, the solvers'
-parameters, the report's fields and the command-line flags are pinned
+package or its public names.  The solver options, the solvers' and the
+scorers' parameters, the report's fields and the command-line flags are pinned
 the same way, so an option cannot be added or come back unnoticed.
 """
 
@@ -60,6 +60,15 @@ SOLVER_PARAMETERS = {
     "decompose": ["observed", "config", "track_descent"],
 }
 
+# evaluate_all takes the peak from the reference and ERGAS is always at
+# ratio 1; only psnr and ssim take an explicit peak
+SCORER_PARAMETERS = {
+    "evaluate_all": ["x", "ref"],
+    "ergas": ["x", "ref"],
+    "psnr": ["x", "ref", "peak"],
+    "ssim": ["x", "ref", "peak"],
+}
+
 RECOVERY_REPORT_FIELDS = ["tensors", "trace", "converged", "iterations", "notes"]
 
 CONFIG_FLAGS = ["--" + name.replace("_", "-") for name in SOLVER_CONFIG_FIELDS] + ["--config"]
@@ -70,7 +79,7 @@ SUBCOMMANDS = {
     "complete": (["input"], ["--sr", "--mask", "--gt", "--seed", "--out"] + CONFIG_FLAGS),
     "denoise": (["input"], ["--sp-fraction", "--noniid", "--gaussian-sigma", "--gt", "--seed",
                             "--out"] + CONFIG_FLAGS),
-    "eval": (["recovered", "reference"], ["--peak", "--out"]),
+    "eval": (["recovered", "reference"], ["--out"]),
 }
 
 SRC = Path(tenrec.__file__).resolve().parent
@@ -99,6 +108,11 @@ def test_solver_config_fields():
 def test_solver_parameters():
     assert {name: list(inspect.signature(getattr(tenrec, name)).parameters)
             for name in SOLVER_PARAMETERS} == SOLVER_PARAMETERS
+
+
+def test_scorer_parameters():
+    assert {name: list(inspect.signature(getattr(tenrec, name)).parameters)
+            for name in SCORER_PARAMETERS} == SCORER_PARAMETERS
 
 
 def test_recovery_report_fields():
