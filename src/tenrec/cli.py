@@ -207,8 +207,6 @@ def _run_complete(args, data, cfg):
     inputs = {"tensor": str(args.input)}
     if args.mask is not None:
         mask = load_tensor(args.mask)
-        if mask.shape != data.shape:
-            raise ValueError(f"mask shape {mask.shape} does not match data shape {data.shape}")
         if not np.all((mask == 0) | (mask == 1)):
             raise ValueError(f"mask {args.mask} holds values other than 0 and 1")
         mask = mask.astype(bool)
@@ -219,15 +217,14 @@ def _run_complete(args, data, cfg):
         label, observation = f"sr={args.sr}", {"sr": args.sr}
 
     ground_truth = _ground_truth(args, data, args.sr is not None)
-    report = complete(np.where(mask, data, 0.0), mask, cfg)
+    report = complete(data, mask, cfg)
     return report, ground_truth, inputs, label, observation
 
 
 def _run_denoise(args, data, cfg):
     """Optional synthetic noise from the noise flags, then the robust-PCA solver."""
-    spec = NoiseSpec(args.sp_fraction, args.gaussian_sigma, args.noniid, args.seed)
     try:
-        spec.validate()
+        spec = NoiseSpec(args.sp_fraction, args.gaussian_sigma, args.noniid, args.seed)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     noise_requested = args.sp_fraction > 0 or args.gaussian_sigma > 0 or args.noniid

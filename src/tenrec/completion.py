@@ -122,9 +122,12 @@ class _MaskedEstimate:
     """Completion's data block for :func:`run_sweeps`: the masked z step."""
 
     def __init__(self, observed, mask):
-        # The observed entries by flat index, found once per solve.
+        # The observed entries and their flat C-order indices, read once per
+        # solve in any memory order.
         self.index = np.flatnonzero(mask)
-        self.values = observed.ravel()[self.index]
+        self.values = observed[mask]
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("observed entries must be finite")
         self.x = np.zeros(observed.shape)
         np.put(self.x, self.index, self.values)
 
@@ -164,22 +167,17 @@ def complete(observed, mask, config=None, track_descent=False):
         RecoveryReport with the completed tensor under ``tensors['Z']``, which
         :mod:`tenrec.metrics` scores against a ground truth.
     """
-    cfg = (config or SolverConfig()).validate()
-    # C-ordered copies of inputs held in another memory order, so every
-    # pass of the sweep runs on one layout.
-    observed = np.ascontiguousarray(observed, dtype=float)
-    mask = np.ascontiguousarray(mask)
+    observed = np.asarray(observed, dtype=float)
+    mask = np.asarray(mask)
     if mask.dtype != bool:
         raise ValueError("mask must be boolean")
     if mask.shape != observed.shape:
         raise ValueError(f"mask shape {mask.shape} does not match data {observed.shape}")
     if observed.ndim < 2:
         raise ValueError("completion needs at least a 2-way tensor")
-    if not np.all(np.isfinite(observed[mask])):
-        raise ValueError("observed entries must be finite")
     block = _MaskedEstimate(observed, mask)
     del observed, mask  # the block keeps the observed entries only
-    return run_sweeps(cfg, block, track_descent)
+    return run_sweeps(config or SolverConfig(), block, track_descent)
 
 
 def run_sweeps(cfg, block, track_descent):

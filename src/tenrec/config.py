@@ -10,11 +10,14 @@ import numpy as np
 from .algebra import mode_pairs
 
 BETA_SUM_TOL = 1e-12
+_POSITIVE = ("gamma", "epsilon", "mu0", "rho0", "tol", "penalty_tau", "tau1_scale")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Shared knob set for the completion and robust-PCA solvers.
+
+    Checked when built and frozen after: derive a variant with :meth:`updated`.
 
     ``beta`` holds one non-negative weight per mode pair in lexicographic
     order, summing to one; ``None`` means uniform.  Pairs with zero weight
@@ -37,37 +40,25 @@ class SolverConfig:
     tau1_scale: float = 1.0
     strict_prox: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         # Every check below is a comparison, which NaN passes.
         for f in fields(self):
             value = getattr(self, f.name)
             if value is not None and not np.all(np.isfinite(value)):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.mu0 <= 0:
-            raise ValueError(f"mu0 must be positive, got {self.mu0}")
-        if self.rho0 <= 0:
-            raise ValueError(f"rho0 must be positive, got {self.rho0}")
+        for name in _POSITIVE:
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.growth < 1:
             raise ValueError(f"growth must be >= 1, got {self.growth}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
-        if self.penalty_tau <= 0:
-            raise ValueError(f"penalty_tau must be positive, got {self.penalty_tau}")
-        if self.tau1_scale <= 0:
-            raise ValueError(f"tau1_scale must be positive, got {self.tau1_scale}")
         if self.beta is not None:
             beta = np.asarray(self.beta, dtype=float)
             if np.any(beta < 0):
                 raise ValueError("beta weights must be non-negative")
             if abs(beta.sum() - 1.0) > BETA_SUM_TOL:
                 raise ValueError(f"beta weights must sum to 1, got {float(beta.sum())!r}")
-        return self
 
     def pair_weights(self, ndim):
         """Resolved (pair, weight) list for an ndim-way tensor.
@@ -145,4 +136,4 @@ def build_config(file_options=None, overrides=None):
     for source in (file_options, overrides):
         if source:
             merged.update({k: v for k, v in source.items() if v is not None})
-    return SolverConfig(**merged).validate()
+    return SolverConfig(**merged)

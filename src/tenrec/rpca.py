@@ -120,7 +120,7 @@ def decompose(observed, config=None, track_descent=False):
         RecoveryReport with ``tensors['L']``, ``tensors['E']``, ``tensors['N']``;
         :mod:`tenrec.metrics` scores L against a ground truth.
     """
-    cfg = (config or SolverConfig()).validate()
+    cfg = config or SolverConfig()
     # A C-ordered copy of an input held in another memory order, so every
     # pass of the sweep runs on one layout.
     t = np.ascontiguousarray(observed, dtype=float)

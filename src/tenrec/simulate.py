@@ -38,11 +38,9 @@ def gen_lowrank(shape, rank, seed):
 
 @dataclass
 class SamplingMask:
-    """Boolean observation mask with its generating parameters."""
+    """Boolean observation mask."""
 
     mask: np.ndarray
-    sampling_rate: float
-    seed: int
 
 
 def gen_mask(shape, sampling_rate, seed):
@@ -55,10 +53,10 @@ def gen_mask(shape, sampling_rate, seed):
     rng = make_rng(seed)
     flat = np.zeros(numel, dtype=bool)
     flat[rng.permutation(numel)[:count]] = True
-    return SamplingMask(flat.reshape(shape), float(sampling_rate), int(seed))
+    return SamplingMask(flat.reshape(shape))
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseSpec:
     """Mixed-noise parameters.
 
@@ -66,7 +64,8 @@ class NoiseSpec:
     probability (salt and pepper); ``gaussian_sigma`` scales additive
     Gaussian noise applied everywhere first.  ``noniid``, when set to a
     ``(lo, hi)`` range, draws an independent salt-and-pepper fraction per
-    frontal slice instead of using ``sp_fraction``.
+    frontal slice instead of using ``sp_fraction``.  Checked when built
+    and frozen after.
     """
 
     sp_fraction: float = 0.0
@@ -74,7 +73,7 @@ class NoiseSpec:
     noniid: tuple | None = None
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if not 0 <= self.sp_fraction < 1:
             raise ValueError(f"sp_fraction must lie in [0, 1), got {self.sp_fraction}")
         if not 0 <= self.gaussian_sigma < np.inf:
@@ -84,7 +83,6 @@ class NoiseSpec:
             lo, hi = self.noniid
             if not (0 <= lo <= hi < 1):
                 raise ValueError(f"noniid range must satisfy 0 <= lo <= hi < 1, got {self.noniid}")
-        return self
 
     def describe(self):
         if self.noniid is not None:
@@ -100,7 +98,6 @@ def add_mixed_noise(z, spec):
     Gaussian noise is added to every entry, then a fraction of entries is
     overwritten with 0 or 1.  Input is not modified.
     """
-    spec.validate()
     z = np.asarray(z, dtype=float)
     rng = make_rng(spec.seed)
     out = z.copy()

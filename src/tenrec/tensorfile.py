@@ -28,14 +28,14 @@ class TensorFormatError(ValueError):
 
 
 def save_tensor(path, t):
-    t = np.asarray(t, dtype=float)
+    t = np.asarray(t, dtype="<f8")
     if t.ndim < 1 or t.ndim > 255:
         raise ValueError(f"cannot store a {t.ndim}-way tensor")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<BB", VERSION, t.ndim))
         fh.write(struct.pack(f"<{t.ndim}Q", *t.shape))
-        fh.write(np.asarray(t, dtype="<f8").flatten(order="F").tobytes())
+        fh.write(t.tobytes(order="F"))
 
 
 def load_tensor(path):

@@ -252,7 +252,7 @@ class TestSolve:
         with pytest.raises(ValueError):
             SolverConfig(beta=(0.5, 0.5)).pair_weights(3)
         with pytest.raises(ValueError):
-            SolverConfig(beta=(0.5, 0.4, 0.2)).validate()
+            SolverConfig(beta=(0.5, 0.4, 0.2))
 
 
 def memory_orders(x):

@@ -1,10 +1,12 @@
+import dataclasses
+
 import pytest
 
 from tenrec import SolverConfig, build_config, load_config_file
 
 
 def test_defaults_validate():
-    SolverConfig().validate()
+    SolverConfig()
 
 
 def test_pair_weights_uniform_default():
@@ -30,8 +32,8 @@ def test_pair_weights_length_check():
 
 def test_beta_sum_checked():
     with pytest.raises(ValueError):
-        SolverConfig(beta=(0.6, 0.3, 0.2)).validate()
-    SolverConfig(beta=(0.6, 0.3, 0.1)).validate()
+        SolverConfig(beta=(0.6, 0.3, 0.2))
+    SolverConfig(beta=(0.6, 0.3, 0.1))
 
 
 def test_resolve_tau_defaults():
@@ -64,7 +66,24 @@ def test_scalar_validation():
         dict(beta=(-0.5, 1.0, 0.5)),
     ):
         with pytest.raises(ValueError):
-            SolverConfig(**bad).validate()
+            SolverConfig(**bad)
+
+
+@pytest.mark.parametrize("name", ["gamma", "epsilon", "mu0", "rho0", "tol", "penalty_tau",
+                                  "tau1_scale"])
+def test_checked_when_built_and_when_updated(name):
+    message = f"^{name} must be positive, got -1.0$"
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(**{name: -1.0})
+    with pytest.raises(ValueError, match=message):
+        SolverConfig().updated(**{name: -1.0})
+
+
+def test_built_config_is_frozen():
+    cfg = SolverConfig()
+    for f in dataclasses.fields(cfg):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
 
 
 def test_config_file_roundtrip(tmp_path):

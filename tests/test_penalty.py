@@ -663,6 +663,34 @@ class TestGramFullPath:
         assert svd_shapes == [(4, max(i1, i2), min(i1, i2))]
         assert_matches_oracle(y, w, rho, eps)
 
+    def test_triplets_failing_the_residual_test_fall_back_to_the_svd(self, svd_shapes,
+                                                                      monkeypatch):
+        # leading eigenvectors turned by 1e-6 rad keep their eigenvalues,
+        # so every slice passes the band test, fails the residual test and
+        # is factored by its own SVD
+        y, w, rho, eps = gapped_instance(60, 60, 6, 3, seed=1)
+        eigh, gram_triplets = np.linalg.eigh, penalty._gram_triplets
+        turn = np.array([[np.cos(1e-6), -np.sin(1e-6)], [np.sin(1e-6), np.cos(1e-6)]])
+        refused = []
+
+        def turned_eigh(a, *args, **kwargs):
+            lam, vec = eigh(a, *args, **kwargs)
+            vec[:, [-1, -2]] = vec[:, [-1, -2]] @ turn
+            return lam, vec
+
+        def recording_gram_triplets(*args):
+            triplets = gram_triplets(*args)
+            refused.append(triplets is None)
+            return triplets
+
+        monkeypatch.setattr(np.linalg, "eigh", turned_eigh)
+        monkeypatch.setattr(penalty, "_gram_triplets", recording_gram_triplets)
+        svd_shapes.clear()
+        weighted_log_prox(y, w, rho, eps)
+        assert refused == [True] * 4
+        assert svd_shapes == [(60, 60)] * 4
+        assert_matches_oracle(y, w, rho, eps)
+
     @pytest.mark.parametrize("i1, i2", [(48, 56), (56, 48)])
     def test_value_within_band_falls_back_for_that_slice_alone(self, i1, i2):
         # slice 1's fourth value sits 1e-13 below its threshold, inside the

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,11 +115,17 @@ class TestMixedNoise:
         assert np.array_equal(z, ref)
 
     def test_invalid_spec(self):
+        with pytest.raises(ValueError, match=r"^sp_fraction must lie in \[0, 1\), got 1.0$"):
+            NoiseSpec(sp_fraction=1.0)
         with pytest.raises(ValueError):
-            NoiseSpec(sp_fraction=1.0).validate()
+            NoiseSpec(gaussian_sigma=-0.1)
         with pytest.raises(ValueError):
-            NoiseSpec(gaussian_sigma=-0.1).validate()
+            NoiseSpec(gaussian_sigma=float("nan"))
         with pytest.raises(ValueError):
-            NoiseSpec(gaussian_sigma=float("nan")).validate()
-        with pytest.raises(ValueError):
-            NoiseSpec(noniid=(0.5, 0.2)).validate()
+            NoiseSpec(noniid=(0.5, 0.2))
+
+    def test_built_spec_is_frozen(self):
+        spec = NoiseSpec(sp_fraction=0.1, seed=3)
+        for f in dataclasses.fields(spec):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, f.name, getattr(spec, f.name))
