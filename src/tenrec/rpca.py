@@ -90,10 +90,12 @@ class _LowRankSparseNoise:
     def ascend(self):
         residual = self.t - self.x - self.e - self.n
         self.f = self.f + self.ptau * residual
+        # einsum, not a threaded BLAS dot that can stall on a large array
+        n, r = self.n.ravel(), residual.ravel()
         return {
             "E_l1": float(np.sum(np.abs(self.e))),
-            "N_fro": float(np.linalg.norm(self.n)),
-            "residual_fro": float(np.linalg.norm(residual)),
+            "N_fro": float(np.sqrt(np.einsum("i,i->", n, n))),
+            "residual_fro": float(np.sqrt(np.einsum("i,i->", r, r))),
         }
 
     def grow(self, growth):

@@ -5,7 +5,9 @@ The solvers only evaluate the weight form of the penalty
 ``penalty.update_lambda_bar``); the equivalence results of the model are
 what make that enough.  The direct forms of the penalty and the t-SVD
 toolkit below state those results in code: the tests check the weight
-form and the prox against them.  None of it is part of the package.
+form and the prox against them.  The band-loop forms of the error
+scores are the references of ``tenrec.metrics``' one-reduction scores.
+None of it is part of the package.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from tenrec.algebra import (
     t_product,
     unfold_mode_pair,
 )
+from tenrec.metrics import _as_bands
 from tenrec.penalty import _validate_params, mlcp, weighted_log_prox
 from tenrec.simulate import gen_mask, make_rng
 
@@ -234,3 +237,38 @@ def prox_lgamma_norm(y, lam_bar, gamma, rho, epsilon, strict=False):
     l, sigma_new, _, _ = weighted_log_prox(y, lam_bar, rho, epsilon, strict=strict)
     w = np.maximum(np.asarray(lam_bar, dtype=float) - np.log1p(sigma_new / epsilon) / gamma, 0.0)
     return l, w
+
+
+# -- Error scores, one band at a time ------------------------------------------
+
+
+def loop_rel_error(x, ref):
+    """``||x - ref|| / max(||ref||, 1e-300)`` by NumPy's Frobenius norm."""
+    xb, rb = _as_bands(x, ref)
+    return float(np.linalg.norm(xb - rb)) / max(float(np.linalg.norm(rb)), 1e-300)
+
+
+def loop_psnr(x, ref, peak=1.0):
+    """Mean over bands of 10*log10(peak^2 / MSE), one band at a time; +inf
+    as soon as a band has zero error."""
+    xb, rb = _as_bands(x, ref)
+    values = []
+    for b in range(xb.shape[2]):
+        mse = float(np.mean((xb[:, :, b] - rb[:, :, b]) ** 2))
+        if mse == 0.0:
+            return float("inf")
+        values.append(10.0 * np.log10(peak**2 / mse))
+    return float(np.mean(values))
+
+
+def loop_ergas(x, ref):
+    """``100 * sqrt(mean_b((RMSE_b / mean_b)^2))``, one band at a time."""
+    xb, rb = _as_bands(x, ref)
+    terms = []
+    for b in range(xb.shape[2]):
+        band_mean = float(np.mean(rb[:, :, b]))
+        if band_mean == 0.0:
+            raise ValueError(f"reference band {b} has zero mean; ERGAS undefined")
+        rmse = float(np.sqrt(np.mean((xb[:, :, b] - rb[:, :, b]) ** 2)))
+        terms.append((rmse / band_mean) ** 2)
+    return float(100.0 * np.sqrt(np.mean(terms)))

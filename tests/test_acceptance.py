@@ -5,6 +5,7 @@ were frozen from verified runs of the shipped configs in ``configs/``.
 """
 
 import csv
+import json
 import time
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from oracles import (cp_completion_instance, cp_tensor, lgamma_norm, mlcp_weight
 from test_completion import estimate_error
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+REFERENCE_AT_SEED_0 = json.loads((Path(__file__).parent / "reference_seed0.json").read_text())
 
 
 def lrtc_instance():
@@ -60,6 +62,18 @@ def trpca_config():
     return build_config(load_config_file(CONFIG_DIR / "trpca_synthetic.cfg"))
 
 
+def assert_seed0_reference(workload, report, rel):
+    """Pin a solve's sweeps and 4-digit rel_error to ``reference_seed0.json``.
+
+    A1 and A2 are the benchmark's ``a1-cli`` and ``a2-cli`` instances at
+    seed 0.  Until ``perfbench/workloads.py`` reads this file, perfbench
+    keeps its own copy of these values (``REFERENCE_AT_SEED_0``), so a
+    change that moves them edits both.
+    """
+    pinned = REFERENCE_AT_SEED_0[workload]
+    assert (report.iterations, f"{rel:.3e}") == (pinned["sweeps"], pinned["rel_error"])
+
+
 def test_a1_completion_synthetic_recovery():
     gt, mask, observed = lrtc_instance()
     started = time.perf_counter()
@@ -68,6 +82,7 @@ def test_a1_completion_synthetic_recovery():
     rel = estimate_error(report, gt)
     assert rel <= 1e-2
     assert report.iterations <= 500
+    assert_seed0_reference("a1-cli", report, rel)
     assert elapsed <= 60.0
     print(f"A1 completion recovery: PASS (rel_error={rel:.3e}, "
           f"iters={report.iterations}, {elapsed:.1f}s)")
@@ -80,6 +95,7 @@ def test_a2_robust_pca_synthetic_recovery():
     elapsed = time.perf_counter() - started
     rel = estimate_error(report, l_true)
     assert rel <= 5e-2
+    assert_seed0_reference("a2-cli", report, rel)
     assert elapsed <= 60.0
     print(f"A2 robust-pca recovery: PASS (rel_error={rel:.3e}, "
           f"iters={report.iterations}, {elapsed:.1f}s)")

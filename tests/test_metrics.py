@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import tenrec
-from tenrec import ergas, psnr, ssim
+from tenrec import NoiseSpec, SolverConfig, add_mixed_noise, decompose, ergas, gen_lowrank, psnr, ssim
 from tenrec.metrics import SSIM_SIGMA, _filter, _gaussian_window, evaluate_all, rel_error
+
+from oracles import loop_ergas, loop_psnr, loop_rel_error
 
 
 class TestPsnr:
@@ -197,3 +199,85 @@ def test_evaluate_all_scores_at_the_reference_peak():
     assert out["psnr"] == psnr(x, ref, peak=30.0)
     assert out["ssim"] == ssim(x, ref, peak=30.0)
     assert out["psnr"] != psnr(x, ref)
+
+
+def scored_pair(shape, seed):
+    rng = np.random.default_rng(seed)
+    ref = rng.random(shape) + 0.1
+    return ref + 0.05 * rng.standard_normal(shape), ref
+
+
+def one_exact_band(shape, seed):
+    x, ref = scored_pair(shape, seed)
+    x[:, :, 3] = ref[:, :, 3]
+    return x, ref
+
+
+class TestBandReduction:
+    """The scores reduce each band's squared error once; the band loops of
+    ``oracles`` are their references."""
+
+    @pytest.mark.parametrize("x, ref", [scored_pair((30, 30, 20), 20),
+                                        scored_pair((20, 20, 6, 3), 21),
+                                        one_exact_band((30, 30, 20), 22)])
+    def test_scores_match_band_loops(self, x, ref):
+        assert rel_error(x, ref) == pytest.approx(loop_rel_error(x, ref), rel=1e-13, abs=0)
+        assert psnr(x, ref, 1.7) == pytest.approx(loop_psnr(x, ref, 1.7), rel=1e-13, abs=0)
+        assert ergas(x, ref) == pytest.approx(loop_ergas(x, ref), rel=1e-13, abs=0)
+
+    def test_one_exact_band_gives_infinite_psnr(self):
+        x, ref = one_exact_band((30, 30, 20), 22)
+        assert psnr(x, ref) == float("inf")
+        assert rel_error(x, ref) > 0.0 and ergas(x, ref) > 0.0
+
+    def test_ergas_names_first_zero_mean_band(self):
+        x, ref = scored_pair((8, 8, 6), 23)
+        ref[:4, :, [2, 4]] = 1.0
+        ref[4:, :, [2, 4]] = -1.0
+        with pytest.raises(ValueError, match=r"^reference band 2 has zero mean; ERGAS undefined$"):
+            ergas(x, ref)
+
+
+# OpenBLAS threads its dot above about this many entries, and a call on
+# cold threads can stall for milliseconds.
+BLAS_DOT_LIMIT = 10_000
+
+
+@pytest.fixture
+def no_whole_array_dot(monkeypatch):
+    """Make np.linalg.norm, np.dot and np.vecdot raise when they reduce an
+    array of more than BLAS_DOT_LIMIT entries to one number."""
+    def guarded(name, func):
+        def call(*args, **kwargs):
+            out = func(*args, **kwargs)
+            arrays = [a for a in (*args, *kwargs.values()) if isinstance(a, np.ndarray)]
+            size = max((a.size for a in arrays), default=0)
+            if np.ndim(out) == 0 and size > BLAS_DOT_LIMIT:
+                raise AssertionError(f"{name} reduced a whole array of {size} entries")
+            return out
+        return call
+
+    monkeypatch.setattr(np.linalg, "norm", guarded("np.linalg.norm", np.linalg.norm))
+    monkeypatch.setattr(np, "dot", guarded("np.dot", np.dot))
+    monkeypatch.setattr(np, "vecdot", guarded("np.vecdot", np.vecdot))
+
+
+class TestNoBlasDot:
+    def test_guard_catches_a_whole_array_norm(self, no_whole_array_dot):
+        big = np.ones(BLAS_DOT_LIMIT + 1)
+        for reduce in (np.linalg.norm, lambda a: np.dot(a, a), lambda a: np.vecdot(a, a)):
+            with pytest.raises(AssertionError, match="reduced a whole array"):
+                reduce(big)
+        assert np.linalg.norm(big.reshape(-1, 1), axis=0).shape == (1,)
+
+    def test_evaluate_all(self, no_whole_array_dot):
+        x, ref = scored_pair((30, 30, 20), 24)
+        assert list(evaluate_all(x, ref)) == ["rel_error", "psnr", "ssim", "ergas"]
+
+    def test_robust_pca_trace(self, no_whole_array_dot):
+        l_true = gen_lowrank((30, 30, 20), 2, seed=25)
+        observed = add_mixed_noise(l_true, NoiseSpec(sp_fraction=0.1, gaussian_sigma=0.05,
+                                                     seed=25))
+        report = decompose(observed, SolverConfig(beta=(1.0, 0.0, 0.0), max_iter=3))
+        assert report.iterations == 3
+        assert {"N_fro", "residual_fro"} <= set(report.trace[-1])
