@@ -131,25 +131,22 @@ def t_product(a, b):
     return c
 
 
-def _mirror_index(i3):
-    """Half-spectrum slice that holds each of the ``I3`` Fourier slices.
-
-    Slice ``k`` and slice ``I3 - k`` are conjugate mirrors and share their
-    singular values, so column ``k`` of a per-slice result is column
-    ``min(k, I3 - k)`` of its half-spectrum counterpart.
-    """
-    k = np.arange(i3)
-    return np.minimum(k, i3 - k)
+def _mirror_count(i3):
+    """How many of the ``I3`` Fourier slices each half-spectrum slice
+    stands for: slice ``k`` and slice ``I3 - k`` are conjugate mirrors with
+    the same singular values, so 2 for every slice but slice 0 and the
+    Nyquist slice of an even ``I3``, which stand for themselves."""
+    count = np.ones(i3 // 2 + 1, dtype=int)
+    count[1:(i3 + 1) // 2] = 2
+    return count
 
 
 def fourier_singular_values(z):
     """Per-Fourier-slice singular values of a real 3-way array.
 
-    Returns an ``(R, I3)`` matrix with ``R = min(I1, I2)``; each column is
-    non-increasing.  Only the ``I3 // 2 + 1`` half-spectrum slices of the
-    real FFT are factored; the rest are conjugate mirrors with identical
-    singular values.
+    Returns an ``(R, I3 // 2 + 1)`` matrix with ``R = min(I1, I2)``, one
+    non-increasing column per half-spectrum slice of the real FFT; the
+    other slices are conjugate mirrors with the same singular values.
     """
     z = _require_3way(z)
-    vals = np.linalg.svd(np.moveaxis(np.fft.rfft(z, axis=2), 2, 0), compute_uv=False)
-    return vals.T[:, _mirror_index(z.shape[2])]
+    return np.linalg.svd(np.moveaxis(np.fft.rfft(z, axis=2), 2, 0), compute_uv=False).T

@@ -194,11 +194,14 @@ def _out_dir(args):
 
 
 def _ground_truth(args, data, fallback):
-    """``--gt``, else ``data`` if ``fallback``; refused before the solve if not shaped as ``data``."""
+    """``--gt``, else ``data`` if ``fallback``; refused before the solve
+    unless finite and shaped as ``data``."""
     ground_truth = load_tensor(args.gt) if args.gt else (data if fallback else None)
     if ground_truth is not None and ground_truth.shape != data.shape:
         raise ValueError(f"ground truth shape {ground_truth.shape} does not match "
                          f"data {data.shape}")
+    if ground_truth is not None and not np.isfinite(ground_truth).all():
+        raise ValueError("ground truth holds NaN or inf")
     return ground_truth
 
 

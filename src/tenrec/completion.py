@@ -22,7 +22,7 @@ from functools import reduce
 
 import numpy as np
 
-from .algebra import fold_mode_pair, fourier_singular_values, unfold_mode_pair
+from .algebra import _mirror_count, fold_mode_pair, fourier_singular_values, unfold_mode_pair
 from .config import SolverConfig
 from .penalty import shrink_singular_values, update_lambda_bar, update_weights, weighted_log_prox
 from .report import RecoveryReport
@@ -36,9 +36,10 @@ GAMMA1 = 1.1
 
 class PairState:
     """Per-mode-pair variables, as plain arrays: surrogate ``m``, multiplier
-    ``q``, weights ``w`` and their target ``lam_bar`` (both R x I3), the
-    singular values ``sigma`` and the warm start ``basis`` of the
-    surrogate's shrinkage (``None`` until the prox returns one)."""
+    ``q``, weights ``w``, their target ``lam_bar`` and singular values
+    ``sigma`` (R x (I3 // 2 + 1): per half-spectrum slice, which a sum over
+    the spectrum counts ``count`` times), and the warm start ``basis`` of
+    the shrinkage (``None`` until the prox returns one)."""
 
     def __init__(self, pair, beta, m):
         self.pair = pair
@@ -46,7 +47,8 @@ class PairState:
         self.beta = beta
         self.m = m
         self.q = np.zeros_like(m)
-        self.w = np.ones((min(m.shape[0], m.shape[1]), m.shape[2]))
+        self.count = _mirror_count(m.shape[2])
+        self.w = np.ones((min(m.shape[0], m.shape[1]), self.count.size))
         self.lam_bar = np.ones_like(self.w)
         # Fourier-slice singular values of m, non-increasing per column;
         # carried between sweeps so only the shrinkage step has to factor
@@ -60,8 +62,9 @@ def update_m_pair(m, z_unf, q, w_new, mu, rho1, epsilon, strict=False, basis=Non
 
     The argument ``m + (mu*z + q - mu*m)/rho1`` is the proximal-linearized
     point; its Fourier-slice singular values are shrunk under the fixed
-    weights ``w_new`` with quadratic scale ``rho1``.  ``basis`` is the
-    ``next_basis`` this pair's previous step returned, or None.
+    weights ``w_new`` (as :class:`PairState` holds them) with quadratic
+    scale ``rho1``.  ``basis`` is the ``next_basis`` this pair's previous
+    step returned, or None.
 
     Returns (m_new, sigma_new, sigma_arg, next_basis), as
     :func:`~tenrec.penalty.weighted_log_prox` returns them.  After a
@@ -107,12 +110,12 @@ def update_multiplier(q, z_new_unf, m_new, mu):
 
 def lagrangian_value(x, states, mu, gamma, epsilon):
     """The pairs' part of the augmented Lagrangian at the estimate ``x``:
-    per pair, beta * (its weighted log term and target tether, and
-    ``(mu/2)*||unfold(x) - M + Q/mu||^2``)."""
+    per pair, beta * (its weighted log term and target tether, summed over
+    the whole spectrum, and ``(mu/2)*||unfold(x) - M + Q/mu||^2``)."""
     total = 0.0
     for st in states:
-        energy = (np.sum(st.w * np.log1p(st.sigma / epsilon))
-                  + 0.5 * gamma * np.sum((st.w - st.lam_bar) ** 2))
+        energy = np.sum(st.count * (st.w * np.log1p(st.sigma / epsilon)
+                                    + 0.5 * gamma * (st.w - st.lam_bar) ** 2))
         quad = 0.5 * mu * np.sum((unfold_mode_pair(x, *st.pair) - st.m + st.q / mu) ** 2)
         total += st.beta * float(energy + quad)
     return total
@@ -201,7 +204,9 @@ def run_sweeps(cfg, block, track_descent):
     ``lag_after``, the Lagrangian at the sweep's start and after its
     primal steps (multipliers held fixed), and ``subproblems``: per step,
     the Lagrangian before it and after it plus its proximal term
-    ``(scale/2)*||new - old||^2``.  ``notes`` counts the rises.  The
+    ``0.5*sum(scale*(new - old)**2)``; the weight steps' ``scale`` is
+    ``beta*rho*count``, so that their term covers the whole spectrum.
+    ``notes`` counts the rises.  The
     surrogate step's term is PALM's sufficient decrease
     ``beta*(rho1 - mu)/2*||dM||^2``, which only the exact proximal map
     (``strict_prox``) guarantees.
@@ -269,7 +274,7 @@ def _pair_step(st, x, mu, rho, cfg, check):
     rho1 = GAMMA1 * mu
     w_old, lam_old, m_old = st.w, st.lam_bar, st.m
     st.w = update_weights(st.sigma, w_old, lam_old, cfg.gamma, rho, cfg.epsilon)
-    check(st.label + ".w", st.beta * rho, st.w, w_old)
+    check(st.label + ".w", st.beta * rho * st.count, st.w, w_old)
 
     st.m, st.sigma, sigma_arg, st.basis = update_m_pair(
         m_old, unfold_mode_pair(x, st.pair[0], st.pair[1]), st.q, st.w, mu, rho1, cfg.epsilon,
@@ -278,11 +283,11 @@ def _pair_step(st, x, mu, rho, cfg, check):
     check(st.label + ".m", st.beta * (rho1 - mu), st.m, m_old)
 
     st.lam_bar = update_lambda_bar(st.w, lam_old, cfg.gamma, rho)
-    check(st.label + ".lam", st.beta * rho, st.lam_bar, lam_old)
+    check(st.label + ".lam", st.beta * rho * st.count, st.lam_bar, lam_old)
     if not cfg.strict_prox:
         return 0
     default_vals = shrink_singular_values(sigma_arg, st.w, rho1 / m_old.shape[2], cfg.epsilon)
-    return int(np.count_nonzero(default_vals != st.sigma))
+    return int(np.sum(st.count * (default_vals != st.sigma)))
 
 
 def _unchecked(name, scale, new, old):
@@ -304,4 +309,4 @@ class _StepCheck:
 
     def __call__(self, name, scale, new, old):
         before, self.last = self.last, self.lagrangian()
-        self.steps[name] = (before, self.last + 0.5 * scale * float(np.sum((new - old) ** 2)))
+        self.steps[name] = (before, self.last + 0.5 * float(np.sum(scale * (new - old) ** 2)))

@@ -15,12 +15,13 @@ SSIM_SIGMA = 1.5
 
 
 def _as_bands(x, ref):
-    x = np.asarray(x, dtype=float)
-    ref = np.asarray(ref, dtype=float)
+    x, ref = np.asarray(x, dtype=float), np.asarray(ref, dtype=float)
     if x.shape != ref.shape:
         raise ValueError(f"shapes differ: {x.shape} vs {ref.shape}")
     if x.ndim < 2:
         raise ValueError("metrics need at least a 2-way array")
+    if not (np.isfinite(x).all() and np.isfinite(ref).all()):
+        raise ValueError("cannot score an array or a reference that holds NaN or inf")
     return x.reshape(x.shape[0], x.shape[1], -1), ref.reshape(x.shape[0], x.shape[1], -1)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _mirror_index, _require_3way
+from .algebra import _require_3way
 
 
 # The range checks are written so that NaN fails them.
@@ -110,18 +110,18 @@ def shrink_singular_values(y, w, rho, epsilon, strict=False):
 def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     """Singular-value shrinkage of a 3-way array under fixed weights.
 
-    Targets ``argmin_L (rho/2)*||L - Y||_F^2 + sum_{j,i} w[j,i] *
-    log(sigma_j(L_bar_i)/eps + 1)``: the spatial Frobenius quadratic is
-    ``1/I3`` times the Fourier-domain one, so each Fourier singular value
-    is shrunk with quadratic scale ``rho/I3`` by
-    :func:`shrink_singular_values`.  Only ``strict=True`` takes each
-    value's global minimiser, i.e. the proximal map that PALM's
+    Targets ``argmin_L (rho/2)*||L - Y||_F^2 + sum_{j,i} w[j,k(i)] *
+    log(sigma_j(L_bar_i)/eps + 1)`` over all ``I3`` Fourier slices ``i``.
+    ``w`` is ``R x (I3 // 2 + 1)``, one column per half-spectrum slice:
+    slice ``i`` and its conjugate mirror ``I3 - i`` have the same singular
+    values and take the same column ``k(i) = min(i, I3 - i)``.  The
+    spatial Frobenius quadratic is ``1/I3`` times the Fourier-domain one,
+    so each Fourier singular value is shrunk with quadratic scale
+    ``rho/I3`` by :func:`shrink_singular_values`.  Only ``strict=True``
+    takes each value's global minimiser, i.e. the proximal map that PALM's
     convergence result under the KL property assumes.  The default rule
-    keeps the larger stationary point for every value above its
-    threshold, although zero is lower in a narrow band just above it.
-    Conjugate-mirror slices share their singular values, so a real result
-    only depends on ``w`` through the mean of each mirror pair of
-    columns; the pair means are what the shrinkage uses.
+    keeps the larger stationary point for every value above its threshold,
+    although zero is lower in a narrow band just above it.
 
     Only the ``I3 // 2 + 1`` half-spectrum slices ``A`` of the real FFT
     are factored, by one of four routes; when ``I1 > I2`` their
@@ -169,31 +169,29 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     Returns
     -------
     (l, sigma_new, sigma_old, next_basis)
-        The shrunk array and the R x I3 matrices of shrunk and original
-        Fourier-slice singular values.  After a truncated factorization,
-        ``sigma_old`` holds the ``p`` Ritz values of each slice and NaN
-        past them, where no value was computed; ``sigma_new`` is zero
-        there, as the certificate proves.  ``next_basis`` holds the
-        leading vectors to pass as ``basis`` to the next call, or is
-        ``None`` where truncation would not pay or could not be certified
-        (see :func:`_next_basis`, the only judge of it).  A ``basis``
-        that is malformed, or has an entry above 1 in magnitude (so also a
-        NaN or inf one), is not used: the call takes the full path.
+        The shrunk array and the ``R x (I3 // 2 + 1)`` matrices of shrunk
+        and original half-spectrum singular values, laid out as ``w``.
+        After a truncated factorization, ``sigma_old`` holds the ``p``
+        Ritz values of each slice and NaN past them, where no value was
+        computed; ``sigma_new`` is zero there, as the certificate proves.
+        ``next_basis`` holds the leading vectors to pass as ``basis`` to
+        the next call, or is ``None`` where truncation would not pay or
+        could not be certified (see :func:`_next_basis`, the only judge
+        of it).  A ``basis`` that is malformed, or has an entry above 1
+        in magnitude (so also a NaN or inf one), is not used: the call
+        takes the full path.
     """
-    y = np.asarray(y, dtype=float)
-    y = _require_3way(y)
+    y = _require_3way(np.asarray(y, dtype=float))
     if not np.all(np.isfinite(y)):
         raise ValueError("prox input must be finite")
     i1, i2, i3 = y.shape
-    r = min(i1, i2)
+    r, half = min(i1, i2), i3 // 2 + 1
     w = np.asarray(w, dtype=float)
-    if w.shape != (r, i3):
-        raise ValueError(f"weight shape {w.shape} does not match ({r}, {i3})")
+    if w.shape != (r, half):
+        raise ValueError(f"weight shape {w.shape} does not match ({r}, {half}), "
+                         "one column per half-spectrum slice")
     _validate_shrink(w, rho, epsilon)
-    w_sym = 0.5 * (w + w[:, (-np.arange(i3)) % i3])
-
-    half = i3 // 2 + 1
-    w_half = w_sym[:, :half].T
+    w_half = w.T
     thr = _shrink_threshold(w_half, rho / i3, epsilon)
     # One buffer holds the slices, row-major over I1, so that the inverse
     # transform can write the real result over them.  a[j] is slice j, or
@@ -215,14 +213,9 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
         u, s, s_new = _shrink_slices(a, w_half, rho / i3, epsilon, thr, strict)
     l = _irfft_over_slices(rows, buf, i3)
 
-    p = s.shape[1]
-    sigma_new = np.zeros((half, r))
-    sigma_new[:, :p] = s_new
-    sigma_old = np.full((half, r), np.nan)
-    sigma_old[:, :p] = s
-    mirror = _mirror_index(i3)
-    next_basis = _next_basis(u, s, s_new, thr)
-    return l, sigma_new.T[:, mirror], sigma_old.T[:, mirror], next_basis
+    sigma_new, sigma_old = np.zeros((half, r)), np.full((half, r), np.nan)
+    sigma_new[:, :s.shape[1]], sigma_old[:, :s.shape[1]] = s_new, s
+    return l, sigma_new.T, sigma_old.T, _next_basis(u, s, s_new, thr)
 
 
 # Columns kept past the last kept index: the subspace iteration converges

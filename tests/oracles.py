@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tenrec.algebra import (
-    _require_3way,
-    fourier_singular_values,
-    mode_pairs,
-    t_product,
-    unfold_mode_pair,
-)
+from tenrec.algebra import _require_3way, mode_pairs, t_product, unfold_mode_pair
 from tenrec.metrics import _as_bands
 from tenrec.penalty import _validate_params, mlcp, weighted_log_prox
 from tenrec.simulate import gen_mask, make_rng
@@ -65,6 +59,21 @@ def cp_completion_instance(seed):
 def dft_mode3(z):
     """Unnormalised DFT along the third mode (tube direction)."""
     return np.fft.fft(_require_3way(z), axis=2)
+
+
+def full_spectrum_sv(z):
+    """Singular values of all ``I3`` Fourier slices, ``R x I3``: an SVD of
+    every slice of the full DFT, mirror slices included, so it does not
+    share the package's half-spectrum route."""
+    return np.linalg.svd(np.moveaxis(dft_mode3(z), 2, 0), compute_uv=False).T
+
+
+def mirror_columns(half, i3):
+    """The ``I3`` full-spectrum columns of an ``R x (I3 // 2 + 1)`` matrix:
+    slice ``k`` takes the column of ``min(k, I3 - k)``, its conjugate
+    mirror's."""
+    k = np.arange(i3)
+    return np.asarray(half)[:, np.minimum(k, i3 - k)]
 
 
 def idft_mode3(zbar):
@@ -137,21 +146,21 @@ def t_svd(z):
 
 def tubal_rank(z, rtol=None):
     """Number of nonzero singular tubes of a 3-way array."""
-    sigma = fourier_singular_values(z)
+    sigma = full_spectrum_sv(z)
     thresh = (rtol if rtol is not None else RANK_RTOL) * sigma.max(initial=0.0)
     return int(np.count_nonzero(sigma.max(axis=1) > thresh))
 
 
 def multi_rank(z, rtol=None):
     """Vector of Fourier-slice matrix ranks, one entry per tube index."""
-    sigma = fourier_singular_values(z)
+    sigma = full_spectrum_sv(z)
     thresh = (rtol if rtol is not None else RANK_RTOL) * sigma.max(initial=0.0)
     return (sigma > thresh).sum(axis=0).astype(int)
 
 
 def tnn(z):
     """Sum of singular values over all Fourier-domain frontal slices."""
-    return float(fourier_singular_values(z).sum())
+    return float(full_spectrum_sv(z).sum())
 
 
 def n_tubal_rank(t, rtol=None):
@@ -196,7 +205,7 @@ def log_weighted_norm(z, w, epsilon):
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    sigma = fourier_singular_values(z)
+    sigma = full_spectrum_sv(z)
     w = np.asarray(w, dtype=float)
     if w.shape != sigma.shape:
         raise ValueError(f"weight shape {w.shape} does not match {sigma.shape}")
@@ -211,7 +220,7 @@ def lgamma_norm(z, lam_bar, gamma, epsilon):
     one decoupled weight per Fourier-slice singular value.
     """
     _validate_params(lam_bar, gamma, epsilon)
-    sigma = fourier_singular_values(z)
+    sigma = full_spectrum_sv(z)
     lam_bar = np.asarray(lam_bar, dtype=float)
     if lam_bar.shape != sigma.shape:
         raise ValueError(f"target shape {lam_bar.shape} does not match {sigma.shape}")
@@ -226,7 +235,9 @@ def prox_lgamma_norm(y, lam_bar, gamma, rho, epsilon, strict=False):
     Shrinks the Fourier-slice singular values of ``Y`` with weights
     ``lam_bar`` (the global minimiser in ``L`` only with ``strict=True``,
     see :func:`weighted_log_prox`), then re-evaluates the closed-form
-    weights at the shrunk values.
+    weights at the shrunk values.  ``lam_bar`` is ``R x I3``, as
+    :func:`lgamma_norm` takes it, with equal columns on conjugate-mirror
+    slices: the prox takes its half-spectrum columns.
 
     Returns
     -------
@@ -234,8 +245,13 @@ def prox_lgamma_norm(y, lam_bar, gamma, rho, epsilon, strict=False):
         The shrunk tensor and the R x I3 weight matrix.
     """
     _validate_params(lam_bar, gamma, epsilon)
-    l, sigma_new, _, _ = weighted_log_prox(y, lam_bar, rho, epsilon, strict=strict)
-    w = np.maximum(np.asarray(lam_bar, dtype=float) - np.log1p(sigma_new / epsilon) / gamma, 0.0)
+    lam_bar = np.asarray(lam_bar, dtype=float)
+    i3 = lam_bar.shape[1]
+    if not np.array_equal(mirror_columns(lam_bar, i3), lam_bar):
+        raise ValueError("lam_bar differs between conjugate-mirror slices")
+    l, sigma_new, _, _ = weighted_log_prox(y, lam_bar[:, :i3 // 2 + 1], rho, epsilon,
+                                           strict=strict)
+    w = np.maximum(lam_bar - np.log1p(mirror_columns(sigma_new, i3) / epsilon) / gamma, 0.0)
     return l, w
 
 

@@ -28,11 +28,11 @@ from tenrec import (
     unfold_mode_pair,
     fold_mode_pair,
 )
-from tenrec.algebra import fourier_singular_values, mode_pairs
+from tenrec.algebra import mode_pairs
 from tenrec.cli import main
 
-from oracles import (cp_completion_instance, cp_tensor, lgamma_norm, mlcp_weight_minimizer,
-                     t_svd)
+from oracles import (cp_completion_instance, cp_tensor, full_spectrum_sv, lgamma_norm,
+                     mlcp_weight_minimizer, t_svd)
 from test_completion import estimate_error
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -127,7 +127,7 @@ def test_a3_weight_equivalence_oracle():
         gamma = rng.uniform(1.0, 20.0)
         eps = rng.uniform(0.05, 0.5)
         value = lgamma_norm(z, lam, gamma, eps)
-        sigma = fourier_singular_values(z)
+        sigma = full_spectrum_sv(z)
         ref = 0.0
         for j in range(r):
             for i in range(i3):
@@ -267,6 +267,15 @@ def test_a7_descent_frozen_growth():
           f"{rep2.iterations} of 100 sweeps): PASS "
           f"(completion flips={rep1.notes['strict_flips']}, "
           f"robust-pca flips={rep2.notes['strict_flips']})")
+
+
+def test_a1_strict_flips_in_sweep_one():
+    # the values that strict mode zeroes and the branch rule keeps in A1's
+    # first sweep, counted over the whole spectrum: a value of a slice
+    # with a conjugate mirror counts twice
+    gt, mask, observed = lrtc_instance()
+    report = complete(observed, mask, lrtc_config().updated(strict_prox=True, max_iter=1))
+    assert report.notes["strict_flips"] == 33
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -9,6 +9,7 @@ from oracles import (
     dft_mode3,
     identity_tensor,
     idft_mode3,
+    mirror_columns,
     multi_rank,
     n_tubal_rank,
     t_svd,
@@ -237,11 +238,13 @@ class TestTsvd:
     def test_fourier_slices_nonincreasing(self, i3):
         z = np.random.default_rng(16).standard_normal((5, 5, i3))
         sigma = fourier_singular_values(z)
+        assert sigma.shape == (5, i3 // 2 + 1)
         assert np.all(np.diff(sigma, axis=0) <= 1e-12)
-        # column-wise oracle: every Fourier slice factored on its own
+        # column-wise oracle: every Fourier slice factored on its own, and
+        # each mirror slice has its half-spectrum column's values
         zbar = dft_mode3(z)
         ref = [np.linalg.svd(zbar[:, :, i], compute_uv=False) for i in range(i3)]
-        assert np.allclose(sigma, np.array(ref).T, rtol=1e-12, atol=1e-12)
+        assert np.allclose(mirror_columns(sigma, i3), np.array(ref).T, rtol=1e-12, atol=1e-12)
 
     def test_rank_one_construction(self):
         rng = np.random.default_rng(17)

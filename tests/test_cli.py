@@ -297,6 +297,26 @@ class TestEval:
         save_tensor(a, np.zeros((3, 3)))
         assert main(["eval", str(a), str(tmp_path / "nope.tns")]) == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("which", ["recovered", "reference"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_file_is_one_json_error_line(self, tmp_path, capsys, value, which):
+        # no score of a NaN or an inf: exit 1 before any output, no warning
+        t = np.random.default_rng(2).random((6, 6, 3))
+        bad = t.copy()
+        bad[1, 2, 0] = value
+        a, b = tmp_path / "a.tns", tmp_path / "b.tns"
+        save_tensor(a, bad if which == "recovered" else t)
+        save_tensor(b, t if which == "recovered" else bad)
+        out = tmp_path / "m"
+        assert main(["eval", str(a), str(b), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "NaN or inf" in json.loads(lines[0])["error"]
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("error", [np.linalg.LinAlgError, MemoryError])
 @pytest.mark.parametrize("command, extra", [
@@ -461,6 +481,33 @@ def test_ground_truth_of_another_shape_is_refused_before_solving(tmp_path, capsy
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert "ground truth shape" in json.loads(lines[0])["error"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("command", ["complete", "denoise"])
+def test_non_finite_ground_truth_is_refused_before_solving(tmp_path, capsys, monkeypatch,
+                                                           command, value):
+    gt, path = make_instance(tmp_path)
+    bad = gt.copy()
+    bad[3, 4, 1] = value
+    bad_gt = tmp_path / "bad_gt.tns"
+    save_tensor(bad_gt, bad)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before the ground truth was checked")
+
+    monkeypatch.setattr(tenrec.cli, "complete", unreachable)
+    monkeypatch.setattr(tenrec.cli, "decompose", unreachable)
+    code = main([command, str(path), "--gt", str(bad_gt), "--out", str(tmp_path / "run")]
+                + SOLVE_INPUT[command])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ground truth holds NaN or inf"}
     assert not (tmp_path / "run").exists()
 
 

@@ -9,9 +9,9 @@ from tenrec.algebra import fold_mode_pair, fourier_singular_values, unfold_mode_
 from tenrec.completion import (SUBPROBLEM_RTOL, pair_pull, update_m_pair, update_multiplier,
                                update_z)
 from tenrec.metrics import rel_error
-from tenrec.penalty import update_lambda_bar, weighted_log_prox
+from tenrec.penalty import update_lambda_bar, update_weights, weighted_log_prox
 
-from oracles import prox_lgamma_norm
+from oracles import full_spectrum_sv, mirror_columns, prox_lgamma_norm
 
 
 def small_instance(seed=0, shape=(12, 12, 6), rank=2, sr=0.5):
@@ -47,7 +47,7 @@ class TestUpdatePieces:
         q = rng.standard_normal((5, 4, 3))
         mu, rho1 = 0.7, 1.4
         arg = m + (mu * z + q - mu * m) / rho1
-        m_new, _, _, _ = update_m_pair(m, z, q, np.zeros((4, 3)), mu, rho1, 0.1)
+        m_new, _, _, _ = update_m_pair(m, z, q, np.zeros((4, 2)), mu, rho1, 0.1)
         assert np.allclose(m_new, arg, atol=1e-12)
 
     def test_m_update_large_mu_limit(self):
@@ -65,7 +65,7 @@ class TestUpdatePieces:
         m = rng.standard_normal((5, 4, 3))
         z = rng.standard_normal((5, 4, 3))
         q = 0.1 * rng.standard_normal((5, 4, 3))
-        w = rng.uniform(0.05, 0.5, size=(4, 1)) * np.ones((1, 3))
+        w = rng.uniform(0.05, 0.5, size=(4, 1)) * np.ones((1, 2))
         mu, rho1, eps = 0.8, 1.2, 0.1
         m_new, sigma_new, sigma_arg, _ = update_m_pair(m, z, q, w, mu, rho1, eps)
         arg = m + (mu * z + q - mu * m) / rho1
@@ -81,10 +81,10 @@ class TestUpdatePieces:
         m = rng.standard_normal((6, 5, 4))
         z = rng.standard_normal((6, 5, 4))
         q = rng.standard_normal((6, 5, 4))
-        lam = np.full((5, 4), 0.8)
+        lam = np.full((5, 4), 0.8)  # R x I3, as the norm takes it
         mu, rho1, gamma, eps = 0.5, 0.55, 50.0, 0.05
         arg = m + (mu * z + q - mu * m) / rho1
-        m_new, _, _, _ = update_m_pair(m, z, q, lam, mu, rho1, eps)
+        m_new, _, _, _ = update_m_pair(m, z, q, lam[:, :3], mu, rho1, eps)
         l_ref, _ = prox_lgamma_norm(arg, lam, gamma, rho1, eps)
         assert np.allclose(m_new, l_ref, atol=1e-12)
 
@@ -298,13 +298,17 @@ class TestDescent:
         for row in report.trace:
             assert row["lag_after"] <= row["lag_before"] * (1 + 1e-8) + 1e-12
 
-    def test_z_monitor_weights_pairs_by_beta(self, monkeypatch):
-        # The z entry is the beta-weighted Lagrangian before the z step and
-        # after it plus the proximal term, recomputed here from what the
-        # sweep passed to its pull, z and weight-target steps.
+    @pytest.mark.parametrize("i3", [6, 5])
+    def test_z_monitor_weights_pairs_by_beta(self, monkeypatch, i3):
+        # The z entry and each pair's w and lam entries are the
+        # beta-weighted Lagrangian before the step and after it plus the
+        # proximal term, recomputed here over the full spectrum from what
+        # the sweep passed to its pull, z, weight, surrogate and
+        # weight-target steps: every Fourier slice's own singular values,
+        # and the half-spectrum weights spread over the mirror slices.
         import tenrec.completion as completion_mod
 
-        pulls, steps, targets = [], [], []
+        pulls, steps, weights, surrogates, targets = [], [], [], [], []
 
         def recording_pull(states, mu, shape):
             pulls.append(([st.pair for st in states], [st.beta for st in states],
@@ -316,30 +320,63 @@ class TestDescent:
             steps.append((z_prev, z_new) + pulls[-1] + (rho,))
             return z_new
 
+        def recording_weights(sigma, w_old, lam_old, *args):
+            w_new = update_weights(sigma, w_old, lam_old, *args)
+            weights.append((w_old, w_new))
+            return w_new
+
+        def recording_surrogate(m_old, *args, **kwargs):
+            out = update_m_pair(m_old, *args, **kwargs)
+            surrogates.append((m_old, out[0]))
+            return out
+
         def recording_target(w_new, lam_old, gamma, rho):
             lam_new = update_lambda_bar(w_new, lam_old, gamma, rho)
-            targets.append((w_new, lam_new))
+            targets.append((lam_old, lam_new))
             return lam_new
 
         monkeypatch.setattr(completion_mod, "pair_pull", recording_pull)
         monkeypatch.setattr(completion_mod, "update_z", recording)
+        monkeypatch.setattr(completion_mod, "update_weights", recording_weights)
+        monkeypatch.setattr(completion_mod, "update_m_pair", recording_surrogate)
         monkeypatch.setattr(completion_mod, "update_lambda_bar", recording_target)
-        gt, mask, obs = small_instance(seed=18)
+        gt, mask, obs = small_instance(seed=18, shape=(12, 12, i3))
         cfg = SMALL_CFG.updated(beta=(0.7, 0.3, 0.0), growth=1.0, max_iter=3, tol=1e-300)
         report = complete(obs, mask, cfg, track_descent=True)
         assert len(steps) == report.iterations == 3
-        for k, (row, (z, z_new, pairs, betas, m, q, mu, rho)) in enumerate(
+        for k, (row, (z, z_new, pairs, betas, _, q, mu, rho)) in enumerate(
                 zip(report.trace, steps)):
-            weights = targets[k * len(pairs):(k + 1) * len(pairs)]
+            sweep = slice(k * len(pairs), (k + 1) * len(pairs))
+            # each pair's (w, lam, M) before its steps and after each one
+            stages = [{"start": (w_old, lam_old, m_old), "w": (w_new, lam_old, m_old),
+                       "m": (w_new, lam_old, m_new), "lam": (w_new, lam_new, m_new)}
+                      for (w_old, w_new), (m_old, m_new), (lam_old, lam_new)
+                      in zip(weights[sweep], surrogates[sweep], targets[sweep])]
 
-            def lagrangian(x):
+            def lagrangian(x, stage="lam", at=len(pairs)):
+                # the pairs before `at` have taken all three steps, pair
+                # `at` those up to `stage`, the pairs after it none
                 total = 0.0
-                for p, b, mp, qp, (w, lam) in zip(pairs, betas, m, q, weights):
-                    t = np.log1p(fourier_singular_values(mp) / cfg.epsilon)
+                for j, (p, b, qp) in enumerate(zip(pairs, betas, q)):
+                    w, lam, mp = stages[j]["lam" if j < at else stage if j == at else "start"]
+                    t = np.log1p(full_spectrum_sv(mp) / cfg.epsilon)
+                    w, lam = (mirror_columns(a, mp.shape[2]) for a in (w, lam))
                     gap = unfold_mode_pair(x, *p) - mp + qp / mu
                     total += b * (np.sum(w * t) + 0.5 * cfg.gamma * np.sum((w - lam) ** 2)
                                   + 0.5 * mu * np.sum(gap ** 2))
                 return total
+
+            for j, (p, b) in enumerate(zip(pairs, betas)):
+                label = f"{p[0] + 1}{p[1] + 1}"
+                i3_pair = stages[j]["start"][2].shape[2]
+                for step, before_stage, after_stage, (old, new) in [
+                        ("w", "start", "w", weights[sweep][j]),
+                        ("lam", "m", "lam", targets[sweep][j])]:
+                    prox = 0.5 * b * rho * np.sum(mirror_columns((new - old) ** 2, i3_pair))
+                    before, after = row["subproblems"][f"{label}.{step}"]
+                    assert before == pytest.approx(lagrangian(z, before_stage, j), rel=1e-12)
+                    assert after == pytest.approx(lagrangian(z, after_stage, j) + prox,
+                                                  rel=1e-12)
 
             before, after = row["subproblems"]["z"]
             assert before == pytest.approx(lagrangian(z), rel=1e-12)

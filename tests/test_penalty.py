@@ -16,9 +16,11 @@ from tenrec.algebra import fourier_singular_values
 
 from oracles import (
     dft_mode3,
+    full_spectrum_sv,
     lgamma_norm,
     log_weighted_norm,
     mlcp_tensor,
+    mirror_columns,
     mlcp_weight_minimizer,
     prox_lgamma_norm,
     t_svd,
@@ -230,7 +232,7 @@ class TestWeightedNorms:
         z = rng.standard_normal((4, 4, 3))
         lam = np.ones((4, 3))
         gamma, eps = 5.0, 0.1
-        sigma = fourier_singular_values(z)
+        sigma = full_spectrum_sv(z)
         ref = 0.0
         for j in range(4):
             for i in range(3):
@@ -326,28 +328,25 @@ class TestShrink:
 def oracle_prox(y, w, rho, eps, strict=False):
     """Full-spectrum reference for weighted_log_prox.
 
-    Every one of the I3 Fourier slices is factored, all singular triplets
-    are rebuilt with einsum, and the complex inverse FFT's real part is
-    the result.
+    The half-spectrum weight columns are spread over all I3 Fourier
+    slices, every slice is factored, all singular triplets are rebuilt
+    with einsum, and the complex inverse FFT's real part is the result.
+    Returns the half-spectrum columns of the values, as the prox does.
     """
     i3 = y.shape[2]
-    w_sym = 0.5 * (w + w[:, (-np.arange(i3)) % i3])
     ybar = np.fft.fft(y, axis=2)
     u, s, vh = np.linalg.svd(np.moveaxis(ybar, 2, 0), full_matrices=False)
-    s_new = shrink_singular_values(s, w_sym.T, rho / i3, eps, strict=strict)
+    s_new = shrink_singular_values(s, mirror_columns(w, i3).T, rho / i3, eps, strict=strict)
     l = np.fft.ifft(np.einsum("kir,kr,krj->ijk", u, s_new, vh), axis=2).real
-    return l, s_new.T, s.T
+    return l, s_new.T[:, :i3 // 2 + 1], s.T[:, :i3 // 2 + 1]
 
 
 def assert_matches_oracle(y, w, rho, eps, strict=False, basis=None):
     got = weighted_log_prox(y, w, rho, eps, strict=strict, basis=basis)
     ref = oracle_prox(y, w, rho, eps, strict=strict)
     for a, b in zip(got[:3], ref):
+        assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1.0)
-    # mirror-pair columns are one value, not two near-equal ones
-    mirror = (-np.arange(y.shape[2])) % y.shape[2]
-    for sigma in got[1:3]:
-        assert np.array_equal(sigma, sigma[:, mirror])
     return got
 
 
@@ -380,7 +379,7 @@ class TestProx:
 
         # random rescalings of the shrunk singular values, same factors
         fac = t_svd(y)
-        sigma = fourier_singular_values(l)
+        sigma = full_spectrum_sv(l)
         ybar = np.fft.fft(y, axis=2)
         for _ in range(200):
             scale = rng.uniform(0.6, 1.4, size=sigma.shape)
@@ -394,9 +393,8 @@ class TestProx:
     def test_slicewise_shrink_match(self):
         rng = np.random.default_rng(12)
         y = rng.standard_normal((4, 4, 3))
-        # mirror-pair slice columns carry one weight each (as in the solvers)
-        w = rng.uniform(0.1, 1.0, size=(4, 3))
-        w[:, 2] = w[:, 1]
+        # one weight per half-spectrum slice, i.e. per mirror pair of slices
+        w = rng.uniform(0.1, 1.0, size=(4, 2))
         rho, eps = 2.0, 0.1
         l, sigma_new, sigma_old, _ = weighted_log_prox(y, w, rho, eps)
         # spatial quadratic scale rho becomes rho/I3 per Fourier slice
@@ -404,7 +402,7 @@ class TestProx:
             sigma_new, shrink_singular_values(sigma_old, w, rho / 3, eps), atol=1e-12
         )
         for j in range(4):
-            for i in range(3):
+            for i in range(2):
                 oracle = grid_min_shrink(sigma_old[j, i], w[j, i], rho / 3, eps)
                 strict = shrink_singular_values(
                     sigma_old[j, i], w[j, i], rho / 3, eps, strict=True
@@ -420,8 +418,8 @@ class TestProx:
         rho, eps = 2.0, 0.1
         # thresholds spread around the median singular value, so some
         # values are kept and some are shrunk to zero
-        t = np.median(fourier_singular_values(y))
-        w = rng.uniform(0.5, 1.5, size=(min(i1, i2), i3)) * (rho / i3) * (t / 2) ** 2
+        t = np.median(full_spectrum_sv(y))
+        w = rng.uniform(0.5, 1.5, size=(min(i1, i2), i3 // 2 + 1)) * (rho / i3) * (t / 2) ** 2
         _, sigma_new, _, _ = assert_matches_oracle(y, w, rho, eps, strict=strict)
         assert 0 < np.count_nonzero(sigma_new) < sigma_new.size
 
@@ -432,7 +430,7 @@ class TestProx:
         rho, eps = 2.0, 0.1
         # only index 2 escapes a heavy weight: one value kept per slice,
         # but the rebuild must reach index 2
-        w = np.full((5, i3), 1e6)
+        w = np.full((5, i3 // 2 + 1), 1e6)
         w[2] = 0.0
         _, sigma_new, sigma_old, _ = assert_matches_oracle(y, w, rho, eps)
         assert not np.delete(sigma_new, 2, axis=0).any()
@@ -441,14 +439,15 @@ class TestProx:
     @pytest.mark.parametrize("i3", [1, 2, 5, 6])
     def test_all_shrunk_is_exact_zero(self, i3):
         y = np.random.default_rng(15).standard_normal((4, 7, i3))
-        l, sigma_new, sigma_old, _ = assert_matches_oracle(y, np.full((4, i3), 1e6), 2.0, 0.1)
+        l, sigma_new, sigma_old, _ = assert_matches_oracle(y, np.full((4, i3 // 2 + 1), 1e6),
+                                                           2.0, 0.1)
         assert not l.any()
         assert not sigma_new.any()
         assert sigma_old.all()
 
     def test_output_is_real_and_finite(self):
         y = np.random.default_rng(13).standard_normal((6, 3, 4))
-        l, _, _, _ = weighted_log_prox(y, np.full((3, 4), 0.5), 1.5, 0.05)
+        l, _, _, _ = weighted_log_prox(y, np.full((3, 3), 0.5), 1.5, 0.05)
         assert np.isrealobj(l) and np.all(np.isfinite(l))
 
     def test_nonfinite_rejected(self):
@@ -457,6 +456,14 @@ class TestProx:
         with pytest.raises(ValueError):
             weighted_log_prox(y, np.ones((2, 2)), 1.0, 0.1)
 
+    @pytest.mark.parametrize("i3", [5, 6])
+    def test_full_width_weight_refused(self, i3):
+        # one weight column per half-spectrum slice, so R x I3 is refused
+        # with the shape it should have
+        y = np.random.default_rng(17).standard_normal((3, 4, i3))
+        with pytest.raises(ValueError, match=rf"\(3, {i3}\) does not match \(3, {i3 // 2 + 1}\)"):
+            weighted_log_prox(y, np.ones((3, i3)), 1.0, 0.1)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", ["nan-weight", "negative-weight", "misshapen-weight",
                                      "nan-rho", "zero-rho", "nan-eps"])
@@ -464,7 +471,7 @@ class TestProx:
         y = np.random.default_rng(16).standard_normal((3, 4, 2))
         w, rho, eps = np.ones((3, 2)), 1.0, 0.1
         if bad == "misshapen-weight":
-            w = np.ones((4, 2))  # R x I3 is 3 x 2
+            w = np.ones((4, 2))  # R x (I3 // 2 + 1) is 3 x 2
         elif bad.endswith("weight"):
             w[1, 0] = np.nan if bad.startswith("nan") else -1.0
         elif bad.endswith("rho"):
@@ -545,7 +552,7 @@ def gapped_instance(i1, i2, i3, rank, seed, noise=1e-3):
     sigma = fourier_singular_values(y)
     threshold = np.sqrt(sigma[rank - 1].min() * sigma[rank].max())
     rho, eps = 2.0, 1e-3
-    w = np.full((min(i1, i2), i3), ((threshold + eps) / 2) ** 2 * rho / i3)
+    w = np.full((min(i1, i2), i3 // 2 + 1), ((threshold + eps) / 2) ** 2 * rho / i3)
     return y, w, rho, eps
 
 
@@ -613,7 +620,7 @@ class TestGramFullPath:
         # included
         if kind == "zero-slices":
             y, w, rho, eps = gapped_instance(i1, i2, 1, 3, seed=i1 + i3)
-            y, w = np.repeat(y, i3, axis=2), np.repeat(w, i3, axis=1)
+            y, w = np.repeat(y, i3, axis=2), np.repeat(w, i3 // 2 + 1, axis=1)
         else:
             y, w, rho, eps = gapped_instance(i1, i2, i3, 3, seed=i1 + i3)
         if kind == "zero-weights":
@@ -703,7 +710,7 @@ class TestGramFullPath:
         if i1 > i2:
             slices = slices.transpose(0, 2, 1)
         planted = np.linalg.svd(slices[1], compute_uv=False)[3] * (1 + 1e-13)
-        w[3, [1, 4]] = ((planted + eps) / 2) ** 2 * rho / i3
+        w[3, 1] = ((planted + eps) / 2) ** 2 * rho / i3
         args = []
         svd = np.linalg.svd
 
@@ -763,7 +770,7 @@ class TestTruncatedProx:
         # direction; a zero weight keeps every value, zeros included
         if kind == "constant-tubes":
             y, w, rho, eps = gapped_instance(36, 40, 1, 3, seed=50 + i3)
-            y, w = np.repeat(y, i3, axis=2), np.repeat(w, i3, axis=1)
+            y, w = np.repeat(y, i3, axis=2), np.repeat(w, i3 // 2 + 1, axis=1)
         else:
             y, w, rho, eps = gapped_instance(36, 40, i3, 3, seed=50 + i3)
         if weight == "zero":

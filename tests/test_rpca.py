@@ -213,7 +213,7 @@ class TestSolve:
         l = rng.standard_normal((6, 5, 4))
         g = unfold_mode_pair(l, 0, 1) + 0.1 * rng.standard_normal((6, 5, 4))
         r = 0.05 * rng.standard_normal((6, 5, 4))
-        w = np.full((5, 4), 0.7)
+        w = np.full((5, 3), 0.7)  # R x (I3 // 2 + 1)
         mu, rho1, eps = 0.9, 0.99, 0.1
         g_new, _, _, _ = update_m_pair(g, unfold_mode_pair(l, 0, 1), r, w, mu, rho1, eps)
         arg = g + (mu * unfold_mode_pair(l, 0, 1) + r - mu * g) / rho1
