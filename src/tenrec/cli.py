@@ -8,9 +8,10 @@ command-line flags: each ``SolverConfig`` field is both a config key and a
 flag (``max_iter`` is ``--max-iter``).  ``complete`` takes one of ``--sr``
 and ``--mask``; ``denoise`` takes ``--sp-fraction`` or ``--noniid``, not both.
 
-Exit codes: 0 on success (including runs where convergence was not
-requested), 1 on runtime errors and 2 on usage errors and bad option values
-(each with one JSON error line on stderr), 3 when a solver finished without
+Exit codes, which :func:`main` returns: 0 on success (including runs where
+convergence was not requested), 1 on runtime errors, a path that cannot be
+read or written included, and 2 on usage errors and bad option values (each
+with one JSON error line on stderr), 3 when a solver finished without
 reaching its tolerance.
 
 Every score a command writes or prints is :func:`tenrec.metrics.evaluate_all`'s,
@@ -42,7 +43,7 @@ from .report import (
 )
 from .rpca import decompose
 from .simulate import NoiseSpec, add_mixed_noise, gen_lowrank, gen_mask
-from .tensorfile import TensorFormatError, load_tensor, save_tensor
+from .tensorfile import load_tensor, save_tensor
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -59,18 +60,18 @@ def _warn(message):
     sys.stderr.write(json.dumps({"warning": message}) + "\n")
 
 
+class _UsageError(Exception):
+    """Refused input, from the parser or after it: :func:`main` exits 2."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports each usage error as one JSON error line and exits 2; takes no abbreviated flag."""
+    """Raises each usage error as a :class:`_UsageError`; takes no abbreviated flag."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
-        sys.exit(_error(f"{self.prog}: {message}", EXIT_USAGE))
-
-
-class _UsageError(Exception):
-    """Input refused after parsing; reported like a parser error, with exit 2."""
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def _parse_shape(text):
@@ -354,18 +355,15 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the one place that maps a failure to its exit code."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         return _error(str(exc), EXIT_USAGE)
-    except (ValueError, TensorFormatError) as exc:  # np.linalg.LinAlgError is a ValueError
-        return _error(str(exc))
-    except FileNotFoundError as exc:
-        return _error(f"file not found: {exc.filename}")
-    except MemoryError:
-        return _error("out of memory")
+    # TensorFormatError and LinAlgError are ValueErrors, a path's failure an OSError
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
+        return _error(str(exc) or type(exc).__name__)
 
 
 if __name__ == "__main__":

@@ -408,12 +408,13 @@ def _ritz_triplets(a, q, thr):
     # ||R||_F^2 = ||A||_F^2 - ||B||_F^2 for R = (I - QQ^H) A.
     tail_sq = np.maximum(a_sq - np.sum(s**2, axis=1), 0.0) + margin
     for i in np.flatnonzero(~_certified(s, res, tail_sq, thr)):
-        # Tighter bounds from the Schatten-4 and -8 norms of R:
-        # ||R||_2^2 <= ||(R R^H)^m||_F^(1/m) for m = 1, 2.
+        # Tighter bounds from the Schatten-4 and -8 norms of R, ||R||_2^2 <=
+        # ||(R R^H)^m||_F^(1/m) for m = 1, 2 (||.||_F by rows, not a BLAS dot).
         resid = a[i] - (u[i] * s[i]) @ vh[i]
         gram = resid @ resid.conj().T
         for m in (1, 2):
-            tail_sq[i] = np.linalg.norm(gram) ** (1 / m) * (1 + 1e-10) + margin[i]
+            fro = np.sqrt(np.vecdot(gram, gram).real.sum())
+            tail_sq[i] = fro ** (1 / m) * (1 + 1e-10) + margin[i]
             if _certified(s[i:i + 1], res[i:i + 1], tail_sq[i:i + 1], thr[i:i + 1])[0]:
                 break
             gram = gram @ gram

@@ -49,14 +49,11 @@ class TestSynth:
         assert a.read_bytes() == b.read_bytes()
 
     def test_missing_shape_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["synth", "--rank", "3", "--out", str(tmp_path / "x.tns")])
-        assert err.value.code == 2
+        assert main(["synth", "--rank", "3", "--out", str(tmp_path / "x.tns")]) == 2
 
     def test_bad_shape_rejected(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["synth", "--shape", "8,7", "--rank", "2", "--out", str(tmp_path / "x.tns")])
-        assert err.value.code == 2
+        assert main(["synth", "--shape", "8,7", "--rank", "2",
+                     "--out", str(tmp_path / "x.tns")]) == 2
 
 
 def make_instance(tmp_path, shape=(12, 12, 6), rank=2, seed=5):
@@ -125,9 +122,7 @@ class TestComplete:
 
     def test_requires_sr_or_mask(self, tmp_path, capsys):
         gt, path = make_instance(tmp_path)
-        with pytest.raises(SystemExit) as err:
-            main(["complete", str(path), "--out", str(tmp_path / "run")])
-        assert err.value.code == 2
+        assert main(["complete", str(path), "--out", str(tmp_path / "run")]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"].endswith(
@@ -357,9 +352,7 @@ def test_solver_failure_is_one_json_error_line(tmp_path, capsys, monkeypatch, co
 def test_usage_error_is_one_json_error_line(tmp_path, capsys, command, flags):
     _, path = make_instance(tmp_path)
     argv = [command] + {"synth": [], "eval": [str(path)] * 2}.get(command, [str(path)])
-    with pytest.raises(SystemExit) as err:
-        main(argv + flags + ["--out", str(tmp_path / "run")])
-    assert err.value.code == 2
+    assert main(argv + flags + ["--out", str(tmp_path / "run")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -376,9 +369,7 @@ def test_removed_flags_are_usage_errors(tmp_path, capsys, command, flag):
     _, path = make_instance(tmp_path)
     argv = {"synth": ["--shape", "8,7,5", "--rank", "2"], "eval": [str(path)] * 2}.get(
         command, [str(path)] + SOLVE_INPUT.get(command, []))
-    with pytest.raises(SystemExit) as err:
-        main([command] + argv + [flag, "1.1", "--out", str(tmp_path / "run")])
-    assert err.value.code == 2
+    assert main([command] + argv + [flag, "1.1", "--out", str(tmp_path / "run")]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"].endswith(f"unrecognized arguments: {flag} 1.1")
@@ -445,9 +436,7 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
     _, path = make_instance(tmp_path)
     argv = (["synth", "--shape", "8,7,5", "--rank", "2"] if command == "synth"
             else [command, str(path)] + SOLVE_INPUT[command])
-    with pytest.raises(SystemExit) as err:
-        main(argv + ["--seed", "-1", "--out", str(tmp_path / "run")])
-    assert err.value.code == 2
+    assert main(argv + ["--seed", "-1", "--out", str(tmp_path / "run")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -526,6 +515,39 @@ def test_run_that_cannot_be_scored_writes_nothing(tmp_path, capsys, command):
     assert len(lines) == 1
     assert "zero mean" in json.loads(lines[0])["error"]
     assert not (tmp_path / "run").exists()
+
+
+def tree(root):
+    """Every path under ``root``, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+# run in a directory that holds gt.tns, the directory "dir" and the
+# existing file "file"
+@pytest.mark.parametrize("argv", [
+    ["eval", "dir", "gt.tns"],
+    ["eval", "gt.tns", "dir"],
+    ["complete", "dir", "--sr", "0.5", "--out", "run"],
+    ["denoise", "dir", "--out", "run"],
+    ["complete", "gt.tns", "--mask", "dir", "--out", "run"],
+    ["complete", "gt.tns", "--sr", "0.5", "--config", "dir", "--out", "run"],
+    ["complete", "gt.tns", "--sr", "0.5", "--max-iter", "1", "--out", "file"],
+    ["eval", "gt.tns", "gt.tns", "--out", "file"],
+    ["synth", "--shape", "4,4,2", "--rank", "1", "--out", "file/x.tns"],
+], ids=["eval-recovered-dir", "eval-reference-dir", "complete-input-dir", "denoise-input-dir",
+        "mask-dir", "config-dir", "complete-out-file", "eval-out-file", "synth-out-under-file"])
+def test_unusable_path_is_one_json_error_line(tmp_path, capsys, monkeypatch, argv):
+    # a directory read as a file, or a directory made where a file exists
+    monkeypatch.chdir(tmp_path)
+    make_instance(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept\n")
+    before = tree(tmp_path)
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert list(json.loads(lines[0])) == ["error"]
+    assert tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("value", [0.5, np.nan, 2.0, -1.0])

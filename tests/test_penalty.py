@@ -858,6 +858,29 @@ class TestTruncatedProx:
         # the fallback's own factors seed the next call
         assert basis.shape == (3, 36, 4 + 5)
 
+    def test_schatten_rung_reduces_no_whole_array(self, no_whole_array_dot, monkeypatch):
+        # a threshold 80 % of the way (in log scale) from the signal's
+        # smallest value to the noise's largest: the Frobenius bound on the
+        # tail certifies no slice, and each of the 4 slices is certified
+        # by the Schatten bounds of its 120 x 120 residual Gram matrix
+        y, w, rho, eps = gapped_instance(120, 120, 6, 3, seed=126)
+        sigma = fourier_singular_values(y)
+        signal, noise = sigma[2].min(), sigma[3].max()
+        threshold = signal * (noise / signal) ** 0.8
+        w = np.full_like(w, ((threshold + eps) / 2) ** 2 * rho / 6)
+        basis = weighted_log_prox(y, w, rho, eps)[3]
+        certified = penalty._certified
+        verdicts = []
+
+        def recording_certified(*args):
+            verdict = certified(*args)
+            verdicts.append(verdict.tolist())
+            return verdict
+
+        monkeypatch.setattr(penalty, "_certified", recording_certified)
+        assert_truncated_matches_oracle(y, w, rho, eps, basis)
+        assert verdicts == [[False] * 4] + [[True]] * 4
+
     @staticmethod
     def flat_tail_instance():
         """One 40 x 48 slice: three clear values, then a flat tail just
