@@ -9,10 +9,11 @@ flag (``max_iter`` is ``--max-iter``).  ``complete`` takes one of ``--sr``
 and ``--mask``; ``denoise`` takes ``--sp-fraction`` or ``--noniid``, not both.
 
 Exit codes, which :func:`main` returns: 0 on success (including runs where
-convergence was not requested), 1 on runtime errors, a path that cannot be
-read or written included, and 2 on usage errors and bad option values (each
-with one JSON error line on stderr), 3 when a solver finished without
-reaching its tolerance.
+convergence was not requested), 1 on runtime errors (a path that cannot be
+read or written, or a floating-point overflow or invalid operation during a
+solve, included), and 2 on usage errors and bad option values (each with one
+JSON error line on stderr), 3 when a solver finished without reaching its
+tolerance.
 
 Every score a command writes or prints is :func:`tenrec.metrics.evaluate_all`'s,
 in its order, so ``eval`` of a run's output against its ground truth
@@ -74,48 +75,33 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _parse_shape(text):
-    """argparse ``type=`` of ``--shape``: three positive extents ``I1,I2,I3``."""
-    try:
-        shape = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse shape {text!r}")
-    if len(shape) != 3 or any(s < 1 for s in shape):
-        raise argparse.ArgumentTypeError(f"expected three positive extents I1,I2,I3, got {text!r}")
-    return shape
-
-
-def _parse_range(text):
-    """argparse ``type=`` of ``--noniid``: two numbers ``lo,hi``."""
-    try:
-        lo, hi = (float(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected two numbers lo,hi, got {text!r}") from None
-    return lo, hi
-
-
-def _number(accept, expected):
-    """argparse ``type=`` of a number for which ``accept(value)`` holds."""
-    def parse(text):
+def _checked(parse, accept, expected):
+    """argparse ``type=`` of a bounded value: ``parse(text)``, refused unless
+    it parses and ``accept`` holds for it."""
+    def check(text):
         try:
-            value = float(text)
+            value = parse(text)
+            if accept(value):
+                return value
         except ValueError:
-            value = np.nan
-        if not accept(value):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-        return value
-    return parse
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return check
 
 
-_positive = _number(lambda v: 0 < v < np.inf, "a positive finite number")  # synth --peak
-_sampling_rate = _number(lambda v: 0 < v <= 1, "a number in (0, 1]")  # --sr
+def _comma_list(kind):
+    """Parses ``a,b,...`` into a tuple of ``kind``."""
+    return lambda text: tuple(kind(tok) for tok in text.split(","))
 
 
-def _non_negative_int(text):
-    """argparse ``type=`` of ``--seed`` and ``--rank``: a non-negative integer."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+_shape = _checked(_comma_list(int), lambda s: len(s) == 3 and min(s) > 0,
+                  "three positive extents I1,I2,I3")  # synth --shape
+_range = _checked(_comma_list(float), lambda r: len(r) == 2, "two numbers lo,hi")  # --noniid
+_positive = _checked(float, lambda v: 0 < v < np.inf, "a positive finite number")  # synth --peak
+_sampling_rate = _checked(float, lambda v: 0 < v <= 1, "a number in (0, 1]")  # --sr
+# --seed and --rank: digits only, so a sign or a space is refused too
+_non_negative = _checked(lambda text: int(text) if text.isdecimal() else -1, lambda v: v >= 0,
+                  "a non-negative integer")
 
 
 def _field_type(name):
@@ -126,18 +112,6 @@ def _field_type(name):
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
-
-
-def _add_config_flags(parser):
-    """``--config`` plus one flag per ``SolverConfig`` field."""
-    parser.add_argument("--config", type=Path, default=None, help="key = value config file")
-    for f in fields(SolverConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool":
-            parser.add_argument(flag, action="store_true", default=None)
-        else:
-            parser.add_argument(flag, type=_field_type(f.name),
-                                help=f.metadata.get("help", f"default {f.default}"))
 
 
 def _resolve_config(args):
@@ -168,7 +142,7 @@ def _write_manifest(path, command, config, inputs, outputs, seed, wall_seconds, 
 
 def cmd_synth(args):
     if args.rank > min(args.shape[:2]):
-        args.parser.error(f"argument --rank: must not exceed min(I1, I2) = "
+        raise _UsageError(f"tenrec synth: argument --rank: must not exceed min(I1, I2) = "
                           f"{min(args.shape[:2])}, got {args.rank}")
     started = time.perf_counter()
     t = gen_lowrank(args.shape, args.rank, args.seed)
@@ -304,6 +278,27 @@ def cmd_eval(args):
     return EXIT_OK
 
 
+def _add_solver_command(sub, name, summary):
+    """The parser of ``complete`` or ``denoise``, with the arguments they share:
+    ``input``, ``--gt``, ``--seed``, ``--out``, ``--config`` and one flag per
+    ``SolverConfig`` field."""
+    parser = sub.add_parser(name, help=summary)
+    parser.add_argument("input", help="tensor file (.tns)")
+    parser.add_argument("--gt", type=Path, default=None, help="ground-truth tensor file")
+    parser.add_argument("--seed", type=_non_negative, default=0)
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--config", type=Path, default=None, help="key = value config file")
+    for f in fields(SolverConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            parser.add_argument(flag, action="store_true", default=None)
+        else:
+            parser.add_argument(flag, type=_field_type(f.name),
+                                help=f.metadata.get("help", f"default {f.default}"))
+    parser.set_defaults(func=cmd_solve)
+    return parser
+
+
 def build_parser():
     parser = _Parser(
         prog="tenrec",
@@ -312,39 +307,25 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a random low-tubal-rank tensor")
-    p_synth.add_argument("--shape", type=_parse_shape, required=True,
-                         help="comma list, e.g. 30,30,20")
-    p_synth.add_argument("--rank", type=_non_negative_int, required=True)
-    p_synth.add_argument("--seed", type=_non_negative_int, default=0)
+    p_synth.add_argument("--shape", type=_shape, required=True, help="comma list, e.g. 30,30,20")
+    p_synth.add_argument("--rank", type=_non_negative, required=True)
+    p_synth.add_argument("--seed", type=_non_negative, default=0)
     p_synth.add_argument("--peak", type=_positive, default=None,
                          help="rescale so the largest magnitude equals this value")
     p_synth.add_argument("--out", required=True, help="output .tns path")
-    p_synth.set_defaults(func=cmd_synth, parser=p_synth)
+    p_synth.set_defaults(func=cmd_synth)
 
-    p_complete = sub.add_parser("complete", help="recover missing entries")
-    p_complete.add_argument("input", help="tensor file (.tns)")
+    p_complete = _add_solver_command(sub, "complete", "recover missing entries")
     observed = p_complete.add_mutually_exclusive_group(required=True)
     observed.add_argument("--sr", type=_sampling_rate, default=None,
                           help="sampling rate in (0, 1]")
     observed.add_argument("--mask", type=Path, default=None, help="0/1 mask tensor file")
-    p_complete.add_argument("--gt", type=Path, default=None, help="ground-truth tensor file")
-    p_complete.add_argument("--seed", type=_non_negative_int, default=0)
-    p_complete.add_argument("--out", required=True, help="output directory")
-    _add_config_flags(p_complete)
-    p_complete.set_defaults(func=cmd_solve)
 
-    p_denoise = sub.add_parser("denoise", help="split into low-rank + sparse + Gaussian")
-    p_denoise.add_argument("input", help="tensor file (.tns)")
+    p_denoise = _add_solver_command(sub, "denoise", "split into low-rank + sparse + Gaussian")
     impulses = p_denoise.add_mutually_exclusive_group()
     impulses.add_argument("--sp-fraction", type=float, default=0.0, dest="sp_fraction")
-    impulses.add_argument("--noniid", type=_parse_range, default=None,
-                          help="lo,hi per-slice range")
+    impulses.add_argument("--noniid", type=_range, default=None, help="lo,hi per-slice range")
     p_denoise.add_argument("--gaussian-sigma", type=float, default=0.0, dest="gaussian_sigma")
-    p_denoise.add_argument("--gt", type=Path, default=None)
-    p_denoise.add_argument("--seed", type=_non_negative_int, default=0)
-    p_denoise.add_argument("--out", required=True)
-    _add_config_flags(p_denoise)
-    p_denoise.set_defaults(func=cmd_solve)
 
     p_eval = sub.add_parser("eval", help="score one tensor file against another")
     p_eval.add_argument("recovered")

@@ -169,6 +169,10 @@ def complete(observed, mask, config=None, track_descent=False):
     Returns:
         RecoveryReport with the completed tensor under ``tensors['Z']``, which
         :mod:`tenrec.metrics` scores against a ground truth.
+
+    Raises:
+        FloatingPointError: on a floating-point overflow or invalid
+            operation during the sweeps (see :func:`run_sweeps`).
     """
     observed = np.asarray(observed, dtype=float)
     mask = np.asarray(mask)
@@ -183,6 +187,7 @@ def complete(observed, mask, config=None, track_descent=False):
     return run_sweeps(config or SolverConfig(), block, track_descent)
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def run_sweeps(cfg, block, track_descent):
     """The sweeps of both solvers, until no entry of the estimate moves more
     than ``cfg.tol``.
@@ -210,6 +215,12 @@ def run_sweeps(cfg, block, track_descent):
     surrogate step's term is PALM's sufficient decrease
     ``beta*(rho1 - mu)/2*||dM||^2``, which only the exact proximal map
     (``strict_prox``) guarantees.
+
+    Raises:
+        FloatingPointError: where a floating-point overflow, division by
+            zero or invalid operation happens (data too large in magnitude,
+            say).  Underflow is left as the caller set it, and the caller's
+            error state returns after the sweeps.
     """
     states = [
         PairState(pair, beta, unfold_mode_pair(block.x, pair[0], pair[1]))

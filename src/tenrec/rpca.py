@@ -121,6 +121,11 @@ def decompose(observed, config=None, track_descent=False):
     Returns:
         RecoveryReport with ``tensors['L']``, ``tensors['E']``, ``tensors['N']``;
         :mod:`tenrec.metrics` scores L against a ground truth.
+
+    Raises:
+        FloatingPointError: on a floating-point overflow or invalid
+            operation during the sweeps (see
+            :func:`tenrec.completion.run_sweeps`).
     """
     cfg = config or SolverConfig()
     # A C-ordered copy of an input held in another memory order, so every

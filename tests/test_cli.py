@@ -332,6 +332,22 @@ def test_solver_failure_is_one_json_error_line(tmp_path, capsys, monkeypatch, co
     assert list(json.loads(lines[0])) == ["error"]
 
 
+@pytest.mark.parametrize("command", ["complete", "denoise"])
+def test_overflowing_solve_is_one_json_error_line(tmp_path, capsys, command):
+    # finite data whose squares overflow: the solve stops at the first fault
+    gt, _ = make_instance(tmp_path)
+    path = tmp_path / "big.tns"
+    save_tensor(path, gt * 1e300)
+    code = main([command, str(path), "--out", str(tmp_path / "run")] + SOLVE_INPUT[command])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert list(json.loads(lines[0])) == ["error"]
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command, flags", [
     ("complete", ["--sr", "0.5", "--beta", "1,x,0"]),
     ("complete", ["--sr", "abc"]),
@@ -360,6 +376,43 @@ def test_usage_error_is_one_json_error_line(tmp_path, capsys, command, flags):
     assert list(json.loads(lines[0])) == ["error"]
     message = json.loads(lines[0])["error"]
     assert any(f"argument {flag}: " in message for flag in flags if flag.startswith("--"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--shape", "8,a,5", "--rank", "2"],
+     "tenrec synth: argument --shape: expected three positive extents I1,I2,I3, got '8,a,5'"),
+    (["synth", "--shape", "8,7", "--rank", "2"],
+     "tenrec synth: argument --shape: expected three positive extents I1,I2,I3, got '8,7'"),
+    (["denoise", "data.tns", "--noniid", "0.1"],
+     "tenrec denoise: argument --noniid: expected two numbers lo,hi, got '0.1'"),
+    (["denoise", "data.tns", "--noniid", "0.1,y"],
+     "tenrec denoise: argument --noniid: expected two numbers lo,hi, got '0.1,y'"),
+    (["synth", "--shape", "8,7,5", "--rank", "2", "--peak", "nan"],
+     "tenrec synth: argument --peak: expected a positive finite number, got 'nan'"),
+    (["synth", "--shape", "8,7,5", "--rank", "2", "--peak", "0"],
+     "tenrec synth: argument --peak: expected a positive finite number, got '0'"),
+    (["complete", "data.tns", "--sr", "0"],
+     "tenrec complete: argument --sr: expected a number in (0, 1], got '0'"),
+    (["complete", "data.tns", "--sr", "1.5"],
+     "tenrec complete: argument --sr: expected a number in (0, 1], got '1.5'"),
+    (["complete", "data.tns", "--sr", "abc"],
+     "tenrec complete: argument --sr: expected a number in (0, 1], got 'abc'"),
+    (["complete", "data.tns", "--sr", "0.5", "--seed", "-1"],
+     "tenrec complete: argument --seed: expected a non-negative integer, got '-1'"),
+    (["synth", "--shape", "5,4,3", "--rank", "-1"],
+     "tenrec synth: argument --rank: expected a non-negative integer, got '-1'"),
+    (["synth", "--shape", "5,4,3", "--rank", "9"],
+     "tenrec synth: argument --rank: must not exceed min(I1, I2) = 4, got 9"),
+], ids=["shape-unparsable", "shape-two-extents", "noniid-one-number", "noniid-unparsable",
+        "peak-nan", "peak-zero", "sr-zero", "sr-above-one", "sr-unparsable", "seed-negative",
+        "rank-negative", "rank-above-min-extent"])
+def test_checked_flag_message(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "run"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps({"error": message}) + "\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["synth", "complete", "denoise", "eval"])

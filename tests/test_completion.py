@@ -237,6 +237,19 @@ class TestSolve:
         with pytest.raises(ValueError):
             complete(obs, mask, SolverConfig(tol=0.0))
 
+    @pytest.mark.parametrize("solver", ["complete", "decompose"])
+    def test_overflow_raises_where_it_happens(self, solver):
+        # finite data whose squares overflow: the first fault raises, and
+        # the caller's floating-point error state comes back after it
+        gt, mask, obs = small_instance(seed=16)
+        before = np.geterr()
+        with pytest.raises(FloatingPointError):
+            if solver == "complete":
+                complete(obs * 1e300, mask, SMALL_CFG)
+            else:
+                decompose(gt * 1e300, SMALL_CFG)
+        assert np.geterr() == before
+
     def test_uniform_beta_runs_all_pairs(self):
         gt, mask, obs = small_instance(seed=15, shape=(6, 5, 4))
         report = complete(obs, mask, SMALL_CFG.updated(beta=None, max_iter=5, tol=1e-14))
