@@ -125,16 +125,8 @@ def _resolve_config(args):
 
 
 def _write_manifest(path, command, config, inputs, outputs, seed, wall_seconds, **extra):
-    manifest = {
-        "command": command,
-        "package_version": __version__,
-        "config": config,
-        "inputs": inputs,
-        "outputs": outputs,
-        "seed": seed,
-        "wall_seconds": wall_seconds,
-        **extra,
-    }
+    manifest = dict(command=command, package_version=__version__, config=config, inputs=inputs,
+                    outputs=outputs, seed=seed, wall_seconds=wall_seconds, **extra)
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

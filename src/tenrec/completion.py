@@ -128,6 +128,8 @@ class _MaskedEstimate:
         # The observed entries and their flat C-order indices, read once per
         # solve in any memory order.
         self.index = np.flatnonzero(mask)
+        if self.index.size == 0:
+            raise ValueError("mask observes no entry")
         self.values = observed[mask]
         if not np.all(np.isfinite(self.values)):
             raise ValueError("observed entries must be finite")
@@ -171,6 +173,9 @@ def complete(observed, mask, config=None, track_descent=False):
         :mod:`tenrec.metrics` scores against a ground truth.
 
     Raises:
+        ValueError: on a mask or data it cannot use: a mask that is not
+            boolean, of another shape, or that observes no entry, or an
+            observed entry that is not finite.
         FloatingPointError: on a floating-point overflow or invalid
             operation during the sweeps (see :func:`run_sweeps`).
     """

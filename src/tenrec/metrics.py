@@ -14,7 +14,18 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 
 
-def _as_bands(x, ref):
+def _as_bands(x, ref, for_ergas=False):
+    """Both arrays as ``(I1, I2, B)`` band stacks, divided by the reference's
+    peak: its largest magnitude, 1 for an all-zero reference.
+
+    This is the one place that reads the reference's scale.  Every score
+    runs on these unit-peak bands, so PSNR and SSIM are taken at that peak,
+    and a pair of normal floats of like magnitude (1e-200 or 1e300) scores
+    as it does at unit peak.  ``for_ergas`` also refuses a reference band
+    whose mean is exactly zero, where ERGAS is undefined.  That is decided
+    before the division, whose rounding can leave a residue in place of the
+    zero; a band sum beyond the float range is no zero.
+    """
     x, ref = np.asarray(x, dtype=float), np.asarray(ref, dtype=float)
     if x.shape != ref.shape:
         raise ValueError(f"shapes differ: {x.shape} vs {ref.shape}")
@@ -22,7 +33,14 @@ def _as_bands(x, ref):
         raise ValueError("metrics need at least a 2-way array")
     if not (np.isfinite(x).all() and np.isfinite(ref).all()):
         raise ValueError("cannot score an array or a reference that holds NaN or inf")
-    return x.reshape(x.shape[0], x.shape[1], -1), ref.reshape(x.shape[0], x.shape[1], -1)
+    x, ref = x.reshape(*x.shape[:2], -1), ref.reshape(*x.shape[:2], -1)
+    if for_ergas:
+        with np.errstate(over="ignore", invalid="ignore"):
+            zero = np.mean(ref, axis=(0, 1)) == 0.0
+        if np.any(zero):
+            raise ValueError(f"reference band {np.argmax(zero)} has zero mean; ERGAS undefined")
+    peak = np.max(np.abs(ref)) or 1.0
+    return x / peak, ref / peak
 
 
 def _band_sq(d):
@@ -31,20 +49,27 @@ def _band_sq(d):
     return np.einsum("ijb,ijb->b", d, d)
 
 
-def rel_error(x, ref):
-    """``||x - ref|| / ||ref||`` in the Frobenius norm, ``||ref||`` floored at 1e-300."""
-    xb, rb = _as_bands(x, ref)
+def _rel_error(xb, rb):
     ref_norm = float(np.sqrt(np.sum(_band_sq(rb))))
     return float(np.sqrt(np.sum(_band_sq(xb - rb)))) / max(ref_norm, 1e-300)
 
 
-def psnr(x, ref, peak=1.0):
-    """Mean over bands of 10*log10(peak^2 / MSE); +inf when any band is exact."""
-    xb, rb = _as_bands(x, ref)
+def rel_error(x, ref):
+    """``||x - ref|| / ||ref||`` in the Frobenius norm, ``||ref||`` floored at 1e-300."""
+    return _rel_error(*_as_bands(x, ref))
+
+
+def _psnr(xb, rb):
     mse = _band_sq(xb - rb) / (xb.shape[0] * xb.shape[1])
     if np.any(mse == 0.0):
         return float("inf")
-    return float(np.mean(10.0 * np.log10(peak**2 / mse)))
+    return float(np.mean(-10.0 * np.log10(mse)))
+
+
+def psnr(x, ref):
+    """Mean over bands of -10*log10(MSE) of the unit-peak bands, i.e. of
+    10*log10(peak^2 / MSE) at the reference's peak; +inf when any band is exact."""
+    return _psnr(*_as_bands(x, ref))
 
 
 def _gaussian_window(size, sigma):
@@ -63,15 +88,12 @@ def _filter(x, g):
     return sliding_window_view(x, g.size, axis=1) @ g
 
 
-def ssim(x, ref, peak=1.0):
-    """Mean over bands of the single-scale structural similarity index."""
-    xb, rb = _as_bands(x, ref)
+def _ssim(xb, rb):
     size = min(SSIM_WINDOW, xb.shape[0], xb.shape[1])
     if size % 2 == 0:
         size -= 1
     g = _gaussian_window(size, SSIM_SIGMA)
-    c1 = (0.01 * peak) ** 2
-    c2 = (0.03 * peak) ** 2
+    c1, c2 = 0.01**2, 0.03**2
 
     mu1 = _filter(xb, g)
     mu2 = _filter(rb, g)
@@ -83,29 +105,36 @@ def ssim(x, ref, peak=1.0):
     return float(np.mean(num / den))
 
 
+def ssim(x, ref):
+    """Mean over bands of the single-scale structural similarity index of the
+    unit-peak bands, with the constants ``0.01**2`` and ``0.03**2``."""
+    return _ssim(*_as_bands(x, ref))
+
+
+def _ergas(xb, rb):
+    mse = _band_sq(xb - rb) / (xb.shape[0] * xb.shape[1])
+    return float(100.0 * np.sqrt(np.mean(mse / np.mean(rb, axis=(0, 1)) ** 2)))
+
+
 def ergas(x, ref):
     """Band-relative global RMSE error; zero only for a perfect match.
 
     ``100 * sqrt(mean_b((RMSE_b / mean_b)^2))`` where ``mean_b`` is the
     reference band mean: the resolution ratio of the pan-sharpening form
-    is 1.  Not symmetric in its arguments.
+    is 1.  Not symmetric in its arguments.  A reference band whose mean is
+    exactly zero leaves it undefined and raises ``ValueError``.
     """
-    xb, rb = _as_bands(x, ref)
-    means = np.mean(rb, axis=(0, 1))
-    if not np.all(means):
-        raise ValueError(f"reference band {np.argmax(means == 0.0)} has zero mean; ERGAS undefined")
-    mse = _band_sq(xb - rb) / (xb.shape[0] * xb.shape[1])
-    return float(100.0 * np.sqrt(np.mean(mse / means**2)))
+    return _ergas(*_as_bands(x, ref, for_ergas=True))
 
 
 def evaluate_all(x, ref):
     """rel_error/psnr/ssim/ergas of ``x`` against a reference of its shape, as a dict.
 
     This is the metric set of every score the CLI reports, in its order.
-    PSNR and SSIM take the reference's largest magnitude as the peak, 1
-    for an all-zero reference.
+    Both arrays are checked and divided by the reference's peak once (see
+    ``_as_bands``), and the four scores run on those bands, so the values
+    do not depend on the data's scale.
     """
-    rel = rel_error(x, ref)  # refuses a reference of another shape first
-    peak = float(np.max(np.abs(ref))) or 1.0
-    return {"rel_error": rel, "psnr": psnr(x, ref, peak), "ssim": ssim(x, ref, peak),
-            "ergas": ergas(x, ref)}
+    xb, rb = _as_bands(x, ref, for_ergas=True)
+    return {"rel_error": _rel_error(xb, rb), "psnr": _psnr(xb, rb), "ssim": _ssim(xb, rb),
+            "ergas": _ergas(xb, rb)}

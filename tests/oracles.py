@@ -264,10 +264,12 @@ def loop_rel_error(x, ref):
     return float(np.linalg.norm(xb - rb)) / max(float(np.linalg.norm(rb)), 1e-300)
 
 
-def loop_psnr(x, ref, peak=1.0):
-    """Mean over bands of 10*log10(peak^2 / MSE), one band at a time; +inf
-    as soon as a band has zero error."""
-    xb, rb = _as_bands(x, ref)
+def loop_psnr(x, ref):
+    """Mean over bands of 10*log10(peak^2 / MSE) of the unscaled arrays at the
+    reference's peak max|ref|, one band at a time; +inf as soon as a band has
+    zero error."""
+    xb, rb = (np.reshape(a, (ref.shape[0], ref.shape[1], -1)) for a in (x, ref))
+    peak = np.max(np.abs(rb))
     values = []
     for b in range(xb.shape[2]):
         mse = float(np.mean((xb[:, :, b] - rb[:, :, b]) ** 2))

@@ -287,6 +287,24 @@ class TestEval:
         assert main(["eval", str(out / "L.tns"), str(path)]) == 0
         assert capsys.readouterr().out.strip().split(",") == [row[c] for c in METRICS_HEADER[2:]]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("peak", ["1e300", "1e-200"])
+    def test_scores_a_pair_of_any_magnitude(self, tmp_path, capsys, peak):
+        # the four values of the same pair at unit peak, and no warning
+        values = {}
+        for scale in (peak, "1.0"):
+            paths = [str(tmp_path / f"{scale}-{seed}.tns") for seed in (0, 1)]
+            for seed, path in enumerate(paths):
+                assert main(["synth", "--shape", "8,8,4", "--rank", "2", "--seed", str(seed),
+                             "--peak", scale, "--out", path]) == 0
+            capsys.readouterr()
+            assert main(["eval"] + paths) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 1
+            values[scale] = [float(v) for v in lines[0].split(",")]
+        assert len(values[peak]) == 4 and not np.isnan(values[peak]).any()
+        assert values[peak] == pytest.approx(values["1.0"], rel=1e-12, abs=0)
+
     def test_missing_file(self, tmp_path, capsys):
         a = tmp_path / "a.tns"
         save_tensor(a, np.zeros((3, 3)))
@@ -616,6 +634,22 @@ def test_mask_entries_other_than_0_and_1_are_refused(tmp_path, capsys, value):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"error": f"mask {mask_path} holds values other than 0 and 1"}
+    assert not (tmp_path / "run").exists()
+
+
+def test_mask_that_observes_nothing_is_refused(tmp_path, capsys):
+    # --sr 0.01 of 32 entries observes round(0.32) = 0 of them
+    path = tmp_path / "t.tns"
+    assert main(["synth", "--shape", "4,4,2", "--rank", "1", "--seed", "3",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    code = main(["complete", str(path), "--sr", "0.01", "--out", str(tmp_path / "run")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "mask observes no entry"}
     assert not (tmp_path / "run").exists()
 
 

@@ -204,12 +204,12 @@ class TestSolve:
         diffs = [row["inf_norm_diff"] for row in report.trace]
         assert diffs[-1] < diffs[0]
 
-    def test_empty_mask_settles_at_zero(self):
-        # no observations: the all-zero initialization is a fixed point
+    def test_empty_mask_is_refused(self):
+        # no observation leaves nothing to complete from, not a recovery of zeros
         shape = (6, 6, 3)
         mask = np.zeros(shape, dtype=bool)
-        report = complete(np.zeros(shape), mask, SMALL_CFG.updated(max_iter=3))
-        assert not report.tensors["Z"].any()
+        with pytest.raises(ValueError, match="^mask observes no entry$"):
+            complete(np.ones(shape), mask, SMALL_CFG.updated(max_iter=3))
 
     def test_iteration_cap_flagged_not_converged(self):
         gt, mask, obs = small_instance(seed=12)

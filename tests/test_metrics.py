@@ -18,19 +18,25 @@ class TestPsnr:
         x = np.random.default_rng(0).random((16, 16, 3))
         assert psnr(x, x) == float("inf")
 
-    def test_unit_mse_peak_255(self):
-        ref = np.zeros((50, 50))
-        x = np.ones((50, 50))
-        assert psnr(x, ref, peak=255.0) == pytest.approx(48.130803609, abs=1e-6)
+    def test_unit_mse_at_reference_peak_255(self):
+        # the peak is the reference's largest magnitude: 10*log10(255^2 / 1)
+        ref = np.random.default_rng(0).integers(0, 256, (50, 50)).astype(float)
+        ref[7, 3] = 255.0
+        x = ref + 1.0
+        assert psnr(x, ref) == pytest.approx(48.130803609, abs=1e-6)
 
-    def test_constant_offset_20db(self):
-        ref = np.random.default_rng(1).random((20, 20, 4))
-        x = ref + 0.1
-        assert psnr(x, ref, peak=1.0) == pytest.approx(20.0, abs=1e-9)
+    def test_offset_of_a_tenth_of_the_peak_20db(self):
+        # the reference peaks at 10 in magnitude, at a negative entry
+        ref = 10.0 * np.random.default_rng(1).random((20, 20, 4))
+        ref[2, 5, 1] = -10.0
+        x = ref + 1.0
+        assert psnr(x, ref) == pytest.approx(20.0, abs=1e-9)
 
     def test_symmetric(self):
+        # symmetric where the two arrays share their largest magnitude
         rng = np.random.default_rng(2)
         a, b = rng.random((12, 12, 2)), rng.random((12, 12, 2))
+        a[0, 0, 0] = b[5, 7, 1] = 1.0
         assert psnr(a, b) == pytest.approx(psnr(b, a))
 
     def test_shape_mismatch(self):
@@ -56,8 +62,10 @@ class TestSsim:
             assert value < 1.0
 
     def test_symmetric(self):
+        # symmetric where the two arrays share their largest magnitude
         rng = np.random.default_rng(5)
         a, b = rng.random((18, 18, 2)), rng.random((18, 18, 2))
+        a[0, 0, 0] = b[9, 4, 1] = 1.0
         assert ssim(a, b) == pytest.approx(ssim(b, a))
 
     def test_small_slices_supported(self):
@@ -119,7 +127,7 @@ class TestSsimFilter:
         rng = np.random.default_rng(13)
         ref = rng.random(shape)
         x = ref + 0.1 * rng.standard_normal(shape)
-        want = oracle_ssim(x, ref, size)
+        want = oracle_ssim(x, ref, size, peak=np.max(np.abs(ref)))
         assert abs(ssim(x, ref) - want) <= 1e-12 * abs(want)
 
 
@@ -196,9 +204,34 @@ def test_evaluate_all_scores_at_the_reference_peak():
     ref[3, 4, 1] = -30.0
     x = ref + rng.standard_normal(ref.shape)
     out = evaluate_all(x, ref)
-    assert out["psnr"] == psnr(x, ref, peak=30.0)
-    assert out["ssim"] == ssim(x, ref, peak=30.0)
-    assert out["psnr"] != psnr(x, ref)
+    want_psnr = np.mean(10.0 * np.log10(30.0**2 / np.mean((x - ref) ** 2, axis=(0, 1))))
+    assert out["psnr"] == pytest.approx(want_psnr, rel=1e-13, abs=0)
+    want_ssim = oracle_ssim(x, ref, 11, peak=30.0)
+    assert abs(out["ssim"] - want_ssim) <= 1e-12 * abs(want_ssim)
+
+
+def test_library_scores_are_the_cli_scores():
+    # the A2 ground truth, which peaks at 21.06, plus noise of 0.01
+    ref = gen_lowrank((30, 30, 10), 2, seed=7)
+    assert np.max(np.abs(ref)) == pytest.approx(21.06, abs=5e-3)
+    x = ref + 0.01 * np.random.default_rng(15).standard_normal(ref.shape)
+    out = evaluate_all(x, ref)
+    # about 20*log10(21.06 / 0.01) = 66.47 dB, not the 40 dB of a unit peak
+    assert tenrec.psnr(x, ref) == out["psnr"] == pytest.approx(66.47, abs=0.1)
+    # each score alone divides the pair as evaluate_all does once for all four
+    for name, value in out.items():
+        assert getattr(tenrec.metrics, name)(x, ref) == value, name
+
+
+# at 1e307 a band's sum of the reference's entries overflows
+@pytest.mark.parametrize("scale", [1e-200, 1e-5, 21.06, 1e300, 1e307])
+def test_scores_do_not_depend_on_the_scale(scale):
+    x, ref = scored_pair((12, 12, 3), 16)
+    want = evaluate_all(x, ref)
+    got = evaluate_all(scale * x, scale * ref)
+    assert all(np.isfinite(v) for v in got.values())
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-12, abs=0), key
 
 
 def scored_pair(shape, seed):
@@ -222,7 +255,7 @@ class TestBandReduction:
                                         one_exact_band((30, 30, 20), 22)])
     def test_scores_match_band_loops(self, x, ref):
         assert rel_error(x, ref) == pytest.approx(loop_rel_error(x, ref), rel=1e-13, abs=0)
-        assert psnr(x, ref, 1.7) == pytest.approx(loop_psnr(x, ref, 1.7), rel=1e-13, abs=0)
+        assert psnr(x, ref) == pytest.approx(loop_psnr(x, ref), rel=1e-13, abs=0)
         assert ergas(x, ref) == pytest.approx(loop_ergas(x, ref), rel=1e-13, abs=0)
 
     def test_one_exact_band_gives_infinite_psnr(self):

@@ -60,13 +60,13 @@ SOLVER_PARAMETERS = {
     "decompose": ["observed", "config", "track_descent"],
 }
 
-# evaluate_all takes the peak from the reference and ERGAS is always at
-# ratio 1; only psnr and ssim take an explicit peak
+# every score takes the peak from the reference and ERGAS is always at
+# ratio 1, so no scorer takes an option
 SCORER_PARAMETERS = {
     "evaluate_all": ["x", "ref"],
     "ergas": ["x", "ref"],
-    "psnr": ["x", "ref", "peak"],
-    "ssim": ["x", "ref", "peak"],
+    "psnr": ["x", "ref"],
+    "ssim": ["x", "ref"],
 }
 
 RECOVERY_REPORT_FIELDS = ["tensors", "trace", "converged", "iterations", "notes"]
