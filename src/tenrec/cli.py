@@ -141,7 +141,7 @@ def cmd_synth(args):
     if args.peak is not None:
         top = np.max(np.abs(t))
         if top > 0:
-            t = t * (args.peak / top)
+            t = t / top * args.peak  # max|t| / top is exactly 1
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_tensor(out, t)

@@ -2,7 +2,9 @@
 
 N-way inputs are scored per frontal slice of the first two modes and the
 per-slice values are averaged, so a hyperspectral cube is treated as a
-stack of bands.
+stack of bands.  Every public score raises ``FloatingPointError`` where a
+step overflows (a recovery far larger than its reference, say), rather
+than returning an infinite or NaN score.
 """
 
 from __future__ import annotations
@@ -45,8 +47,15 @@ def _as_bands(x, ref, for_ergas=False):
 
 def _band_sq(d):
     """Each band's sum of squares of an ``(I1, I2, B)`` stack, by an einsum: it calls
-    no BLAS, whose threaded dot of a large array stalls while its threads wake."""
-    return np.einsum("ijb,ijb->b", d, d)
+    no BLAS, whose threaded dot of a large array stalls while its threads wake.
+
+    The einsum sets no floating-point flag, so ``np.errstate`` cannot see it
+    overflow; of a finite stack, an infinite sum is one that did.
+    """
+    sq = np.einsum("ijb,ijb->b", d, d)
+    if not np.isfinite(sq).all():
+        raise FloatingPointError("overflow encountered in a band's sum of squares")
+    return sq
 
 
 def _rel_error(xb, rb):
@@ -54,6 +63,7 @@ def _rel_error(xb, rb):
     return float(np.sqrt(np.sum(_band_sq(xb - rb)))) / max(ref_norm, 1e-300)
 
 
+@np.errstate(over="raise")
 def rel_error(x, ref):
     """``||x - ref|| / ||ref||`` in the Frobenius norm, ``||ref||`` floored at 1e-300."""
     return _rel_error(*_as_bands(x, ref))
@@ -66,6 +76,7 @@ def _psnr(xb, rb):
     return float(np.mean(-10.0 * np.log10(mse)))
 
 
+@np.errstate(over="raise")
 def psnr(x, ref):
     """Mean over bands of -10*log10(MSE) of the unit-peak bands, i.e. of
     10*log10(peak^2 / MSE) at the reference's peak; +inf when any band is exact."""
@@ -105,6 +116,7 @@ def _ssim(xb, rb):
     return float(np.mean(num / den))
 
 
+@np.errstate(over="raise")
 def ssim(x, ref):
     """Mean over bands of the single-scale structural similarity index of the
     unit-peak bands, with the constants ``0.01**2`` and ``0.03**2``."""
@@ -116,6 +128,7 @@ def _ergas(xb, rb):
     return float(100.0 * np.sqrt(np.mean(mse / np.mean(rb, axis=(0, 1)) ** 2)))
 
 
+@np.errstate(over="raise")
 def ergas(x, ref):
     """Band-relative global RMSE error; zero only for a perfect match.
 
@@ -127,6 +140,7 @@ def ergas(x, ref):
     return _ergas(*_as_bands(x, ref, for_ergas=True))
 
 
+@np.errstate(over="raise")
 def evaluate_all(x, ref):
     """rel_error/psnr/ssim/ergas of ``x`` against a reference of its shape, as a dict.
 

@@ -152,19 +152,22 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     - Per-slice SVD, for a slice that the Gram route does not take or
       whose last threshold is negative (it keeps values that the Gram
       matrix does not resolve).
-    - Batched SVD of every slice, for ``R < GRAM_MIN_RANK`` and in strict
-      mode, through the ``max(I1, I2) x R`` view of non-square slices.
+    - Batched SVD of every slice, for ``R < GRAM_MIN_RANK``, through the
+      ``max(I1, I2) x R`` view of non-square slices.
+
+    The shrink rule chooses no route: every route certifies the values
+    that the default rule keeps, and ``strict`` only zeroes some of them.
 
     The slices live in one buffer, one stack of ``I3 // 2 + 1`` complex
     ``I1 x I2`` slices, and the real result overwrites it (see
-    :func:`_irfft_over_slices`).  A full-path call on the Gram route
-    holds at its peak the buffer, the Gram matrix and factors of one
-    slice, and ``MAX_WIDTH_FRACTION * R`` left vectors per slice for the
-    next basis: 1.5-1.9 stacks on 60 x 60 x 16, 80 x 60 x 9 and 100 x 100
-    x 20 inputs, where the batched SVD holds three.  A tall argument holds
-    what its transpose does: 1.3 stacks on a 200 x 100 x 20 input of
-    tubal rank 5.  The returned array is a view of the buffer, which is
-    ``2 * (I3 // 2 + 1) / I3`` times its size.
+    :func:`_irfft_over_slices`).  A full-path call on the Gram route,
+    under either rule, holds at its peak the buffer, the Gram matrix and
+    factors of one slice, and ``MAX_WIDTH_FRACTION * R`` left vectors per
+    slice for the next basis: 1.5-1.9 stacks on 60 x 60 x 16, 80 x 60 x 9
+    and 100 x 100 x 20 inputs, where the batched SVD holds three.  A tall
+    argument holds what its transpose does: 1.3 stacks on a 200 x 100 x
+    20 input of tubal rank 5.  The returned array is a view of the buffer,
+    which is ``2 * (I3 // 2 + 1) / I3`` times its size.
 
     Returns
     -------
@@ -257,9 +260,9 @@ def _shrink_slices(a, w_half, rho, epsilon, thr, strict):
 
     Slices of rank ``R >= GRAM_MIN_RANK`` are factored one at a time, by
     :func:`_gram_triplets` or else by their SVD, so the factors of only one
-    slice are held at once.  Smaller slices, and all slices in strict
-    mode, are factored by one batched SVD, of ``n x R`` views when ``n >
-    R``.
+    slice are held at once.  Smaller slices are factored by one batched
+    SVD, of ``n x R`` views when ``n > R``.  The route depends on ``R``
+    alone; ``strict`` reaches only :func:`_rebuild`.
 
     Returns ``(u, s, s_new)``: the values of every slice before and after
     the shrinkage, and ``u``, the first ``MAX_WIDTH_FRACTION * R`` left
@@ -268,7 +271,7 @@ def _shrink_slices(a, w_half, rho, epsilon, thr, strict):
     """
     half, r, _ = a.shape
     cap = int(MAX_WIDTH_FRACTION * r)
-    if strict or r < GRAM_MIN_RANK:
+    if r < GRAM_MIN_RANK:
         # LAPACK factors an n x R slice 2-22 % faster than its R x n
         # transpose (measured on 2 cores, n x R from 12 x 8 to 120 x 60)
         if a.shape[2] > r:
@@ -284,13 +287,13 @@ def _shrink_slices(a, w_half, rho, epsilon, thr, strict):
         # a negative last threshold keeps values that the Gram matrix cannot resolve
         gram = thr[j, -1] >= 0 and _gram_triplets(a[j], thr[j], s[:j, 0].max(initial=0.0))
         left, s[j], vh = gram or np.linalg.svd(a[j], full_matrices=False)
-        s_new[j] = _rebuild(a[j], left, s[j], vh, w_half[j], rho, epsilon)
+        s_new[j] = _rebuild(a[j], left, s[j], vh, w_half[j], rho, epsilon, strict)
         u[j] = left[:, :cap]
         del left, vh  # not held while the next slice is factored
     return u, s, s_new
 
 
-def _rebuild(a, u, s, vh, w, rho, epsilon, strict=False):
+def _rebuild(a, u, s, vh, w, rho, epsilon, strict):
     """Shrink the values ``s`` of slice ``a``, or of a stack, under weights
     ``w`` (cut to their number), write the slices rebuilt from the kept
     triplets over ``a``, and return the shrunk values."""

@@ -11,12 +11,13 @@ import pytest
 
 import tenrec
 import tenrec.completion
-from tenrec import (NoiseSpec, SolverConfig, add_mixed_noise, gen_lowrank, gen_mask, load_tensor,
-                    save_tensor)
+from tenrec import (NoiseSpec, SolverConfig, add_mixed_noise, complete, gen_lowrank, gen_mask,
+                    load_tensor, save_tensor)
 from tenrec.cli import _resolve_config, build_parser, main
 from tenrec.metrics import evaluate_all
 
 from oracles import tubal_rank
+from test_acceptance import lrtc_config, lrtc_instance
 
 
 def read_csv(path):
@@ -47,6 +48,17 @@ class TestSynth:
             assert main(["synth", "--shape", "8,7,5", "--rank", "2", "--seed", "9",
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("peak", [1.0, 21.06])
+    def test_peak_is_met_exactly(self, tmp_path, peak):
+        # the library's rescaling of the same tensor, bit for bit
+        out = tmp_path / "gt.tns"
+        assert main(["synth", "--shape", "30,30,20", "--rank", "3", "--seed", "42",
+                     "--peak", str(peak), "--out", str(out)]) == 0
+        t = gen_lowrank((30, 30, 20), 3, 42)
+        got = load_tensor(out)
+        assert np.array_equal(got, t / np.max(np.abs(t)) * peak)
+        assert np.max(np.abs(got)) == peak
 
     def test_missing_shape_usage_error(self, tmp_path):
         assert main(["synth", "--rank", "3", "--out", str(tmp_path / "x.tns")]) == 2
@@ -304,6 +316,21 @@ class TestEval:
             values[scale] = [float(v) for v in lines[0].split(",")]
         assert len(values[peak]) == 4 and not np.isnan(values[peak]).any()
         assert values[peak] == pytest.approx(values["1.0"], rel=1e-12, abs=0)
+
+    def test_recovery_far_larger_than_its_reference_is_one_json_error_line(self, tmp_path,
+                                                                            capsys):
+        # the unit-peak difference, about 1e300, overflows when squared
+        paths = [str(tmp_path / name) for name in ("x.tns", "ref.tns")]
+        for seed, peak, path in ((1, "1e290", paths[0]), (0, "1e-10", paths[1])):
+            assert main(["synth", "--shape", "8,8,4", "--rank", "2", "--seed", str(seed),
+                         "--peak", peak, "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["eval"] + paths) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert list(json.loads(lines[0])) == ["error"]
 
     def test_missing_file(self, tmp_path, capsys):
         a = tmp_path / "a.tns"
@@ -711,3 +738,8 @@ def test_full_pipeline_on_acceptance_instance(tmp_path, capsys):
                  "--out", str(eval_out)]) == 0
     eval_rows = read_csv(eval_out / "metrics.csv")
     assert float(eval_rows[0]["psnr"]) > 30.0
+
+    # the library's A1 instance and solve, bit for bit
+    lib_gt, mask, observed = lrtc_instance()
+    assert np.array_equal(gt, lib_gt)
+    assert np.array_equal(rec, complete(observed, mask, lrtc_config()).tensors["Z"])

@@ -234,6 +234,15 @@ def test_scores_do_not_depend_on_the_scale(scale):
         assert got[key] == pytest.approx(value, rel=1e-12, abs=0), key
 
 
+@pytest.mark.parametrize("score", [rel_error, psnr, ssim, ergas, evaluate_all])
+def test_recovery_far_larger_than_its_reference_raises(score):
+    # the unit-peak difference, about 1e300, overflows when squared
+    x, ref = (gen_lowrank((8, 8, 4), 2, seed) for seed in (1, 0))
+    x, ref = x / np.max(np.abs(x)) * 1e290, ref / np.max(np.abs(ref)) * 1e-10
+    with pytest.raises(FloatingPointError):
+        score(x, ref)
+
+
 def scored_pair(shape, seed):
     rng = np.random.default_rng(seed)
     ref = rng.random(shape) + 0.1

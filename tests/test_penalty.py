@@ -492,15 +492,18 @@ class TestProx:
         stack = (i3 // 2 + 1) * i1 * i2 * 16
         assert peak <= 3.5 * stack
 
+    @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("i1, i2, i3, rank", [(60, 60, 16, 5), (80, 60, 9, 20),
                                                   (100, 100, 20, 40)])
-    def test_full_path_working_set(self, i1, i2, i3, rank, full_paths):
+    def test_full_path_working_set(self, i1, i2, i3, rank, strict, full_paths):
         # One buffer holds the slices, each slice is factored and rebuilt
         # in its place, and the real result is written over the buffer:
-        # at most two stacks of half-spectrum slices at any time, also
-        # when so many values are kept that no basis is handed on.
+        # at most two stacks of half-spectrum slices at any time, under
+        # either rule, also when so many values are kept that no basis is
+        # handed on.
         y, w, rho, eps = gapped_instance(i1, i2, i3, rank, seed=i1 + i3)
-        peak, (_, sigma_new, _, next_basis) = peak_bytes(lambda: weighted_log_prox(y, w, rho, eps))
+        peak, (_, sigma_new, _, next_basis) = peak_bytes(
+            lambda: weighted_log_prox(y, w, rho, eps, strict=strict))
         assert np.count_nonzero(sigma_new[:, 0]) == rank
         # a tall argument is factored through its transposed view
         assert full_paths == [(i3 // 2 + 1, min(i1, i2), max(i1, i2))] * 2
@@ -625,15 +628,15 @@ class TestGramFullPath:
             y, w, rho, eps = gapped_instance(i1, i2, i3, 3, seed=i1 + i3)
         if kind == "zero-weights":
             w = np.zeros_like(w)
-        half = i3 // 2 + 1
         svd_shapes.clear()
         got = weighted_log_prox(y, w, rho, eps, strict=strict)
         factored = list(svd_shapes)
         assert_matches_oracle(y, w, rho, eps, strict=strict)
-        if strict:
-            # the batched SVD factors the n x R view of either orientation
-            assert factored == [(half, max(i1, i2), min(i1, i2))]
-        elif kind != "zero-weights":
+        # the route does not depend on the rule
+        if kind == "zero-weights":
+            # a negative threshold sends each slice to its own SVD
+            assert factored == [(min(i1, i2), max(i1, i2))] * (i3 // 2 + 1)
+        else:
             # every slice certified, exactly zero slices included
             assert factored == []
             assert 0 < np.count_nonzero(got[1]) < got[1].size
