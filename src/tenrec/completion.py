@@ -13,6 +13,11 @@ estimate itself: observed entries are copied from the data, unobserved
 entries take a beta-weighted average of the surrogates.  Robust PCA
 (:mod:`tenrec.rpca`) runs the same sweep with its L/E/N block:
 completion is robust PCA with E = N = 0 plus a mask projection.
+
+The model itself is stated by the test suite's ``palm_complete`` (and
+``palm_decompose``), a dense transcription of the sweep that the tests
+hold this one to, sweep by sweep.  A change to the model edits that
+reference in the same diff.
 """
 
 from __future__ import annotations

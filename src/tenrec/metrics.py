@@ -124,8 +124,14 @@ def ssim(x, ref):
 
 
 def _ergas(xb, rb):
-    mse = _band_sq(xb - rb) / (xb.shape[0] * xb.shape[1])
-    return float(100.0 * np.sqrt(np.mean(mse / np.mean(rb, axis=(0, 1)) ** 2)))
+    # The ratio before its square: a band mean far below the peak makes the
+    # square overflow, which raises, where the mean's square would underflow
+    # to a zero divisor.  A mean that underflows itself, at unit peak, raises
+    # at the division.
+    rmse = np.sqrt(_band_sq(xb - rb) / (xb.shape[0] * xb.shape[1]))
+    with np.errstate(divide="raise", invalid="raise"):
+        ratio = rmse / np.mean(rb, axis=(0, 1))
+    return float(100.0 * np.sqrt(np.mean(ratio**2)))
 
 
 @np.errstate(over="raise")
@@ -135,7 +141,9 @@ def ergas(x, ref):
     ``100 * sqrt(mean_b((RMSE_b / mean_b)^2))`` where ``mean_b`` is the
     reference band mean: the resolution ratio of the pan-sharpening form
     is 1.  Not symmetric in its arguments.  A reference band whose mean is
-    exactly zero leaves it undefined and raises ``ValueError``.
+    exactly zero leaves it undefined and raises ``ValueError``; one whose
+    mean is too far below the peak for the band's squared ratio to be a
+    float raises ``FloatingPointError``.
     """
     return _ergas(*_as_bands(x, ref, for_ergas=True))
 

@@ -10,6 +10,10 @@ The sweep is :func:`tenrec.completion.run_sweeps`; this module supplies
 its data block: the L, E and N steps, their part of the Lagrangian and
 the ascent on the residual multiplier F.  The sweep hands the L step the
 pairs' pull as two arrays and adds the pairs' part of the Lagrangian.
+
+The model itself is stated by the test suite's ``palm_decompose``, a
+dense transcription of the sweep that the tests hold this one to, sweep
+by sweep.  A change to the model edits that reference in the same diff.
 """
 
 from __future__ import annotations

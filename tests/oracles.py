@@ -5,9 +5,11 @@ The solvers only evaluate the weight form of the penalty
 ``penalty.update_lambda_bar``); the equivalence results of the model are
 what make that enough.  The direct forms of the penalty and the t-SVD
 toolkit below state those results in code: the tests check the weight
-form and the prox against them.  The band-loop forms of the error
-scores are the references of ``tenrec.metrics``' one-reduction scores.
-None of it is part of the package.
+form and the prox against them.  :func:`palm_complete` and
+:func:`palm_decompose` state the model itself, one whole PALM sweep at a
+time.  The band-loop forms of the error scores are the references of
+``tenrec.metrics``' one-reduction scores.  None of it is part of the
+package.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tenrec.algebra import _require_3way, mode_pairs, t_product, unfold_mode_pair
+from tenrec.algebra import (_require_3way, fold_mode_pair, mode_pairs, t_product,
+                            unfold_mode_pair)
 from tenrec.metrics import _as_bands
 from tenrec.penalty import _validate_params, mlcp, weighted_log_prox
 from tenrec.simulate import gen_mask, make_rng
@@ -253,6 +256,133 @@ def prox_lgamma_norm(y, lam_bar, gamma, rho, epsilon, strict=False):
                                            strict=strict)
     w = np.maximum(lam_bar - np.log1p(mirror_columns(sigma_new, i3) / epsilon) / gamma, 0.0)
     return l, w
+
+
+# -- The model, one PALM sweep at a time --------------------------------------
+#
+# A transcription of the two solvers' sweeps from the model's update
+# formulas, for the tests to hold the solvers against, sweep by sweep.
+# Of tenrec it reads only the mode-pair unfoldings and SolverConfig's
+# pair weights, robust-PCA weights and scalars: every Fourier slice of the
+# full spectrum is factored by its own SVD, with no half spectrum, warm
+# start, Gram route or width rule.  A change to the model (a new weight
+# rule, a new sparse-weight rule, a new step) edits these functions in the
+# same diff as the solver.
+
+
+def palm_complete(observed, mask, cfg, sweeps):
+    """``sweeps`` PALM sweeps of the completion model, whatever ``cfg.tol``
+    says; returns each sweep's iterate as ``{"Z": z}``.
+
+    The observed entries stay fixed to the data; the unobserved ones
+    minimise the pairs' beta-weighted coupling terms plus the proximal term
+    ``(rho/2)*||z - z_prev||^2``.
+    """
+    z = np.where(mask, observed, 0.0)
+    pairs = _palm_pairs(z, cfg)
+    mu, rho = cfg.mu0, cfg.rho0
+    iterates = []
+    for _ in range(sweeps):
+        pull, weight = _palm_pair_steps(pairs, z, mu, rho, cfg)
+        z = np.where(mask, observed, (rho * z + pull) / (rho + weight))
+        for p in pairs:
+            p["q"] = p["q"] + mu * (unfold_mode_pair(z, *p["pair"]) - p["m"])
+        mu, rho = mu * cfg.growth, rho * cfg.growth
+        iterates.append({"Z": z})
+    return iterates
+
+
+def palm_decompose(observed, cfg, sweeps):
+    """``sweeps`` PALM sweeps of the robust-PCA model ``T = L + E + N``,
+    whatever ``cfg.tol`` says; returns each sweep's iterate as ``{"L": l,
+    "E": e, "N": n}``.
+
+    After the pair steps, L, E and N each minimise the Lagrangian plus
+    ``(rho/2)*||. - prev||^2`` in turn: L a weighted average, E a soft
+    threshold at ``tau1/(ptau + rho)``, N a ridge step with weight
+    ``2*tau2``.  Then the pairs' multipliers and the residual multiplier F
+    ascend, and mu, rho and the residual penalty ``ptau`` grow.
+    """
+    t = np.asarray(observed, dtype=float)
+    tau1, tau2 = cfg.resolve_tau(t.shape)
+    ptau = cfg.penalty_tau
+    l, e, n, f = t.copy(), np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+    pairs = _palm_pairs(l, cfg)
+    mu, rho = cfg.mu0, cfg.rho0
+    iterates = []
+    for _ in range(sweeps):
+        pull, weight = _palm_pair_steps(pairs, l, mu, rho, cfg)
+        l = (ptau * (t - e - n) + f + rho * l + pull) / (ptau + rho + weight)
+        arg = (ptau * (t - l - n) + f + rho * e) / (ptau + rho)
+        e = np.sign(arg) * np.maximum(np.abs(arg) - tau1 / (ptau + rho), 0.0)
+        n = (ptau * (t - l - e) + f + rho * n) / (2.0 * tau2 + ptau + rho)
+        for p in pairs:
+            p["q"] = p["q"] + mu * (unfold_mode_pair(l, *p["pair"]) - p["m"])
+        f = f + ptau * (t - l - e - n)
+        mu, rho, ptau = mu * cfg.growth, rho * cfg.growth, ptau * cfg.growth
+        iterates.append({"L": l, "E": e, "N": n})
+    return iterates
+
+
+def _palm_pairs(x, cfg):
+    """Each coupled pair's variables at the start: the surrogate M is the
+    unfolding of ``x``, the multiplier Q is zero, the weights w and their
+    targets lam are one, and sigma holds M's singular values, one R x I3
+    column per Fourier slice."""
+    pairs = []
+    for pair, beta in cfg.pair_weights(x.ndim):
+        m = unfold_mode_pair(x, *pair)
+        sigma = np.stack([np.linalg.svd(s, compute_uv=False)
+                          for s in np.moveaxis(dft_mode3(m), 2, 0)], axis=1)
+        pairs.append({"pair": pair, "beta": beta, "m": m, "q": np.zeros_like(m),
+                      "w": np.ones_like(sigma), "lam": np.ones_like(sigma), "sigma": sigma})
+    return pairs
+
+
+def _palm_pair_steps(pairs, x, mu, rho, cfg):
+    """Every pair's weight, surrogate and weight-target steps, at the
+    estimate ``x`` of the sweep's start; returns the pairs' pull on the
+    data step, ``(sum beta*fold(mu*M - Q), sum beta*mu)``."""
+    gamma, epsilon = cfg.gamma, cfg.epsilon
+    rho1 = 1.1 * mu
+    for p in pairs:
+        t = np.log1p(p["sigma"] / epsilon)
+        p["w"] = np.maximum((gamma * p["lam"] + rho * p["w"] - t) / (gamma + rho), 0.0)
+        arg = p["m"] + (mu * unfold_mode_pair(x, *p["pair"]) + p["q"] - mu * p["m"]) / rho1
+        p["m"], p["sigma"] = _palm_prox(arg, p["w"], rho1, epsilon, cfg.strict_prox)
+        p["lam"] = (gamma * p["w"] + rho * p["lam"]) / (gamma + rho)
+    pull = sum(p["beta"] * fold_mode_pair(mu * p["m"] - p["q"], *p["pair"], x.shape)
+               for p in pairs)
+    return pull, sum(p["beta"] * mu for p in pairs)
+
+
+def _palm_prox(arg, w, rho1, epsilon, strict):
+    """The surrogate step on ``(rho1/2)*||M - arg||^2 + sum w*log(sigma(M)/eps
+    + 1)``: each Fourier slice's singular values shrunk at quadratic scale
+    ``rho1/I3``, the spatial quadratic being 1/I3 of the Fourier one;
+    returns M and its values (R x I3)."""
+    i3 = arg.shape[2]
+    slices, sigma = np.empty(arg.shape, dtype=complex), np.empty(w.shape)
+    for k, a in enumerate(np.moveaxis(dft_mode3(arg), 2, 0)):
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        sigma[:, k] = _palm_shrink(s, w[:, k], rho1 / i3, epsilon, strict)
+        slices[:, :, k] = (u * sigma[:, k]) @ vh
+    return idft_mode3(slices).real, sigma
+
+
+def _palm_shrink(s, w, scale, epsilon, strict):
+    """Shrink values ``s`` under ``(scale/2)*(x - s)**2 + w*log(x/eps + 1)``
+    over ``x >= 0``: the larger stationary point above the threshold
+    ``2*sqrt(w/scale) - eps``, else 0.  The strict rule, the global
+    minimiser, keeps that point only where its objective is not above
+    zero's."""
+    above = s > 2.0 * np.sqrt(w / scale) - epsilon
+    root = np.sqrt(np.where(above, (s + epsilon) ** 2 - 4.0 * w / scale, 0.0))
+    x = np.where(above, np.maximum(0.5 * (s - epsilon + root), 0.0), 0.0)
+    if strict:
+        kept = 0.5 * scale * (x - s) ** 2 + w * np.log1p(x / epsilon) <= 0.5 * scale * s**2
+        x = np.where(kept, x, 0.0)
+    return x
 
 
 # -- Error scores, one band at a time ------------------------------------------

@@ -18,6 +18,7 @@ from tenrec.metrics import evaluate_all
 
 from oracles import tubal_rank
 from test_acceptance import lrtc_config, lrtc_instance
+from test_metrics import tiny_mean_pair
 
 
 def read_csv(path):
@@ -325,6 +326,20 @@ class TestEval:
             assert main(["synth", "--shape", "8,8,4", "--rank", "2", "--seed", str(seed),
                          "--peak", peak, "--out", path]) == 0
         capsys.readouterr()
+        assert main(["eval"] + paths) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert list(json.loads(lines[0])) == ["error"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_band_mean_far_below_the_peak_is_one_json_error_line(self, tmp_path, capsys):
+        # the first reference band's mean, 1e-169, is 1e-167 of its RMSE
+        # error, whose square ERGAS cannot hold: exit 1, not a row with inf
+        paths = [str(tmp_path / name) for name in ("x.tns", "ref.tns")]
+        for path, t in zip(paths, tiny_mean_pair(1.0)):
+            save_tensor(path, t)
         assert main(["eval"] + paths) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

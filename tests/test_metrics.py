@@ -243,6 +243,24 @@ def test_recovery_far_larger_than_its_reference_raises(score):
         score(x, ref)
 
 
+def tiny_mean_pair(peak):
+    """An 8 x 8 x 2 pair whose first reference band holds ``peak``, ``-peak``
+    and ``6.4e-168``, a mean of 1e-169, and the recovery 0.01 * peak above it."""
+    ref = np.full((8, 8, 2), peak)
+    ref[:, :, 0] = 0.0
+    ref[0, :3, 0] = peak, -peak, 6.4e-168
+    return ref + 0.01 * peak, ref
+
+
+# At peak 1 the first band's ratio of RMSE to mean, 1e167, overflows when
+# squared; at peak 1e300 the mean underflows to zero at unit peak.
+@pytest.mark.parametrize("peak", [1.0, 1e300])
+@pytest.mark.parametrize("score", [ergas, evaluate_all])
+def test_band_mean_far_below_the_peak_raises(score, peak):
+    with pytest.raises(FloatingPointError):
+        score(*tiny_mean_pair(peak))
+
+
 def scored_pair(shape, seed):
     rng = np.random.default_rng(seed)
     ref = rng.random(shape) + 0.1
