@@ -78,7 +78,7 @@ class _Parser(argparse.ArgumentParser):
 def _checked(parse, accept, expected):
     """argparse ``type=`` of a bounded value: ``parse(text)``, refused unless
     it parses and ``accept`` holds for it."""
-    def check(text):
+    def convert(text):
         try:
             value = parse(text)
             if accept(value):
@@ -86,7 +86,7 @@ def _checked(parse, accept, expected):
         except ValueError:
             pass
         raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-    return check
+    return convert
 
 
 def _comma_list(kind):

@@ -4,10 +4,10 @@ The model couples every mode-pair unfolding of the estimate to an
 auxiliary low-rank surrogate through an augmented Lagrangian.  One sweep
 (:func:`run_sweeps`) runs in PALM order, each step writing its own
 variables once: the pair steps (per pair: singular-value weights,
-surrogate shrinkage, weight targets), the data step, the descent check,
-the multiplier ascent, the trace row, and the geometric growth of the
-penalties.  Only the sweep reads the pairs: it hands the data block their
-pull (:func:`pair_pull`) and adds their part of the Lagrangian
+surrogate shrinkage, weight targets), the data step, the multiplier
+ascent, the trace row, and the geometric growth of the penalties.  Only
+the sweep reads the pairs: it hands the data block their pull
+(:func:`pair_pull`) and adds their part of the Lagrangian
 (:func:`lagrangian_value`).  For completion the data block is the
 estimate itself: observed entries are copied from the data, unobserved
 entries take a beta-weighted average of the surrogates.  Robust PCA
@@ -32,8 +32,6 @@ from .config import SolverConfig
 from .penalty import shrink_singular_values, update_lambda_bar, update_weights, weighted_log_prox
 from .report import RecoveryReport
 
-DESCENT_RTOL = 1e-8
-SUBPROBLEM_RTOL = 1e-14
 # rho1 = GAMMA1 * mu is the surrogate step's proximal scalar.  PALM needs
 # rho1 > mu (Bolte, Sabach & Teboulle 2014); every shipped config used 1.1.
 GAMMA1 = 1.1
@@ -48,7 +46,6 @@ class PairState:
 
     def __init__(self, pair, beta, m):
         self.pair = pair
-        self.label = f"{pair[0] + 1}{pair[1] + 1}"
         self.beta = beta
         self.m = m
         self.q = np.zeros_like(m)
@@ -144,10 +141,8 @@ class _MaskedEstimate:
     def lagrangian(self):
         return 0.0  # the indicator of the observation constraint
 
-    def step(self, pull, weight, rho, check):
-        z = self.x
-        self.x = update_z(self.values, self.index, z, pull, weight, rho)
-        check("z", rho, self.x, z)
+    def step(self, pull, weight, rho):
+        self.x = update_z(self.values, self.index, self.x, pull, weight, rho)
 
     def ascend(self):
         return {}
@@ -159,19 +154,13 @@ class _MaskedEstimate:
         return {"Z": self.x}
 
 
-def complete(observed, mask, config=None, track_descent=False):
+def complete(observed, mask, config=None):
     """Recover missing entries of a partially observed tensor.
 
     Args:
         observed: data tensor; only entries under ``mask`` are trusted.
         mask: boolean tensor of observed positions, same shape.
         config: SolverConfig; package defaults when omitted.
-        track_descent: check every step of each sweep against the
-            augmented Lagrangian: trace rows gain ``lag_before``,
-            ``lag_after`` and per-step ``subproblems``, and ``notes``
-            counts the rises (see :func:`run_sweeps`).  Meant for
-            growth=1.0 runs; only ``strict_prox`` is expected to pass the
-            surrogate (M) step's check.
 
     Returns:
         RecoveryReport with the completed tensor under ``tensors['Z']``, which
@@ -194,37 +183,23 @@ def complete(observed, mask, config=None, track_descent=False):
         raise ValueError("completion needs at least a 2-way tensor")
     block = _MaskedEstimate(observed, mask)
     del observed, mask  # the block keeps the observed entries only
-    return run_sweeps(config or SolverConfig(), block, track_descent)
+    return run_sweeps(config or SolverConfig(), block)
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
-def run_sweeps(cfg, block, track_descent):
+def run_sweeps(cfg, block):
     """The sweeps of both solvers, until no entry of the estimate moves more
     than ``cfg.tol``.
 
-    A sweep runs the pair steps, the data step, the descent check, the
-    ascent, the trace row and the penalty growth.  ``block`` is the
-    solver's data block.  It holds the estimate ``x`` and provides
-    ``step(pull, weight, rho, check)`` (its primal update, given the
-    pairs' pull on ``x`` from :func:`pair_pull`), ``lagrangian()`` (its
-    own part of the Lagrangian, to which the sweep adds the pairs' part,
-    :func:`lagrangian_value`), ``ascend()`` (its own multiplier step;
-    returns extra trace columns), ``grow(growth)`` and ``tensors()``.
-    Only the sweep reads the pairs' states and ``mu``.
-
-    Each primal step writes its variables, then calls ``check(name, scale,
-    new, old)``: per pair ``"<pair>.w"``, ``"<pair>.m"``, ``"<pair>.lam"``,
-    then the data steps (``"z"``, or ``"l"``, ``"e"``, ``"n"``).  With
-    ``track_descent`` each trace row gains ``lag_before`` and
-    ``lag_after``, the Lagrangian at the sweep's start and after its
-    primal steps (multipliers held fixed), and ``subproblems``: per step,
-    the Lagrangian before it and after it plus its proximal term
-    ``0.5*sum(scale*(new - old)**2)``; the weight steps' ``scale`` is
-    ``beta*rho*count``, so that their term covers the whole spectrum.
-    ``notes`` counts the rises.  The
-    surrogate step's term is PALM's sufficient decrease
-    ``beta*(rho1 - mu)/2*||dM||^2``, which only the exact proximal map
-    (``strict_prox``) guarantees.
+    A sweep runs the pair steps, the data step, the ascent, the trace row
+    and the penalty growth.  ``block`` is the solver's data block.  It
+    holds the estimate ``x`` and provides ``step(pull, weight, rho)`` (its
+    primal update, given the pairs' pull on ``x`` from
+    :func:`pair_pull`), ``lagrangian()`` (its own part of the Lagrangian,
+    to which the sweep adds the pairs' part, :func:`lagrangian_value`),
+    ``ascend()`` (its own multiplier step; returns extra trace columns),
+    ``grow(growth)`` and ``tensors()``.  Only the sweep reads the pairs'
+    states and ``mu``.
 
     Raises:
         FloatingPointError: where a floating-point overflow, division by
@@ -237,27 +212,18 @@ def run_sweeps(cfg, block, track_descent):
         for pair, beta in cfg.pair_weights(block.x.ndim)
     ]
     trace = []
-    notes = {"descent_violations": 0, "subproblem_violations": 0, "strict_flips": 0}
+    notes = {"strict_flips": 0}
     mu, rho = cfg.mu0, cfg.rho0
     converged = False
     started = time.perf_counter()
 
-    def lagrangian():  # at the current mu
-        return block.lagrangian() + lagrangian_value(block.x, states, mu, cfg.gamma, cfg.epsilon)
-
     iterations = 0
     for it in range(1, cfg.max_iter + 1):
         iterations = it
-        check = _StepCheck(lagrangian) if track_descent else _unchecked
         x = block.x
         for st in states:
-            notes["strict_flips"] += _pair_step(st, x, mu, rho, cfg, check)
-        block.step(*pair_pull(states, mu, x.shape), rho, check)
-
-        if track_descent:
-            notes["descent_violations"] += _rose(check.first, check.last, DESCENT_RTOL)
-            notes["subproblem_violations"] += sum(_rose(before, after, SUBPROBLEM_RTOL)
-                                                  for before, after in check.steps.values())
+            notes["strict_flips"] += _pair_step(st, x, mu, rho, cfg)
+        block.step(*pair_pull(states, mu, x.shape), rho)
 
         diff = float(np.max(np.abs(block.x - x))) if x.size else 0.0
 
@@ -265,16 +231,14 @@ def run_sweeps(cfg, block, track_descent):
             st.q = update_multiplier(st.q, unfold_mode_pair(block.x, *st.pair), st.m, mu)
         columns = block.ascend()
 
-        row = {
+        trace.append({
             "iter": it,
             "inf_norm_diff": diff,
-            "lagrangian": lagrangian(),
+            "lagrangian": block.lagrangian() + lagrangian_value(
+                block.x, states, mu, cfg.gamma, cfg.epsilon),
             "seconds": time.perf_counter() - started,
             **columns,
-        }
-        if track_descent:
-            row.update(lag_before=check.first, lag_after=check.last, subproblems=check.steps)
-        trace.append(row)
+        })
 
         mu *= cfg.growth
         rho *= cfg.growth
@@ -287,47 +251,20 @@ def run_sweeps(cfg, block, track_descent):
                           iterations=iterations, notes=notes)
 
 
-def _pair_step(st, x, mu, rho, cfg, check):
+def _pair_step(st, x, mu, rho, cfg):
     """Weights, surrogate shrinkage (with its next warm start) and weight
-    targets of one pair, each written into ``st`` and then checked; the
-    multiplier is left to the ascent.  Returns the number of values that
-    strict mode zeroes and the default rule keeps (0 outside strict mode)."""
+    targets of one pair, each written into ``st``; the multiplier is left
+    to the ascent.  Returns the number of values that strict mode zeroes
+    and the default rule keeps (0 outside strict mode)."""
     rho1 = GAMMA1 * mu
-    w_old, lam_old, m_old = st.w, st.lam_bar, st.m
-    st.w = update_weights(st.sigma, w_old, lam_old, cfg.gamma, rho, cfg.epsilon)
-    check(st.label + ".w", st.beta * rho * st.count, st.w, w_old)
-
+    m_old = st.m
+    st.w = update_weights(st.sigma, st.w, st.lam_bar, cfg.gamma, rho, cfg.epsilon)
     st.m, st.sigma, sigma_arg, st.basis = update_m_pair(
         m_old, unfold_mode_pair(x, st.pair[0], st.pair[1]), st.q, st.w, mu, rho1, cfg.epsilon,
         strict=cfg.strict_prox, basis=st.basis,
     )
-    check(st.label + ".m", st.beta * (rho1 - mu), st.m, m_old)
-
-    st.lam_bar = update_lambda_bar(st.w, lam_old, cfg.gamma, rho)
-    check(st.label + ".lam", st.beta * rho * st.count, st.lam_bar, lam_old)
+    st.lam_bar = update_lambda_bar(st.w, st.lam_bar, cfg.gamma, rho)
     if not cfg.strict_prox:
         return 0
     default_vals = shrink_singular_values(sigma_arg, st.w, rho1 / m_old.shape[2], cfg.epsilon)
     return int(np.sum(st.count * (default_vals != st.sigma)))
-
-
-def _unchecked(name, scale, new, old):
-    pass
-
-
-def _rose(before, after, rtol):
-    return int(after > before * (1 + rtol) + 1e-12)
-
-
-class _StepCheck:
-    """``check`` of a tracked sweep: the Lagrangian at its start (``first``),
-    after its latest step (``last``), and per step ``steps[name]``."""
-
-    def __init__(self, lagrangian):
-        self.lagrangian = lagrangian
-        self.first = self.last = lagrangian()
-        self.steps = {}
-
-    def __call__(self, name, scale, new, old):
-        before, self.last = self.last, self.lagrangian()
-        self.steps[name] = (before, self.last + 0.5 * float(np.sum(scale * (new - old) ** 2)))

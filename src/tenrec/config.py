@@ -41,6 +41,9 @@ class SolverConfig:
     strict_prox: bool = False
 
     def __post_init__(self):
+        # of a type that operator.index takes, as the sweep loop's range() needs
+        if not hasattr(type(self.max_iter), "__index__") or self.max_iter < 0:
+            raise ValueError(f"max_iter must be a non-negative integer, got {self.max_iter!r}")
         # Every check below is a comparison, which NaN passes.
         for f in fields(self):
             value = getattr(self, f.name)
@@ -51,8 +54,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.growth < 1:
             raise ValueError(f"growth must be >= 1, got {self.growth}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be non-negative, got {self.max_iter}")
         if self.beta is not None:
             beta = np.asarray(self.beta, dtype=float)
             if np.any(beta < 0):

@@ -82,14 +82,11 @@ class _LowRankSparseNoise:
     def lagrangian(self):
         return _lagrangian(self.t, self.x, self.e, self.n, self.f, self.ptau, self.tau1, self.tau2)
 
-    def step(self, pull, weight, rho, check):
-        t, l, e, n, f, ptau = self.t, self.x, self.e, self.n, self.f, self.ptau
-        self.x = update_l(t, e, n, f, l, pull, weight, ptau, rho)
-        check("l", rho, self.x, l)
-        self.e = update_e(t, self.x, n, e, f, ptau, self.tau1, rho)
-        check("e", rho, self.e, e)
-        self.n = update_n(t, self.x, self.e, n, f, ptau, self.tau2, rho)
-        check("n", rho, self.n, n)
+    def step(self, pull, weight, rho):
+        t, f, ptau = self.t, self.f, self.ptau
+        self.x = update_l(t, self.e, self.n, f, self.x, pull, weight, ptau, rho)
+        self.e = update_e(t, self.x, self.n, self.e, f, ptau, self.tau1, rho)
+        self.n = update_n(t, self.x, self.e, self.n, f, ptau, self.tau2, rho)
 
     def ascend(self):
         residual = self.t - self.x - self.e - self.n
@@ -109,18 +106,12 @@ class _LowRankSparseNoise:
         return {"L": self.x, "E": self.e, "N": self.n}
 
 
-def decompose(observed, config=None, track_descent=False):
+def decompose(observed, config=None):
     """Split a corrupted tensor into low-rank, sparse and Gaussian parts.
 
     Args:
         observed: the corrupted data tensor (any number of modes >= 2).
         config: SolverConfig; package defaults when omitted.
-        track_descent: check every step of each sweep against the
-            augmented Lagrangian: trace rows gain ``lag_before``,
-            ``lag_after`` and per-step ``subproblems``, and ``notes``
-            counts the rises (see :func:`tenrec.completion.run_sweeps`).
-            Meant for growth=1.0 runs; only ``strict_prox`` is expected to
-            pass the surrogate (M) step's check.
 
     Returns:
         RecoveryReport with ``tensors['L']``, ``tensors['E']``, ``tensors['N']``;
@@ -139,4 +130,4 @@ def decompose(observed, config=None, track_descent=False):
         raise ValueError("decomposition needs at least a 2-way tensor")
     if not np.all(np.isfinite(t)):
         raise ValueError("observed tensor must be finite")
-    return run_sweeps(cfg, _LowRankSparseNoise(t, cfg), track_descent)
+    return run_sweeps(cfg, _LowRankSparseNoise(t, cfg))

@@ -7,9 +7,10 @@ what make that enough.  The direct forms of the penalty and the t-SVD
 toolkit below state those results in code: the tests check the weight
 form and the prox against them.  :func:`palm_complete` and
 :func:`palm_decompose` state the model itself, one whole PALM sweep at a
-time.  The band-loop forms of the error scores are the references of
-``tenrec.metrics``' one-reduction scores.  None of it is part of the
-package.
+time, and price each step on the augmented Lagrangian, whose rises
+:func:`descent_rises` counts.  The band-loop forms of the error scores
+are the references of ``tenrec.metrics``' one-reduction scores.  None of
+it is part of the package.
 """
 
 from __future__ import annotations
@@ -268,40 +269,97 @@ def prox_lgamma_norm(y, lam_bar, gamma, rho, epsilon, strict=False):
 # start, Gram route or width rule.  A change to the model (a new weight
 # rule, a new sparse-weight rule, a new step) edits these functions in the
 # same diff as the solver.
+#
+# Each sweep also prices its steps on the augmented Lagrangian, so the
+# tests can check PALM's sufficient decrease (Bolte, Sabach & Teboulle
+# 2014) on the model rather than on the solver.
+
+# A sweep rises when the Lagrangian after its primal steps exceeds the one
+# at its start by more than DESCENT_RTOL relative plus RISE_ATOL; a step
+# rises when the Lagrangian after it plus its proximal term exceeds the one
+# before it by more than STEP_RTOL relative plus RISE_ATOL.
+DESCENT_RTOL = 1e-8
+STEP_RTOL = 1e-14
+RISE_ATOL = 1e-12
+
+
+@dataclass
+class PalmSweep:
+    """One sweep of the model.
+
+    ``tensors`` is its iterate (``{"Z": z}`` or ``{"L": l, "E": e, "N":
+    n}``).  ``start`` is the augmented Lagrangian at the sweep's start, and
+    ``steps`` lists its primal steps in order as ``(name, Lagrangian after
+    the step, the step's proximal term)``: per pair ``"<pair>.w"``,
+    ``"<pair>.m"`` and ``"<pair>.lam"``, then ``"z"``, or ``"l"``, ``"e"``
+    and ``"n"``.  Both are taken at the multipliers and penalties of the
+    sweep's start.  ``lagrangian`` is the Lagrangian after the ascent at the
+    sweep's penalties, as the solvers' trace reports it.
+    """
+
+    tensors: dict
+    start: float
+    steps: list
+    lagrangian: float
+
+
+def descent_rises(sweeps):
+    """The rises of a reference run: ``(sweeps that rose, names of the steps
+    that rose)``, by the rules stated above DESCENT_RTOL."""
+    risen_sweeps, risen_steps = 0, []
+    for sweep in sweeps:
+        before = sweep.start
+        for name, after, prox in sweep.steps:
+            if after + prox > before * (1 + STEP_RTOL) + RISE_ATOL:
+                risen_steps.append(name)
+            before = after
+        risen_sweeps += before > sweep.start * (1 + DESCENT_RTOL) + RISE_ATOL
+    return risen_sweeps, risen_steps
 
 
 def palm_complete(observed, mask, cfg, sweeps):
     """``sweeps`` PALM sweeps of the completion model, whatever ``cfg.tol``
-    says; returns each sweep's iterate as ``{"Z": z}``.
+    says; returns each sweep as a :class:`PalmSweep` of iterate ``{"Z": z}``.
 
     The observed entries stay fixed to the data; the unobserved ones
     minimise the pairs' beta-weighted coupling terms plus the proximal term
-    ``(rho/2)*||z - z_prev||^2``.
+    ``(rho/2)*||z - z_prev||^2``.  The observation constraint adds nothing
+    to the Lagrangian at a feasible z.
     """
     z = np.where(mask, observed, 0.0)
     pairs = _palm_pairs(z, cfg)
     mu, rho = cfg.mu0, cfg.rho0
-    iterates = []
+
+    def lagrangian():
+        return _palm_lagrangian(pairs, z, mu, cfg)
+
+    out = []
     for _ in range(sweeps):
-        pull, weight = _palm_pair_steps(pairs, z, mu, rho, cfg)
-        z = np.where(mask, observed, (rho * z + pull) / (rho + weight))
+        start = lagrangian()
+        steps = [(name, lagrangian(), prox)
+                 for name, prox in _palm_pair_steps(pairs, z, mu, rho, cfg)]
+        pull, weight = _palm_pull(pairs, mu, z.shape)
+        z_prev, z = z, np.where(mask, observed, (rho * z + pull) / (rho + weight))
+        steps.append(("z", lagrangian(), _palm_prox_term(rho, z, z_prev)))
         for p in pairs:
             p["q"] = p["q"] + mu * (unfold_mode_pair(z, *p["pair"]) - p["m"])
+        out.append(PalmSweep({"Z": z}, start, steps, lagrangian()))
         mu, rho = mu * cfg.growth, rho * cfg.growth
-        iterates.append({"Z": z})
-    return iterates
+    return out
 
 
 def palm_decompose(observed, cfg, sweeps):
     """``sweeps`` PALM sweeps of the robust-PCA model ``T = L + E + N``,
-    whatever ``cfg.tol`` says; returns each sweep's iterate as ``{"L": l,
-    "E": e, "N": n}``.
+    whatever ``cfg.tol`` says; returns each sweep as a :class:`PalmSweep`
+    of iterate ``{"L": l, "E": e, "N": n}``.
 
     After the pair steps, L, E and N each minimise the Lagrangian plus
     ``(rho/2)*||. - prev||^2`` in turn: L a weighted average, E a soft
     threshold at ``tau1/(ptau + rho)``, N a ridge step with weight
     ``2*tau2``.  Then the pairs' multipliers and the residual multiplier F
-    ascend, and mu, rho and the residual penalty ``ptau`` grow.
+    ascend, and mu, rho and the residual penalty ``ptau`` grow.  The data
+    terms of the Lagrangian are ``tau1*||E||_1 + tau2*||N||^2 +
+    (ptau/2)*||T - L - E - N + F/ptau||^2``.
     """
     t = np.asarray(observed, dtype=float)
     tau1, tau2 = cfg.resolve_tau(t.shape)
@@ -309,19 +367,30 @@ def palm_decompose(observed, cfg, sweeps):
     l, e, n, f = t.copy(), np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
     pairs = _palm_pairs(l, cfg)
     mu, rho = cfg.mu0, cfg.rho0
-    iterates = []
+
+    def lagrangian():
+        return (_palm_lagrangian(pairs, l, mu, cfg) + tau1 * np.sum(np.abs(e))
+                + tau2 * np.sum(n**2) + 0.5 * ptau * np.sum((t - l - e - n + f / ptau) ** 2))
+
+    out = []
     for _ in range(sweeps):
-        pull, weight = _palm_pair_steps(pairs, l, mu, rho, cfg)
-        l = (ptau * (t - e - n) + f + rho * l + pull) / (ptau + rho + weight)
+        start = lagrangian()
+        steps = [(name, lagrangian(), prox)
+                 for name, prox in _palm_pair_steps(pairs, l, mu, rho, cfg)]
+        pull, weight = _palm_pull(pairs, mu, l.shape)
+        l_prev, l = l, (ptau * (t - e - n) + f + rho * l + pull) / (ptau + rho + weight)
+        steps.append(("l", lagrangian(), _palm_prox_term(rho, l, l_prev)))
         arg = (ptau * (t - l - n) + f + rho * e) / (ptau + rho)
-        e = np.sign(arg) * np.maximum(np.abs(arg) - tau1 / (ptau + rho), 0.0)
-        n = (ptau * (t - l - e) + f + rho * n) / (2.0 * tau2 + ptau + rho)
+        e_prev, e = e, np.sign(arg) * np.maximum(np.abs(arg) - tau1 / (ptau + rho), 0.0)
+        steps.append(("e", lagrangian(), _palm_prox_term(rho, e, e_prev)))
+        n_prev, n = n, (ptau * (t - l - e) + f + rho * n) / (2.0 * tau2 + ptau + rho)
+        steps.append(("n", lagrangian(), _palm_prox_term(rho, n, n_prev)))
         for p in pairs:
             p["q"] = p["q"] + mu * (unfold_mode_pair(l, *p["pair"]) - p["m"])
         f = f + ptau * (t - l - e - n)
+        out.append(PalmSweep({"L": l, "E": e, "N": n}, start, steps, lagrangian()))
         mu, rho, ptau = mu * cfg.growth, rho * cfg.growth, ptau * cfg.growth
-        iterates.append({"L": l, "E": e, "N": n})
-    return iterates
+    return out
 
 
 def _palm_pairs(x, cfg):
@@ -341,19 +410,47 @@ def _palm_pairs(x, cfg):
 
 def _palm_pair_steps(pairs, x, mu, rho, cfg):
     """Every pair's weight, surrogate and weight-target steps, at the
-    estimate ``x`` of the sweep's start; returns the pairs' pull on the
-    data step, ``(sum beta*fold(mu*M - Q), sum beta*mu)``."""
+    estimate ``x`` of the sweep's start.  Yields, once each step is taken,
+    its name and its proximal term: ``beta*rho/2*||dw||^2`` and
+    ``beta*rho/2*||dlam||^2`` over the whole spectrum, and PALM's
+    ``beta*(rho1 - mu)/2*||dM||^2`` for the surrogate."""
     gamma, epsilon = cfg.gamma, cfg.epsilon
     rho1 = 1.1 * mu
     for p in pairs:
+        beta, label = p["beta"], "".join(str(mode + 1) for mode in p["pair"])
+        w, m, lam = p["w"], p["m"], p["lam"]
         t = np.log1p(p["sigma"] / epsilon)
-        p["w"] = np.maximum((gamma * p["lam"] + rho * p["w"] - t) / (gamma + rho), 0.0)
-        arg = p["m"] + (mu * unfold_mode_pair(x, *p["pair"]) + p["q"] - mu * p["m"]) / rho1
+        p["w"] = np.maximum((gamma * lam + rho * w - t) / (gamma + rho), 0.0)
+        yield f"{label}.w", _palm_prox_term(beta * rho, p["w"], w)
+        arg = m + (mu * unfold_mode_pair(x, *p["pair"]) + p["q"] - mu * m) / rho1
         p["m"], p["sigma"] = _palm_prox(arg, p["w"], rho1, epsilon, cfg.strict_prox)
-        p["lam"] = (gamma * p["w"] + rho * p["lam"]) / (gamma + rho)
-    pull = sum(p["beta"] * fold_mode_pair(mu * p["m"] - p["q"], *p["pair"], x.shape)
+        yield f"{label}.m", _palm_prox_term(beta * (rho1 - mu), p["m"], m)
+        p["lam"] = (gamma * p["w"] + rho * lam) / (gamma + rho)
+        yield f"{label}.lam", _palm_prox_term(beta * rho, p["lam"], lam)
+
+
+def _palm_pull(pairs, mu, shape):
+    """The pairs' pull on the data step, ``(sum beta*fold(mu*M - Q), sum
+    beta*mu)``."""
+    pull = sum(p["beta"] * fold_mode_pair(mu * p["m"] - p["q"], *p["pair"], shape)
                for p in pairs)
     return pull, sum(p["beta"] * mu for p in pairs)
+
+
+def _palm_lagrangian(pairs, x, mu, cfg):
+    """The pairs' part of the augmented Lagrangian at the estimate ``x``:
+    per pair, beta * (the weighted log term and the target tether over the
+    whole spectrum, and ``(mu/2)*||unfold(x) - M + Q/mu||^2``)."""
+    return sum(p["beta"] * (np.sum(p["w"] * np.log1p(p["sigma"] / cfg.epsilon))
+                            + 0.5 * cfg.gamma * np.sum((p["w"] - p["lam"]) ** 2)
+                            + 0.5 * mu * np.sum((unfold_mode_pair(x, *p["pair"]) - p["m"]
+                                                 + p["q"] / mu) ** 2))
+               for p in pairs)
+
+
+def _palm_prox_term(scale, new, old):
+    """A step's proximal term ``(scale/2)*||new - old||^2``."""
+    return 0.5 * scale * np.sum((new - old) ** 2)
 
 
 def _palm_prox(arg, w, rho1, epsilon, strict):

@@ -5,6 +5,7 @@ were frozen from verified runs of the shipped configs in ``configs/``.
 """
 
 import csv
+import functools
 import json
 import time
 from pathlib import Path
@@ -31,9 +32,10 @@ from tenrec import (
 from tenrec.algebra import mode_pairs
 from tenrec.cli import main
 
-from oracles import (cp_completion_instance, cp_tensor, full_spectrum_sv, lgamma_norm,
-                     mlcp_weight_minimizer, t_svd)
-from test_completion import estimate_error
+from oracles import (cp_completion_instance, cp_tensor, descent_rises, full_spectrum_sv,
+                     lgamma_norm, mlcp_weight_minimizer, palm_complete, palm_decompose, t_svd)
+from test_completion import SMALL_CFG, estimate_error, small_instance
+from test_rpca import RAW_CFG
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 REFERENCE_AT_SEED_0 = json.loads((Path(__file__).parent / "reference_seed0.json").read_text())
@@ -247,26 +249,72 @@ def test_a6_algebra_oracles():
           f"t-svd err<={worst_svd:.1e}, fold/unfold exact)")
 
 
-def test_a7_descent_frozen_growth():
-    gt, mask, observed = lrtc_instance()
-    cfg1 = lrtc_config().updated(growth=1.0, max_iter=100, tol=1e-300, strict_prox=True)
-    rep1 = complete(observed, mask, cfg1, track_descent=True)
-    assert rep1.notes["descent_violations"] == 0
-    assert rep1.notes["subproblem_violations"] == 0
-    for row in rep1.trace:
-        assert row["lag_after"] <= row["lag_before"] * (1 + 1e-8) + 1e-12
+A7_SWEEPS = 100
 
-    l_true, corrupted = trpca_instance()
-    cfg2 = trpca_config().updated(growth=1.0, max_iter=100, tol=1e-300, strict_prox=True)
-    rep2 = decompose(corrupted, cfg2, track_descent=True)
-    assert rep2.notes["descent_violations"] == 0
-    assert rep2.notes["subproblem_violations"] == 0
-    for row in rep2.trace:
-        assert row["lag_after"] <= row["lag_before"] * (1 + 1e-8) + 1e-12
-    print(f"A7 descent (frozen growth, completion {rep1.iterations} and robust-pca "
-          f"{rep2.iterations} of 100 sweeps): PASS "
-          f"(completion flips={rep1.notes['strict_flips']}, "
-          f"robust-pca flips={rep2.notes['strict_flips']})")
+
+@functools.cache
+def model_rises(case, beta, strict):
+    """The model's rises at frozen growth (``oracles.descent_rises``) on a
+    descent case: A1 (``"completion"``) or A2 (``"robust-pca"``) over
+    A7_SWEEPS sweeps, or the unit tests' small completion or robust-PCA
+    instance over 40, with ``beta`` for the config's unless it is
+    ``"shipped"``.  Returns (sweeps, steps, sweeps that rose, names of the
+    steps that rose)."""
+    if case == "completion":
+        _, mask, observed = lrtc_instance()
+        cfg, sweeps = lrtc_config(), A7_SWEEPS
+    elif case == "small-completion":
+        _, mask, observed = small_instance(seed=16)
+        cfg, sweeps = SMALL_CFG, 40
+    elif case == "robust-pca":
+        _, observed = trpca_instance()
+        cfg, sweeps = trpca_config(), A7_SWEEPS
+    else:
+        l_true = gen_lowrank((20, 20, 6), 2, seed=14)
+        observed = add_mixed_noise(l_true, NoiseSpec(sp_fraction=0.05, gaussian_sigma=0.02,
+                                                     seed=4))
+        cfg, sweeps = RAW_CFG, 40
+    cfg = cfg.updated(growth=1.0, strict_prox=strict)
+    if beta != "shipped":
+        cfg = cfg.updated(beta=beta)
+    run = (palm_complete(observed, mask, cfg, sweeps) if "completion" in case
+           else palm_decompose(observed, cfg, sweeps))
+    risen_sweeps, risen_steps = descent_rises(run)
+    return sweeps, sum(len(sweep.steps) for sweep in run), risen_sweeps, tuple(risen_steps)
+
+
+@pytest.mark.parametrize("case, beta", [
+    ("completion", "shipped"), ("robust-pca", "shipped"),
+    ("completion", (0.6, 0.3, 0.1)), ("robust-pca", (0.6, 0.3, 0.1)),
+    ("completion", None), ("robust-pca", None),
+    ("small-completion", "shipped"), ("small-robust-pca", "shipped"),
+], ids=["completion", "robust-pca", "completion-beta-0.6-0.3-0.1", "robust-pca-beta-0.6-0.3-0.1",
+        "completion-uniform-beta", "robust-pca-uniform-beta", "small-completion",
+        "small-robust-pca"])
+def test_a7_descent_frozen_growth(case, beta):
+    # PALM's sufficient decrease (Bolte, Sabach & Teboulle 2014) under the
+    # exact proximal map: no sweep and no step of the model raises the
+    # Lagrangian.  The model runs every sweep, where the solver's strict A1
+    # stops after one (test_a7_completion_runs_every_sweep).
+    sweeps, steps, risen_sweeps, risen_steps = model_rises(case, beta, strict=True)
+    assert (risen_sweeps, risen_steps) == (0, ())
+    print(f"A7 descent of the model ({case}, beta {beta}, strict rule, {sweeps} frozen-growth "
+          f"sweeps): PASS (0 of {sweeps} sweeps and 0 of {steps} steps rose)")
+
+
+def test_a7_default_rule_breaks_descent():
+    # ROADMAP item 2: the default rule is not the proximal map, and on A2's
+    # config its surrogate step raises the Lagrangian; no other step does
+    counts = {(case, strict): model_rises(case, "shipped", strict)
+              for strict in (False, True) for case in ("completion", "robust-pca")}
+    risen = counts["robust-pca", False][3]
+    assert len(risen) >= 1 and all(name.endswith(".m") for name in risen)
+    assert counts["robust-pca", True][3] == ()
+    print("A7 rises of the model at the shipped beta (steps that rose in "
+          f"{A7_SWEEPS} frozen-growth sweeps, completion / robust PCA): " + ", ".join(
+              f"{rule} rule {len(counts['completion', strict][3])} / "
+              f"{len(counts['robust-pca', strict][3])}"
+              for rule, strict in (("default", False), ("strict", True))))
 
 
 def test_a1_strict_flips_in_sweep_one():
@@ -284,7 +332,7 @@ def test_a1_strict_flips_in_sweep_one():
 def test_a7_completion_runs_every_sweep():
     gt, mask, observed = lrtc_instance()
     cfg = lrtc_config().updated(growth=1.0, max_iter=100, tol=1e-300, strict_prox=True)
-    report = complete(observed, mask, cfg, track_descent=True)
+    report = complete(observed, mask, cfg)
     assert report.iterations == 100
 
 

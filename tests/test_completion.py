@@ -3,15 +3,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tenrec import (NoiseSpec, SolverConfig, add_mixed_noise, complete, decompose, gen_lowrank,
-                    gen_mask)
+from tenrec import SolverConfig, complete, decompose, gen_lowrank, gen_mask
 from tenrec.algebra import fold_mode_pair, fourier_singular_values, unfold_mode_pair
-from tenrec.completion import (SUBPROBLEM_RTOL, pair_pull, update_m_pair, update_multiplier,
-                               update_z)
+from tenrec.completion import pair_pull, update_m_pair, update_multiplier, update_z
 from tenrec.metrics import rel_error
-from tenrec.penalty import update_lambda_bar, update_weights, weighted_log_prox
+from tenrec.penalty import update_lambda_bar, weighted_log_prox
 
-from oracles import full_spectrum_sv, mirror_columns, prox_lgamma_norm
+from oracles import prox_lgamma_norm
 
 
 def small_instance(seed=0, shape=(12, 12, 6), rank=2, sr=0.5):
@@ -299,192 +297,3 @@ class TestMemoryOrder:
             assert report.iterations == ref.iterations
             assert np.array_equal(report.tensors["Z"], ref.tensors["Z"])
             assert report.tensors["Z"].flags.c_contiguous
-
-
-class TestDescent:
-    def test_frozen_growth_descends(self):
-        gt, mask, obs = small_instance(seed=16)
-        cfg = SMALL_CFG.updated(growth=1.0, max_iter=40, tol=1e-300, strict_prox=True)
-        report = complete(obs, mask, cfg, track_descent=True)
-        assert report.notes["descent_violations"] == 0
-        assert report.notes["subproblem_violations"] == 0
-        for row in report.trace:
-            assert row["lag_after"] <= row["lag_before"] * (1 + 1e-8) + 1e-12
-
-    @pytest.mark.parametrize("i3", [6, 5])
-    def test_z_monitor_weights_pairs_by_beta(self, monkeypatch, i3):
-        # The z entry and each pair's w and lam entries are the
-        # beta-weighted Lagrangian before the step and after it plus the
-        # proximal term, recomputed here over the full spectrum from what
-        # the sweep passed to its pull, z, weight, surrogate and
-        # weight-target steps: every Fourier slice's own singular values,
-        # and the half-spectrum weights spread over the mirror slices.
-        import tenrec.completion as completion_mod
-
-        pulls, steps, weights, surrogates, targets = [], [], [], [], []
-
-        def recording_pull(states, mu, shape):
-            pulls.append(([st.pair for st in states], [st.beta for st in states],
-                          [st.m for st in states], [st.q for st in states], mu))
-            return pair_pull(states, mu, shape)
-
-        def recording(observed, mask, z_prev, pull, weight, rho):
-            z_new = update_z(observed, mask, z_prev, pull, weight, rho)
-            steps.append((z_prev, z_new) + pulls[-1] + (rho,))
-            return z_new
-
-        def recording_weights(sigma, w_old, lam_old, *args):
-            w_new = update_weights(sigma, w_old, lam_old, *args)
-            weights.append((w_old, w_new))
-            return w_new
-
-        def recording_surrogate(m_old, *args, **kwargs):
-            out = update_m_pair(m_old, *args, **kwargs)
-            surrogates.append((m_old, out[0]))
-            return out
-
-        def recording_target(w_new, lam_old, gamma, rho):
-            lam_new = update_lambda_bar(w_new, lam_old, gamma, rho)
-            targets.append((lam_old, lam_new))
-            return lam_new
-
-        monkeypatch.setattr(completion_mod, "pair_pull", recording_pull)
-        monkeypatch.setattr(completion_mod, "update_z", recording)
-        monkeypatch.setattr(completion_mod, "update_weights", recording_weights)
-        monkeypatch.setattr(completion_mod, "update_m_pair", recording_surrogate)
-        monkeypatch.setattr(completion_mod, "update_lambda_bar", recording_target)
-        gt, mask, obs = small_instance(seed=18, shape=(12, 12, i3))
-        cfg = SMALL_CFG.updated(beta=(0.7, 0.3, 0.0), growth=1.0, max_iter=3, tol=1e-300)
-        report = complete(obs, mask, cfg, track_descent=True)
-        assert len(steps) == report.iterations == 3
-        for k, (row, (z, z_new, pairs, betas, _, q, mu, rho)) in enumerate(
-                zip(report.trace, steps)):
-            sweep = slice(k * len(pairs), (k + 1) * len(pairs))
-            # each pair's (w, lam, M) before its steps and after each one
-            stages = [{"start": (w_old, lam_old, m_old), "w": (w_new, lam_old, m_old),
-                       "m": (w_new, lam_old, m_new), "lam": (w_new, lam_new, m_new)}
-                      for (w_old, w_new), (m_old, m_new), (lam_old, lam_new)
-                      in zip(weights[sweep], surrogates[sweep], targets[sweep])]
-
-            def lagrangian(x, stage="lam", at=len(pairs)):
-                # the pairs before `at` have taken all three steps, pair
-                # `at` those up to `stage`, the pairs after it none
-                total = 0.0
-                for j, (p, b, qp) in enumerate(zip(pairs, betas, q)):
-                    w, lam, mp = stages[j]["lam" if j < at else stage if j == at else "start"]
-                    t = np.log1p(full_spectrum_sv(mp) / cfg.epsilon)
-                    w, lam = (mirror_columns(a, mp.shape[2]) for a in (w, lam))
-                    gap = unfold_mode_pair(x, *p) - mp + qp / mu
-                    total += b * (np.sum(w * t) + 0.5 * cfg.gamma * np.sum((w - lam) ** 2)
-                                  + 0.5 * mu * np.sum(gap ** 2))
-                return total
-
-            for j, (p, b) in enumerate(zip(pairs, betas)):
-                label = f"{p[0] + 1}{p[1] + 1}"
-                i3_pair = stages[j]["start"][2].shape[2]
-                for step, before_stage, after_stage, (old, new) in [
-                        ("w", "start", "w", weights[sweep][j]),
-                        ("lam", "m", "lam", targets[sweep][j])]:
-                    prox = 0.5 * b * rho * np.sum(mirror_columns((new - old) ** 2, i3_pair))
-                    before, after = row["subproblems"][f"{label}.{step}"]
-                    assert before == pytest.approx(lagrangian(z, before_stage, j), rel=1e-12)
-                    assert after == pytest.approx(lagrangian(z, after_stage, j) + prox,
-                                                  rel=1e-12)
-
-            before, after = row["subproblems"]["z"]
-            assert before == pytest.approx(lagrangian(z), rel=1e-12)
-            assert after == pytest.approx(
-                lagrangian(z_new) + 0.5 * rho * np.sum((z_new - z) ** 2), rel=1e-12)
-            assert after - 0.5 * rho * np.sum((z_new - z) ** 2) == pytest.approx(
-                row["lag_after"], rel=1e-12)
-
-    def test_subproblem_objectives_recorded(self):
-        gt, mask, obs = small_instance(seed=17)
-        cfg = SMALL_CFG.updated(beta=None, growth=1.0, max_iter=5, tol=1e-300)
-        pair_steps = [f"{p}.{s}" for p in ("12", "13", "23") for s in ("w", "m", "lam")]
-        t = add_mixed_noise(gt, NoiseSpec(sp_fraction=0.05, gaussian_sigma=0.02, seed=4))
-        for report, names in [
-            (complete(obs, mask, cfg, track_descent=True), pair_steps + ["z"]),
-            (decompose(t, cfg.updated(beta=(1.0, 0.0, 0.0)), track_descent=True),
-             ["12.w", "12.m", "12.lam", "l", "e", "n"]),
-        ]:
-            assert report.iterations == 5
-            for row in report.trace:
-                assert list(row["subproblems"]) == names
-                assert row["subproblems"][names[0]][0] == row["lag_before"]
-
-    @pytest.mark.parametrize("step, module, name, prev_of", [
-        ("z", "completion", "update_z", lambda args: args[2]),
-        ("12.w", "completion", "update_weights", lambda args: args[1]),
-        ("12.m", "completion", "update_m_pair", lambda args: args[0]),
-        ("12.lam", "completion", "update_lambda_bar", lambda args: args[1]),
-        ("l", "rpca", "update_l", lambda args: args[4]),
-        ("e", "rpca", "update_e", lambda args: args[3]),
-        ("n", "rpca", "update_n", lambda args: args[3]),
-    ], ids=["z", "w", "m", "lam", "l", "e", "n"])
-    def test_over_relaxed_step_is_counted(self, monkeypatch, step, module, name, prev_of):
-        # Each step over-relaxed to prev + 2.5*(new - prev) overshoots its
-        # minimiser, so the step check must see its objective rise.
-        import importlib
-
-        mod = importlib.import_module(f"tenrec.{module}")
-        exact = getattr(mod, name)
-
-        def over_relaxed(*args, **kwargs):
-            new, prev = exact(*args, **kwargs), prev_of(args)
-            if isinstance(new, tuple):  # the surrogate step: (M, its singular values, ...)
-                m = prev + 2.5 * (new[0] - prev)
-                return (m, fourier_singular_values(m)) + new[2:]
-            return prev + 2.5 * (new - prev)
-
-        monkeypatch.setattr(mod, name, over_relaxed)
-        cfg = SMALL_CFG.updated(growth=1.0, max_iter=20, tol=1e-300, strict_prox=True)
-        if module == "completion":
-            gt, mask, obs = small_instance(seed=16)
-            report = complete(obs, mask, cfg, track_descent=True)
-        else:
-            l_true = gen_lowrank((20, 20, 6), 2, seed=14)
-            t = add_mixed_noise(l_true, NoiseSpec(sp_fraction=0.05, gaussian_sigma=0.02, seed=4))
-            # a data penalty at which the sparse part is nonzero from sweep 1
-            cfg = cfg.updated(mu0=2e-3, rho0=2.3e-6, epsilon=0.21, penalty_tau=0.1,
-                              tau1_scale=0.3)
-            report = decompose(t, cfg, track_descent=True)
-        assert report.iterations == 20
-        risen = sum(after > before * (1 + SUBPROBLEM_RTOL) + 1e-12
-                    for before, after in (row["subproblems"][step] for row in report.trace))
-        assert risen >= 15
-        assert report.notes["subproblem_violations"] >= risen
-
-    @pytest.mark.parametrize("solver", ["complete", "decompose"])
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_monitoring_does_not_perturb_the_run(self, solver, strict):
-        # The descent check reads the sweep's variables between the data
-        # step and the ascent; it must leave every one of them as it was.
-        if solver == "complete":
-            gt, mask, obs = small_instance(seed=19)
-            cfg = SMALL_CFG.updated(beta=(0.6, 0.3, 0.1), max_iter=60, strict_prox=strict)
-            def run(track):
-                return complete(obs, mask, cfg, track_descent=track)
-        else:
-            # the robust-PCA acceptance instance and its solver settings
-            gt = gen_lowrank((30, 30, 10), 2, seed=7)
-            noisy = add_mixed_noise(gt, NoiseSpec(sp_fraction=0.10, gaussian_sigma=0.05, seed=7))
-            cfg = SolverConfig(beta=(1.0, 0.0, 0.0), mu0=2e-3, rho0=2.3e-6, growth=1.08,
-                               epsilon=0.21, penalty_tau=6e-5, tau1_scale=0.3, tol=2e-4,
-                               max_iter=40, strict_prox=strict)
-            def run(track):
-                return decompose(noisy, cfg, track_descent=track)
-        tracked, plain = run(True), run(False)
-        assert tracked.iterations == plain.iterations > 5
-        assert tracked.converged == plain.converged
-        assert tracked.tensors.keys() == plain.tensors.keys()
-        for name, tensor in plain.tensors.items():
-            assert np.array_equal(tracked.tensors[name], tensor)
-        assert estimate_error(tracked, gt) == estimate_error(plain, gt)
-        assert plain.notes["strict_flips"] == tracked.notes["strict_flips"]
-        assert len(tracked.trace) == len(plain.trace)
-        for got, ref in zip(tracked.trace, plain.trace):
-            assert {"lag_before", "lag_after", "subproblems"} <= set(got)
-            for key in ref:
-                if key != "seconds":
-                    assert got[key] == ref[key], key

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from tenrec import SolverConfig, build_config, load_config_file
@@ -67,6 +68,15 @@ def test_scalar_validation():
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), "3"])
+def test_max_iter_is_an_integer(value):
+    # the sweep loop runs range(1, max_iter + 1), which takes only what
+    # operator.index takes; a non-integer is refused when built, not mid-solve
+    with pytest.raises(ValueError, match="^max_iter must be a non-negative integer"):
+        SolverConfig(max_iter=value)
+    assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
 
 
 @pytest.mark.parametrize("name", ["gamma", "epsilon", "mu0", "rho0", "tol", "penalty_tau",

@@ -5,7 +5,9 @@ model's PALM sweep on the full Fourier spectrum.  Each case runs a solver
 for ``SWEEPS`` sweeps at ``tol = 1e-300``, records every sweep's estimate
 from the data-step functions that a sweep calls once each
 (``completion.update_z``; ``rpca.update_l``, ``update_e`` and
-``update_n``), and holds it to the reference's iterate of that sweep.
+``update_n``), and holds it to the reference's iterate of that sweep,
+and every trace row's ``lagrangian`` to the reference's Lagrangian after
+that sweep's ascent.
 """
 
 import types
@@ -53,17 +55,21 @@ def recording(monkeypatch, module, name, keep=np.array):
 
 def assert_follows_model(report, recorded, reference, start, estimate, cfg):
     """Every recorded sweep, and the report's tensors, match the reference
-    to RTOL; the solver stopped where the model's estimate first moved no
-    entry more than ``cfg.tol``, or ran every sweep; and a strict run made
-    a decision that the default rule would not."""
+    to RTOL, and so does every trace row's Lagrangian; the solver stopped
+    where the model's estimate first moved no entry more than ``cfg.tol``,
+    or ran every sweep; and a strict run made a decision that the default
+    rule would not."""
     assert len(recorded) == report.iterations == len(reference)
     assert (report.notes["strict_flips"] > 0) == cfg.strict_prox
-    for k, (got, ref) in enumerate(zip([*recorded, report.tensors], [*reference, reference[-1]])):
+    refs = [sweep.tensors for sweep in reference]
+    for k, (got, ref) in enumerate(zip([*recorded, report.tensors], [*refs, refs[-1]])):
         scale = max(np.max(np.abs(value)) for value in ref.values())
         for name, value in ref.items():
             assert np.max(np.abs(got[name] - value)) <= RTOL * scale, (k + 1, name)
+    for row, sweep in zip(report.trace, reference, strict=True):
+        assert abs(row["lagrangian"] - sweep.lagrangian) <= RTOL * sweep.lagrangian, row["iter"]
     moves = [np.max(np.abs(b[estimate] - a)) for a, b in
-             zip([start] + [it[estimate] for it in reference], reference)]
+             zip([start] + [ref[estimate] for ref in refs], refs)]
     assert all(move > cfg.tol for move in moves[:-1])
     assert (moves[-1] <= cfg.tol) == (report.iterations < SWEEPS)
 
@@ -115,10 +121,13 @@ def test_complete_follows_the_model_on_gram_and_ritz_routes(monkeypatch):
                          np.where(mask, observed, 0.0), "Z", A1)
 
 
-@pytest.mark.parametrize("strict", [False, True], ids=["a2", "a2-strict"])
-def test_decompose_follows_the_model(monkeypatch, strict):
+# the last case runs A7's settings, at which the model's descent is checked
+@pytest.mark.parametrize("changes", [{}, {"strict_prox": True},
+                                     {"strict_prox": True, "growth": 1.0}],
+                         ids=["a2", "a2-strict", "a2-strict-frozen-growth"])
+def test_decompose_follows_the_model(monkeypatch, changes):
     _, observed = trpca_instance()
-    cfg = trpca_config().updated(tol=1e-300, max_iter=SWEEPS, strict_prox=strict)
+    cfg = trpca_config().updated(tol=1e-300, max_iter=SWEEPS, **changes)
     parts = [recording(monkeypatch, rpca, f"update_{name}") for name in "len"]
     report = decompose(observed, cfg)
     assert report.iterations == SWEEPS

@@ -56,8 +56,8 @@ SOLVER_CONFIG_FIELDS = [
 # the solvers take no ground truth, and a report holds no score:
 # tenrec.metrics measures a recovery
 SOLVER_PARAMETERS = {
-    "complete": ["observed", "mask", "config", "track_descent"],
-    "decompose": ["observed", "config", "track_descent"],
+    "complete": ["observed", "mask", "config"],
+    "decompose": ["observed", "config"],
 }
 
 # every score takes the peak from the reference and ERGAS is always at

@@ -248,15 +248,3 @@ class TestMemoryOrder:
             for name in ("L", "E", "N"):
                 assert np.array_equal(report.tensors[name], ref.tensors[name])
                 assert report.tensors[name].flags.c_contiguous
-
-
-class TestDescent:
-    def test_frozen_growth_descends(self):
-        l_true = gen_lowrank((20, 20, 6), 2, seed=14)
-        t = add_mixed_noise(l_true, NoiseSpec(sp_fraction=0.05, gaussian_sigma=0.02, seed=4))
-        cfg = RAW_CFG.updated(growth=1.0, max_iter=40, tol=1e-300, strict_prox=True)
-        report = decompose(t, cfg, track_descent=True)
-        assert report.notes["descent_violations"] == 0
-        assert report.notes["subproblem_violations"] == 0
-        for row in report.trace:
-            assert row["lag_after"] <= row["lag_before"] * (1 + 1e-8) + 1e-12
