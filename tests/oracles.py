@@ -317,9 +317,10 @@ def descent_rises(sweeps):
     return risen_sweeps, risen_steps
 
 
-def palm_complete(observed, mask, cfg, sweeps):
+def palm_complete(observed, mask, cfg, sweeps, overshoot=None):
     """``sweeps`` PALM sweeps of the completion model, whatever ``cfg.tol``
     says; returns each sweep as a :class:`PalmSweep` of iterate ``{"Z": z}``.
+    ``overshoot`` breaks one kind of step on purpose (:func:`_palm_overshoot`).
 
     The observed entries stay fixed to the data; the unobserved ones
     minimise the pairs' beta-weighted coupling terms plus the proximal term
@@ -337,9 +338,10 @@ def palm_complete(observed, mask, cfg, sweeps):
     for _ in range(sweeps):
         start = lagrangian()
         steps = [(name, lagrangian(), prox)
-                 for name, prox in _palm_pair_steps(pairs, z, mu, rho, cfg)]
+                 for name, prox in _palm_pair_steps(pairs, z, mu, rho, cfg, overshoot)]
         pull, weight = _palm_pull(pairs, mu, z.shape)
         z_prev, z = z, np.where(mask, observed, (rho * z + pull) / (rho + weight))
+        z = _palm_overshoot(overshoot, "z", z, z_prev)
         steps.append(("z", lagrangian(), _palm_prox_term(rho, z, z_prev)))
         for p in pairs:
             p["q"] = p["q"] + mu * (unfold_mode_pair(z, *p["pair"]) - p["m"])
@@ -348,10 +350,11 @@ def palm_complete(observed, mask, cfg, sweeps):
     return out
 
 
-def palm_decompose(observed, cfg, sweeps):
+def palm_decompose(observed, cfg, sweeps, overshoot=None):
     """``sweeps`` PALM sweeps of the robust-PCA model ``T = L + E + N``,
     whatever ``cfg.tol`` says; returns each sweep as a :class:`PalmSweep`
-    of iterate ``{"L": l, "E": e, "N": n}``.
+    of iterate ``{"L": l, "E": e, "N": n}``.  ``overshoot`` breaks one kind
+    of step on purpose (:func:`_palm_overshoot`).
 
     After the pair steps, L, E and N each minimise the Lagrangian plus
     ``(rho/2)*||. - prev||^2`` in turn: L a weighted average, E a soft
@@ -376,14 +379,17 @@ def palm_decompose(observed, cfg, sweeps):
     for _ in range(sweeps):
         start = lagrangian()
         steps = [(name, lagrangian(), prox)
-                 for name, prox in _palm_pair_steps(pairs, l, mu, rho, cfg)]
+                 for name, prox in _palm_pair_steps(pairs, l, mu, rho, cfg, overshoot)]
         pull, weight = _palm_pull(pairs, mu, l.shape)
         l_prev, l = l, (ptau * (t - e - n) + f + rho * l + pull) / (ptau + rho + weight)
+        l = _palm_overshoot(overshoot, "l", l, l_prev)
         steps.append(("l", lagrangian(), _palm_prox_term(rho, l, l_prev)))
         arg = (ptau * (t - l - n) + f + rho * e) / (ptau + rho)
         e_prev, e = e, np.sign(arg) * np.maximum(np.abs(arg) - tau1 / (ptau + rho), 0.0)
+        e = _palm_overshoot(overshoot, "e", e, e_prev)
         steps.append(("e", lagrangian(), _palm_prox_term(rho, e, e_prev)))
         n_prev, n = n, (ptau * (t - l - e) + f + rho * n) / (2.0 * tau2 + ptau + rho)
+        n = _palm_overshoot(overshoot, "n", n, n_prev)
         steps.append(("n", lagrangian(), _palm_prox_term(rho, n, n_prev)))
         for p in pairs:
             p["q"] = p["q"] + mu * (unfold_mode_pair(l, *p["pair"]) - p["m"])
@@ -401,14 +407,31 @@ def _palm_pairs(x, cfg):
     pairs = []
     for pair, beta in cfg.pair_weights(x.ndim):
         m = unfold_mode_pair(x, *pair)
-        sigma = np.stack([np.linalg.svd(s, compute_uv=False)
-                          for s in np.moveaxis(dft_mode3(m), 2, 0)], axis=1)
+        sigma = _palm_sigma(m)
         pairs.append({"pair": pair, "beta": beta, "m": m, "q": np.zeros_like(m),
                       "w": np.ones_like(sigma), "lam": np.ones_like(sigma), "sigma": sigma})
     return pairs
 
 
-def _palm_pair_steps(pairs, x, mu, rho, cfg):
+def _palm_sigma(m):
+    """The singular values of every Fourier slice of ``m``, one R x I3
+    column per slice."""
+    return np.stack([np.linalg.svd(s, compute_uv=False)
+                     for s in np.moveaxis(dft_mode3(m), 2, 0)], axis=1)
+
+
+def _palm_overshoot(overshoot, kind, new, old):
+    """A step's result: ``new``, or, where ``overshoot`` is ``(kind,
+    factor)`` of this kind of step, ``old + factor*(new - old)``.  A
+    quadratic step taken twice as far is back at its starting objective, so
+    a factor above 2 raises it: the tests check that :func:`descent_rises`
+    sees such rises."""
+    if overshoot is None or overshoot[0] != kind:
+        return new
+    return old + overshoot[1] * (new - old)
+
+
+def _palm_pair_steps(pairs, x, mu, rho, cfg, overshoot=None):
     """Every pair's weight, surrogate and weight-target steps, at the
     estimate ``x`` of the sweep's start.  Yields, once each step is taken,
     its name and its proximal term: ``beta*rho/2*||dw||^2`` and
@@ -421,11 +444,16 @@ def _palm_pair_steps(pairs, x, mu, rho, cfg):
         w, m, lam = p["w"], p["m"], p["lam"]
         t = np.log1p(p["sigma"] / epsilon)
         p["w"] = np.maximum((gamma * lam + rho * w - t) / (gamma + rho), 0.0)
+        p["w"] = _palm_overshoot(overshoot, "w", p["w"], w)
         yield f"{label}.w", _palm_prox_term(beta * rho, p["w"], w)
         arg = m + (mu * unfold_mode_pair(x, *p["pair"]) + p["q"] - mu * m) / rho1
-        p["m"], p["sigma"] = _palm_prox(arg, p["w"], rho1, epsilon, cfg.strict_prox)
+        m_new, p["sigma"] = _palm_prox(arg, p["w"], rho1, epsilon, cfg.strict_prox)
+        p["m"] = _palm_overshoot(overshoot, "m", m_new, m)
+        if p["m"] is not m_new:
+            p["sigma"] = _palm_sigma(p["m"])
         yield f"{label}.m", _palm_prox_term(beta * (rho1 - mu), p["m"], m)
         p["lam"] = (gamma * p["w"] + rho * lam) / (gamma + rho)
+        p["lam"] = _palm_overshoot(overshoot, "lam", p["lam"], lam)
         yield f"{label}.lam", _palm_prox_term(beta * rho, p["lam"], lam)
 
 

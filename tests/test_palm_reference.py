@@ -7,7 +7,8 @@ from the data-step functions that a sweep calls once each
 (``completion.update_z``; ``rpca.update_l``, ``update_e`` and
 ``update_n``), and holds it to the reference's iterate of that sweep,
 and every trace row's ``lagrangian`` to the reference's Lagrangian after
-that sweep's ascent.
+that sweep's ascent.  The reference's own descent check is held to see
+the rises of a step that is made to overshoot.
 """
 
 import types
@@ -16,9 +17,10 @@ import numpy as np
 import pytest
 
 import oracles
-from tenrec import completion, complete, decompose, gen_mask, penalty, rpca
+from tenrec import (NoiseSpec, add_mixed_noise, completion, complete, decompose, gen_lowrank,
+                    gen_mask, penalty, rpca)
 
-from oracles import palm_complete, palm_decompose
+from oracles import descent_rises, palm_complete, palm_decompose
 from test_acceptance import lrtc_config, lrtc_instance, trpca_config, trpca_instance
 from test_completion import SMALL_CFG, small_instance
 
@@ -133,6 +135,26 @@ def test_decompose_follows_the_model(monkeypatch, changes):
     assert report.iterations == SWEEPS
     assert_follows_model(report, [dict(zip("LEN", sweep)) for sweep in zip(*parts)],
                          palm_decompose(observed, cfg, SWEEPS), observed, "L", cfg)
+
+
+@pytest.mark.parametrize("step", ["z", "w", "m", "lam", "l", "e", "n"])
+def test_over_relaxed_step_is_counted(step):
+    # Each kind of step over-relaxed to prev + 2.5*(new - prev) overshoots
+    # its minimiser, so the reference's descent check must see steps of
+    # that kind rise, and no others, over 20 strict frozen-growth sweeps.
+    cfg = SMALL_CFG.updated(growth=1.0, strict_prox=True)
+    if step in ("l", "e", "n"):
+        l_true = gen_lowrank((20, 20, 6), 2, seed=14)
+        t = add_mixed_noise(l_true, NoiseSpec(sp_fraction=0.05, gaussian_sigma=0.02, seed=4))
+        # a data penalty at which the sparse part is nonzero from sweep 1
+        cfg = cfg.updated(mu0=2e-3, rho0=2.3e-6, epsilon=0.21, penalty_tau=0.1, tau1_scale=0.3)
+        run = palm_decompose(t, cfg, 20, overshoot=(step, 2.5))
+    else:
+        _, mask, observed = small_instance(seed=16)
+        run = palm_complete(observed, mask, cfg, 20, overshoot=(step, 2.5))
+    _, risen = descent_rises(run)
+    assert len(risen) >= 15
+    assert {name.split(".")[-1] for name in risen} == {step}
 
 
 def test_reference_shares_no_code_with_the_solvers():
