@@ -14,6 +14,10 @@ entries take a beta-weighted average of the surrogates.  Robust PCA
 (:mod:`tenrec.rpca`) runs the same sweep with its L/E/N block:
 completion is robust PCA with E = N = 0 plus a mask projection.
 
+The sweep's own elementwise steps hold no full-size temporary: each runs
+over row blocks (:func:`_row_blocks`) and writes its result where the
+value it replaces is dead, so a completion solve peaks in the prox.
+
 The model itself is stated by the test suite's ``palm_complete`` (and
 ``palm_decompose``), a dense transcription of the sweep that the tests
 hold this one to, sweep by sweep.  A change to the model edits that
@@ -23,13 +27,13 @@ reference in the same diff.
 from __future__ import annotations
 
 import time
-from functools import reduce
 
 import numpy as np
 
 from .algebra import _mirror_count, fold_mode_pair, fourier_singular_values, unfold_mode_pair
 from .config import SolverConfig
-from .penalty import shrink_singular_values, update_lambda_bar, update_weights, weighted_log_prox
+from .penalty import (IRFFT_BLOCK_BYTES, shrink_singular_values, update_lambda_bar,
+                      update_weights, weighted_log_prox)
 from .report import RecoveryReport
 
 # rho1 = GAMMA1 * mu is the surrogate step's proximal scalar.  PALM needs
@@ -66,7 +70,9 @@ def update_m_pair(m, z_unf, q, w_new, mu, rho1, epsilon, strict=False, basis=Non
     point; its Fourier-slice singular values are shrunk under the fixed
     weights ``w_new`` (as :class:`PairState` holds them) with quadratic
     scale ``rho1``.  ``basis`` is the ``next_basis`` this pair's previous
-    step returned, or None.
+    step returned, or None.  The argument is written over ``m`` when ``m``
+    is writeable, and into a new array when it is not (a read-only view of
+    the estimate, as a first sweep's surrogate can be).
 
     Returns (m_new, sigma_new, sigma_arg, next_basis), as
     :func:`~tenrec.penalty.weighted_log_prox` returns them.  After a
@@ -75,16 +81,30 @@ def update_m_pair(m, z_unf, q, w_new, mu, rho1, epsilon, strict=False, basis=Non
     NaN never counts as one.  ``next_basis`` is the warm start of the
     pair's next step.
     """
-    arg = m + (mu * z_unf + q - mu * m) / rho1
+    arg = _prox_argument(m, z_unf, q, mu, rho1)
     return weighted_log_prox(arg, w_new, rho1, epsilon, strict=strict, basis=basis)
 
 
 def pair_pull(states, mu, shape):
     """The pairs' pull on a data block's estimate of ``shape``:
     ``(sum(beta * fold(mu*M - Q)), sum(beta*mu))``.  The sum starts from
-    the first pair's term, so one pair's pull is that term exactly."""
-    pull = reduce(np.add, (st.beta * fold_mode_pair(mu * st.m - st.q, *st.pair, shape)
-                           for st in states))
+    the first pair's term, so one pair's pull is that term exactly.  The
+    pull is a new writeable array."""
+    pull = None
+    for st in states:
+        term = np.empty(st.m.shape)
+        for rows in _row_blocks(term):
+            np.multiply(mu, st.m[rows], out=term[rows])
+            term[rows] -= st.q[rows]
+            term[rows] *= st.beta
+        folded = fold_mode_pair(term, *st.pair, shape)
+        if pull is None:
+            # a fold that moves no data is a read-only view of term, which
+            # nothing else holds
+            folded.flags.writeable = True
+            pull = folded
+        else:
+            pull += folded
     return pull, sum(st.beta * mu for st in states)
 
 
@@ -98,27 +118,25 @@ def update_z(observed, index, z_prev, pull, weight, rho):
     z_prev||^2`` over the unobserved entries.
 
     ``observed`` holds the observed values and ``index`` their flat C-order
-    indices.
+    indices.  The estimate is written over ``pull``, whose buffer is
+    returned.
     """
-    z = (rho * z_prev + pull) / (rho + weight)
-    np.put(z, index, observed)
-    return z
+    for rows in _row_blocks(pull):
+        pull[rows] += rho * z_prev[rows]
+        pull[rows] /= rho + weight
+    np.put(pull, index, observed)
+    return pull
 
 
-def update_multiplier(q, z_new_unf, m_new, mu):
-    """Ascent step on one pair's multiplier."""
-    return q + mu * (z_new_unf - m_new)
-
-
-def lagrangian_value(x, states, mu, gamma, epsilon):
-    """The pairs' part of the augmented Lagrangian at the estimate ``x``:
-    per pair, beta * (its weighted log term and target tether, summed over
-    the whole spectrum, and ``(mu/2)*||unfold(x) - M + Q/mu||^2``)."""
+def lagrangian_value(states, quads, gamma, epsilon):
+    """The pairs' part of the augmented Lagrangian: per pair, beta * (its
+    weighted log term and target tether, summed over the whole spectrum,
+    and its quadratic ``quads[i] = (mu/2)*||unfold(x) - M + Q/mu||^2`` as
+    :func:`_ascend` sums it)."""
     total = 0.0
-    for st in states:
+    for st, quad in zip(states, quads):
         energy = np.sum(st.count * (st.w * np.log1p(st.sigma / epsilon)
                                     + 0.5 * gamma * (st.w - st.lam_bar) ** 2))
-        quad = 0.5 * mu * np.sum((unfold_mode_pair(x, *st.pair) - st.m + st.q / mu) ** 2)
         total += st.beta * float(energy + quad)
     return total
 
@@ -194,9 +212,10 @@ def run_sweeps(cfg, block):
     A sweep runs the pair steps, the data step, the ascent, the trace row
     and the penalty growth.  ``block`` is the solver's data block.  It
     holds the estimate ``x`` and provides ``step(pull, weight, rho)`` (its
-    primal update, given the pairs' pull on ``x`` from
-    :func:`pair_pull`), ``lagrangian()`` (its own part of the Lagrangian,
-    to which the sweep adds the pairs' part, :func:`lagrangian_value`),
+    primal update, given the pairs' pull on ``x`` from :func:`pair_pull`,
+    a new array that it may write over), ``lagrangian()`` (its own part
+    of the Lagrangian, to which the sweep adds the pairs' part,
+    :func:`lagrangian_value`),
     ``ascend()`` (its own multiplier step; returns extra trace columns),
     ``grow(growth)`` and ``tensors()``.  Only the sweep reads the pairs'
     states and ``mu``.
@@ -224,18 +243,16 @@ def run_sweeps(cfg, block):
         for st in states:
             notes["strict_flips"] += _pair_step(st, x, mu, rho, cfg)
         block.step(*pair_pull(states, mu, x.shape), rho)
+        diff = _max_abs_diff(block.x, x) if x.size else 0.0
+        del x  # the sweep's start, which no step reads again
 
-        diff = float(np.max(np.abs(block.x - x))) if x.size else 0.0
-
-        for st in states:
-            st.q = update_multiplier(st.q, unfold_mode_pair(block.x, *st.pair), st.m, mu)
+        quads = _ascend(states, block.x, mu)
         columns = block.ascend()
-
         trace.append({
             "iter": it,
             "inf_norm_diff": diff,
             "lagrangian": block.lagrangian() + lagrangian_value(
-                block.x, states, mu, cfg.gamma, cfg.epsilon),
+                states, quads, cfg.gamma, cfg.epsilon),
             "seconds": time.perf_counter() - started,
             **columns,
         })
@@ -251,20 +268,65 @@ def run_sweeps(cfg, block):
                           iterations=iterations, notes=notes)
 
 
+def _max_abs_diff(a, b):
+    """``max |a - b|`` over two non-empty arrays of one shape."""
+    return max(float(np.max(np.abs(a[rows] - b[rows]))) for rows in _row_blocks(a))
+
+
+def _ascend(states, x, mu):
+    """Ascent on every pair's multiplier, ``Q += mu*(unfold(x) - M)`` in
+    place, block by block; returns each pair's quadratic
+    ``(mu/2)*||unfold(x) - M + Q/mu||^2`` at the new ``Q``, summed as
+    ``||mu*(unfold(x) - M) + Q||^2 / (2*mu)``."""
+    quads = []
+    for st in states:
+        x_unf = unfold_mode_pair(x, *st.pair)
+        total = 0.0
+        for rows in _row_blocks(x_unf):
+            t = x_unf[rows] - st.m[rows]
+            t *= mu
+            st.q[rows] += t
+            t += st.q[rows]
+            # einsum, not a threaded BLAS dot that can stall on a large array
+            flat = t.ravel()
+            total += float(np.einsum("i,i->", flat, flat))
+        quads.append(total / (2.0 * mu))
+    return quads
+
+
 def _pair_step(st, x, mu, rho, cfg):
     """Weights, surrogate shrinkage (with its next warm start) and weight
     targets of one pair, each written into ``st``; the multiplier is left
     to the ascent.  Returns the number of values that strict mode zeroes
     and the default rule keeps (0 outside strict mode)."""
     rho1 = GAMMA1 * mu
-    m_old = st.m
     st.w = update_weights(st.sigma, st.w, st.lam_bar, cfg.gamma, rho, cfg.epsilon)
     st.m, st.sigma, sigma_arg, st.basis = update_m_pair(
-        m_old, unfold_mode_pair(x, st.pair[0], st.pair[1]), st.q, st.w, mu, rho1, cfg.epsilon,
+        st.m, unfold_mode_pair(x, st.pair[0], st.pair[1]), st.q, st.w, mu, rho1, cfg.epsilon,
         strict=cfg.strict_prox, basis=st.basis,
     )
     st.lam_bar = update_lambda_bar(st.w, st.lam_bar, cfg.gamma, rho)
     if not cfg.strict_prox:
         return 0
-    default_vals = shrink_singular_values(sigma_arg, st.w, rho1 / m_old.shape[2], cfg.epsilon)
+    default_vals = shrink_singular_values(sigma_arg, st.w, rho1 / st.m.shape[2], cfg.epsilon)
     return int(np.sum(st.count * (default_vals != st.sigma)))
+
+
+def _prox_argument(m, z_unf, q, mu, rho1):
+    """:func:`update_m_pair`'s argument, over ``m`` when it is writeable."""
+    arg = m if m.flags.writeable else np.empty(m.shape)
+    for rows in _row_blocks(m):
+        t = mu * z_unf[rows]
+        t += q[rows]
+        t -= mu * m[rows]
+        t /= rho1
+        np.add(m[rows], t, out=arg[rows])
+    return arg
+
+
+def _row_blocks(a):
+    """Slices of ``a``'s first axis, each of about ``IRFFT_BLOCK_BYTES`` of
+    ``a``, the whole of a small one; an elementwise pass over them holds
+    no temporary larger than a block."""
+    step = max(1, IRFFT_BLOCK_BYTES * len(a) // max(a.nbytes, 1))
+    return [slice(i, i + step) for i in range(0, len(a), step)]

@@ -41,13 +41,21 @@ class SolverConfig:
     strict_prox: bool = False
 
     def __post_init__(self):
-        # of a type that operator.index takes, as the sweep loop's range() needs
-        if not hasattr(type(self.max_iter), "__index__") or self.max_iter < 0:
+        if not isinstance(self.strict_prox, (bool, np.bool_)):
+            raise ValueError(f"strict_prox must be a bool, got {self.strict_prox!r}")
+        # of a type that operator.index takes, as the sweep loop's range()
+        # needs; a bool is not a count
+        if (isinstance(self.max_iter, (bool, np.bool_))
+                or not hasattr(type(self.max_iter), "__index__") or self.max_iter < 0):
             raise ValueError(f"max_iter must be a non-negative integer, got {self.max_iter!r}")
         # Every check below is a comparison, which NaN passes.
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None and not np.all(np.isfinite(value)):
+            if f.name in ("max_iter", "strict_prox") or value is None:
+                continue
+            if np.asarray(value).dtype.kind not in "iuf":
+                raise ValueError(f"{f.name} must be numeric, got {value!r}")
+            if not np.all(np.isfinite(value)):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         for name in _POSITIVE:
             if getattr(self, name) <= 0:

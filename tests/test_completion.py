@@ -1,15 +1,18 @@
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tenrec import SolverConfig, complete, decompose, gen_lowrank, gen_mask
+from tenrec import (SolverConfig, build_config, complete, decompose, gen_lowrank, gen_mask,
+                    load_config_file)
 from tenrec.algebra import fold_mode_pair, fourier_singular_values, unfold_mode_pair
-from tenrec.completion import pair_pull, update_m_pair, update_multiplier, update_z
+from tenrec.completion import pair_pull, update_m_pair, update_z
 from tenrec.metrics import rel_error
 from tenrec.penalty import update_lambda_bar, weighted_log_prox
 
 from oracles import prox_lgamma_norm
+from test_penalty import peak_bytes
 
 
 def small_instance(seed=0, shape=(12, 12, 6), rank=2, sr=0.5):
@@ -55,8 +58,9 @@ class TestUpdatePieces:
         mu = 1e9
         rho1 = 1.1 * mu
         # with z equal to m the argument collapses to m + q/rho1
+        expected = m + q / rho1
         m_new, _, _, _ = update_m_pair(m, m, q, np.zeros((4, 2)), mu, rho1, 0.1)
-        assert np.allclose(m_new, m + q / rho1, atol=1e-9)
+        assert np.allclose(m_new, expected, atol=1e-9)
 
     def test_m_update_slicewise_shrink_oracle(self):
         rng = np.random.default_rng(3)
@@ -65,8 +69,8 @@ class TestUpdatePieces:
         q = 0.1 * rng.standard_normal((5, 4, 3))
         w = rng.uniform(0.05, 0.5, size=(4, 1)) * np.ones((1, 2))
         mu, rho1, eps = 0.8, 1.2, 0.1
-        m_new, sigma_new, sigma_arg, _ = update_m_pair(m, z, q, w, mu, rho1, eps)
         arg = m + (mu * z + q - mu * m) / rho1
+        m_new, sigma_new, sigma_arg, _ = update_m_pair(m, z, q, w, mu, rho1, eps)
         ref, ref_new, ref_old, _ = weighted_log_prox(arg, w, rho1, eps)
         assert np.allclose(m_new, ref, atol=1e-12)
         assert np.allclose(fourier_singular_values(m_new), -np.sort(-sigma_new, axis=0),
@@ -155,14 +159,6 @@ class TestUpdatePieces:
         for _ in range(100):
             step = np.where(mask, 0.0, 0.01 * rng.standard_normal(shape))
             assert base <= obj(z_new + step) + 1e-12
-
-    def test_multiplier_update(self):
-        rng = np.random.default_rng(8)
-        q = rng.standard_normal((3, 4, 2))
-        z = rng.standard_normal((3, 4, 2))
-        m = rng.standard_normal((3, 4, 2))
-        assert np.allclose(update_multiplier(q, z, z, 0.5), q)
-        assert np.allclose(update_multiplier(np.zeros_like(q), z, m, 1.0), z - m)
 
     def test_lambda_bar_examples(self):
         out = update_lambda_bar(np.full((2, 2), 0.9), np.full((2, 2), 0.3), 2.0, 1.0)
@@ -259,11 +255,50 @@ class TestSolve:
                 for beta in ((0.9, 0.1, 0.0), (0.5, 0.5, 0.0))]
         assert not np.array_equal(runs[0].tensors["Z"], runs[1].tensors["Z"])
 
+    @pytest.mark.parametrize("beta", [(1.0, 0.0, 0.0), None],
+                             ids=["view-unfold", "copying-unfolds"])
+    def test_caller_arrays_are_left_as_they_were(self, beta):
+        # The sweep writes its arguments and estimates over buffers of its
+        # own; decompose keeps a C-contiguous float64 input without a copy,
+        # and pair (0, 1) unfolds it to a view.
+        gt, mask, obs = small_instance(seed=17)
+        cfg = SMALL_CFG.updated(beta=beta, max_iter=10, tol=1e-300)
+        assert obs.flags.c_contiguous and obs.dtype == float
+        kept = obs.copy(), mask.copy()
+        complete(obs, mask, cfg)
+        decompose(obs, cfg)
+        assert np.array_equal(obs, kept[0]) and np.array_equal(mask, kept[1])
+
     def test_beta_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(beta=(0.5, 0.5)).pair_weights(3)
         with pytest.raises(ValueError):
             SolverConfig(beta=(0.5, 0.4, 0.2))
+
+
+class TestWorkingSet:
+    """The tracemalloc peak of a solve, in copies of its tensor: the sweep's
+    elementwise steps run in row blocks and write over dead values, so the
+    peak sits in the prox."""
+
+    @staticmethod
+    def peak_tensors(gt, sr, seed, max_iter):
+        mask = gen_mask(gt.shape, sr, seed).mask
+        observed = np.where(mask, gt / np.max(np.abs(gt)), 0.0)
+        cfg = build_config(load_config_file(Path(__file__).resolve().parents[1] / "configs"
+                                            / "lrtc_synthetic.cfg"))
+        peak, report = peak_bytes(lambda: complete(observed, mask, cfg.updated(max_iter=max_iter)))
+        assert report.iterations == max_iter
+        return peak / observed.nbytes
+
+    def test_large_complete_solve(self):
+        # the benchmark's large-complete instance at seed 1; 6.88 tensors
+        # when every step built its value in a new array beside the old one
+        assert self.peak_tensors(gen_lowrank((100, 100, 20), 5, 1), 0.3, 1, 30) <= 6.2
+
+    def test_a1_sized_solve(self):
+        # one block is the whole tensor, and no block outlives its step
+        assert self.peak_tensors(gen_lowrank((30, 30, 20), 3, 42), 0.3, 42, 40) <= 8.81
 
 
 def memory_orders(x):

@@ -79,6 +79,21 @@ def test_max_iter_is_an_integer(value):
     assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
 
 
+@pytest.mark.parametrize("changes, message", [
+    (dict(gamma="1"), "^gamma must be numeric, got '1'$"),
+    (dict(beta=(0.5, "a", 0.5)), "^beta must be numeric, got "),
+    (dict(strict_prox="no"), "^strict_prox must be a bool, got 'no'$"),
+    (dict(strict_prox=2), "^strict_prox must be a bool, got 2$"),
+    (dict(max_iter=True), "^max_iter must be a non-negative integer, got True$"),
+], ids=["gamma-str", "beta-str", "strict-str", "strict-int", "max-iter-bool"])
+def test_field_of_the_wrong_type_is_named(changes, message):
+    # a ValueError that names the field, not NumPy's TypeError from the
+    # finiteness check, and no bool taken for a count or a count for a bool
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(**changes)
+    assert SolverConfig(strict_prox=np.bool_(True)).strict_prox
+
+
 @pytest.mark.parametrize("name", ["gamma", "epsilon", "mu0", "rho0", "tol", "penalty_tau",
                                   "tau1_scale"])
 def test_checked_when_built_and_when_updated(name):
