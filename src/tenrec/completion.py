@@ -15,8 +15,10 @@ entries take a beta-weighted average of the surrogates.  Robust PCA
 completion is robust PCA with E = N = 0 plus a mask projection.
 
 The sweep's own elementwise steps hold no full-size temporary: each runs
-over row blocks (:func:`_row_blocks`) and writes its result where the
-value it replaces is dead, so a completion solve peaks in the prox.
+over row blocks (:func:`_row_blocks`), one block's temporaries alive at a
+time, and writes its result where the value it replaces is dead, and the
+prox transforms its argument over the surrogate's own buffer.  So a solve
+holds its state plus one transient.
 
 The model itself is stated by the test suite's ``palm_complete`` (and
 ``palm_decompose``), a dense transcription of the sweep that the tests
@@ -32,8 +34,8 @@ import numpy as np
 
 from .algebra import _mirror_count, fold_mode_pair, fourier_singular_values, unfold_mode_pair
 from .config import SolverConfig
-from .penalty import (IRFFT_BLOCK_BYTES, shrink_singular_values, update_lambda_bar,
-                      update_weights, weighted_log_prox)
+from .penalty import (IRFFT_BLOCK_BYTES, prox_buffer, shrink_singular_values,
+                      update_lambda_bar, update_weights, weighted_log_prox)
 from .report import RecoveryReport
 
 # rho1 = GAMMA1 * mu is the surrogate step's proximal scalar.  PALM needs
@@ -72,7 +74,10 @@ def update_m_pair(m, z_unf, q, w_new, mu, rho1, epsilon, strict=False, basis=Non
     scale ``rho1``.  ``basis`` is the ``next_basis`` this pair's previous
     step returned, or None.  The argument is written over ``m`` when ``m``
     is writeable, and into a new array when it is not (a read-only view of
-    the estimate, as a first sweep's surrogate can be).
+    the estimate, as a first sweep's surrogate can be) that has room for
+    the prox to transform it in place (``overwrite_y``).  The prox's last
+    output has that room too, so from the second sweep on each step takes
+    its surrogate's buffer over, and ``m`` is lost.
 
     Returns (m_new, sigma_new, sigma_arg, next_basis), as
     :func:`~tenrec.penalty.weighted_log_prox` returns them.  After a
@@ -82,7 +87,8 @@ def update_m_pair(m, z_unf, q, w_new, mu, rho1, epsilon, strict=False, basis=Non
     pair's next step.
     """
     arg = _prox_argument(m, z_unf, q, mu, rho1)
-    return weighted_log_prox(arg, w_new, rho1, epsilon, strict=strict, basis=basis)
+    return weighted_log_prox(arg, w_new, rho1, epsilon, strict=strict, basis=basis,
+                             overwrite_y=True)
 
 
 def pair_pull(states, mu, shape):
@@ -186,8 +192,9 @@ def complete(observed, mask, config=None):
 
     Raises:
         ValueError: on a mask or data it cannot use: a mask that is not
-            boolean, of another shape, or that observes no entry, or an
-            observed entry that is not finite.
+            boolean, of another shape, or that observes no entry, a
+            tensor with a zero extent, or an observed entry that is not
+            finite.
         FloatingPointError: on a floating-point overflow or invalid
             operation during the sweeps (see :func:`run_sweeps`).
     """
@@ -199,6 +206,8 @@ def complete(observed, mask, config=None):
         raise ValueError(f"mask shape {mask.shape} does not match data {observed.shape}")
     if observed.ndim < 2:
         raise ValueError("completion needs at least a 2-way tensor")
+    if 0 in observed.shape:
+        raise ValueError(f"tensor of shape {observed.shape} has a zero extent")
     block = _MaskedEstimate(observed, mask)
     del observed, mask  # the block keeps the observed entries only
     return run_sweeps(config or SolverConfig(), block)
@@ -243,7 +252,7 @@ def run_sweeps(cfg, block):
         for st in states:
             notes["strict_flips"] += _pair_step(st, x, mu, rho, cfg)
         block.step(*pair_pull(states, mu, x.shape), rho)
-        diff = _max_abs_diff(block.x, x) if x.size else 0.0
+        diff = _max_abs_diff(block.x, x)
         del x  # the sweep's start, which no step reads again
 
         quads = _ascend(states, block.x, mu)
@@ -269,8 +278,14 @@ def run_sweeps(cfg, block):
 
 
 def _max_abs_diff(a, b):
-    """``max |a - b|`` over two non-empty arrays of one shape."""
-    return max(float(np.max(np.abs(a[rows] - b[rows]))) for rows in _row_blocks(a))
+    """``max |a - b|`` over two non-empty arrays of one shape, one block's
+    difference alive at a time."""
+    tops = []
+    for rows in _row_blocks(a):
+        d = a[rows] - b[rows]
+        tops.append(float(np.max(np.abs(d, out=d))))
+        del d  # not held while the next block is made
+    return max(tops)
 
 
 def _ascend(states, x, mu):
@@ -287,9 +302,8 @@ def _ascend(states, x, mu):
             t *= mu
             st.q[rows] += t
             t += st.q[rows]
-            # einsum, not a threaded BLAS dot that can stall on a large array
-            flat = t.ravel()
-            total += float(np.einsum("i,i->", flat, flat))
+            total += _sum_sq(t)
+            del t  # not held while the next block is made
         quads.append(total / (2.0 * mu))
     return quads
 
@@ -313,15 +327,32 @@ def _pair_step(st, x, mu, rho, cfg):
 
 
 def _prox_argument(m, z_unf, q, mu, rho1):
-    """:func:`update_m_pair`'s argument, over ``m`` when it is writeable."""
-    arg = m if m.flags.writeable else np.empty(m.shape)
+    """:func:`update_m_pair`'s argument, over ``m`` when it is writeable,
+    else in a buffer that the prox can transform it over."""
+    arg = m if m.flags.writeable else prox_buffer(m.shape)
     for rows in _row_blocks(m):
         t = mu * z_unf[rows]
         t += q[rows]
         t -= mu * m[rows]
         t /= rho1
         np.add(m[rows], t, out=arg[rows])
+        del t  # not held while the next block is made
     return arg
+
+
+def _sum_sq(a):
+    """Sum of the squares of a C-contiguous array, by einsum, not a threaded
+    BLAS dot that can stall on a large array."""
+    flat = a.ravel()
+    return float(np.einsum("i,i->", flat, flat))
+
+
+def _write_blocks(out, block):
+    """Write ``block(rows)`` over ``out[rows]`` for each row block of
+    ``out`` and return ``out``; one block's value is alive at a time."""
+    for rows in _row_blocks(out):
+        out[rows] = block(rows)
+    return out
 
 
 def _row_blocks(a):

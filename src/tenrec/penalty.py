@@ -107,7 +107,7 @@ def shrink_singular_values(y, w, rho, epsilon, strict=False):
     return out
 
 
-def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
+def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None, overwrite_y=False):
     """Singular-value shrinkage of a 3-way array under fixed weights.
 
     Targets ``argmin_L (rho/2)*||L - Y||_F^2 + sum_{j,i} w[j,k(i)] *
@@ -169,6 +169,15 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     20 input of tubal rank 5.  The returned array is a view of the buffer,
     which is ``2 * (I3 // 2 + 1) / I3`` times its size.
 
+    ``overwrite_y=True`` lets the call take the buffer that ``y`` starts,
+    as scipy's ``overwrite_a`` does: when ``y`` is a writeable,
+    C-contiguous float64 array at the start of a C-contiguous float64
+    buffer of at least ``2 * I1 * (I3 // 2 + 1) * I2`` entries (every
+    array this function returns is one), the slices are transformed over
+    it, in row blocks, and ``y`` and that buffer are lost.  Any other
+    ``y`` is left as it is and the slices go to a new buffer, as they do
+    by default.
+
     Returns
     -------
     (l, sigma_new, sigma_old, next_basis)
@@ -200,9 +209,9 @@ def weighted_log_prox(y, w, rho, epsilon, strict=False, basis=None):
     # transform can write the real result over them.  a[j] is slice j, or
     # its transpose when I1 > I2, a view either way: every route factors
     # R x max(I1, I2) slices and rebuilds them in place.
-    buf = np.empty(2 * i1 * half * i2)
+    buf = _slice_buffer(y, 2 * i1 * half * i2, overwrite_y)
     rows = buf.view(complex).reshape(i1, half, i2)
-    np.fft.rfft(y, axis=2, out=rows.transpose(0, 2, 1))
+    _rfft_into_rows(y, rows)
     a = rows.transpose(1, 2, 0) if i1 > i2 else rows.transpose(1, 0, 2)
     factors = None
     # An orthonormal column has no entry above 1; the margin is rounding.
@@ -340,6 +349,37 @@ def _gram_triplets(x, thr, s_top):
     np.multiply(parts, np.divide(1.0, s[:k], out=np.zeros(k), where=s[:k] > 0)[:, None],
                 out=parts)
     return vec, s, b
+
+
+def prox_buffer(shape):
+    """A new C-contiguous float64 array of ``shape`` (``I1 x I2 x I3``) at
+    the start of a buffer with room for its half-spectrum slices, which
+    :func:`weighted_log_prox` can transform it over (``overwrite_y``)."""
+    i1, i2, i3 = shape
+    return np.empty(2 * i1 * (i3 // 2 + 1) * i2)[:i1 * i2 * i3].reshape(shape)
+
+
+def _slice_buffer(y, size, overwrite_y):
+    """A float64 buffer of ``size`` entries for the slices of ``y`` (a
+    float64 array): with ``overwrite_y``, the start of the buffer that
+    ``y`` starts when ``y`` is writeable, C-contiguous and at the start of
+    a C-contiguous float64 buffer that long; else a new one."""
+    base = y if y.base is None else y.base
+    if (overwrite_y and isinstance(base, np.ndarray) and base.dtype == float
+            and base.flags.c_contiguous and y.flags.c_contiguous and y.flags.writeable
+            and base.size >= size and y.ctypes.data == base.ctypes.data):
+        return base.reshape(-1)[:size]
+    return np.empty(size)
+
+
+def _rfft_into_rows(y, rows):
+    """Transform ``y`` (``I1 x I2 x I3``) along its tubes into ``rows``
+    (``I1 x half x I2``), which may start where ``y`` does: a row of the
+    slices is longer than a row of ``y``, so transforming blocks of rows
+    last first never overwrites a row of ``y`` not yet read."""
+    step = max(1, IRFFT_BLOCK_BYTES // rows[0].nbytes)
+    for i in reversed(range(0, len(rows), step)):
+        np.fft.rfft(y[i:i + step], axis=2, out=rows[i:i + step].transpose(0, 2, 1))
 
 
 def _irfft_over_slices(rows, buf, i3):

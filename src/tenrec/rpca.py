@@ -10,6 +10,9 @@ The sweep is :func:`tenrec.completion.run_sweeps`; this module supplies
 its data block: the L, E and N steps, their part of the Lagrangian and
 the ascent on the residual multiplier F.  The sweep hands the L step the
 pairs' pull as two arrays and adds the pairs' part of the Lagrangian.
+Each step runs over row blocks, as the sweep's own do, and writes its
+value over the one it replaces: L over the pull, E and N over their last
+values, F in place.
 
 The model itself is stated by the test suite's ``palm_decompose``, a
 dense transcription of the sweep that the tests hold this one to, sweep
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .completion import run_sweeps
+from .completion import _row_blocks, _sum_sq, _write_blocks, run_sweeps
 from .config import SolverConfig
 
 
@@ -29,7 +32,8 @@ def soft_threshold(x, lam):
     if not np.all(np.asarray(lam) >= 0):
         raise ValueError("threshold must be non-negative")
     x = np.asarray(x, dtype=float)
-    out = np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+    out = np.maximum(np.abs(x) - lam, 0.0)
+    out *= np.sign(x)  # after the maximum: one temporary fewer alive at once
     if out.ndim == 0:
         return float(out)
     return out
@@ -40,31 +44,42 @@ def update_l(t, e, n, f, l_prev, pull, weight, ptau, rho):
 
     Averages the pairs' pull (``pull`` of total weight ``weight``, see
     :func:`tenrec.completion.pair_pull`) with the data residual and the
-    proximal anchor.
+    proximal anchor, and writes it over ``pull``, whose buffer is returned.
     """
-    return (ptau * (t - e - n) + f + rho * l_prev + pull) / (ptau + rho + weight)
+    return _write_blocks(pull, lambda r: (ptau * (t[r] - e[r] - n[r]) + f[r] + rho * l_prev[r]
+                                          + pull[r]) / (ptau + rho + weight))
 
 
 def update_e(t, l_new, n_prev, e_prev, f, ptau, tau1, rho):
     """Sparse-part update: soft thresholding of the residual average.
 
     Solves ``min_E tau1*||E||_1 + (ptau/2)*||T - L - E - N + F/ptau||_F^2
-    + (rho/2)*||E - E_prev||_F^2`` in closed form.
+    + (rho/2)*||E - E_prev||_F^2`` in closed form and writes it over
+    ``e_prev``, whose buffer is returned.
     """
-    arg = (ptau * (t - l_new - n_prev + f / ptau) + rho * e_prev) / (ptau + rho)
-    return soft_threshold(arg, tau1 / (ptau + rho))
+    return _write_blocks(e_prev, lambda r: soft_threshold(
+        (ptau * (t[r] - l_new[r] - n_prev[r] + f[r] / ptau) + rho * e_prev[r]) / (ptau + rho),
+        tau1 / (ptau + rho)))
 
 
 def update_n(t, l_new, e_new, n_prev, f, ptau, tau2, rho):
-    """Gaussian-part ridge update."""
-    return (ptau * (t - l_new - e_new) + f + rho * n_prev) / (2.0 * tau2 + ptau + rho)
+    """Gaussian-part ridge update, written over ``n_prev``, whose buffer is
+    returned."""
+    return _write_blocks(n_prev, lambda r: (ptau * (t[r] - l_new[r] - e_new[r]) + f[r]
+                                            + rho * n_prev[r]) / (2.0 * tau2 + ptau + rho))
 
 
 def _lagrangian(t, l, e, n, f, ptau, tau1, tau2):
     """The data block's part of the augmented Lagrangian: the sparse and
-    Gaussian penalties and the residual quadratic."""
-    total = tau1 * float(np.sum(np.abs(e))) + tau2 * float(np.sum(n**2))
-    return total + 0.5 * ptau * float(np.sum((t - l - e - n + f / ptau) ** 2))
+    Gaussian penalties and the residual quadratic, summed block by block."""
+    return sum(tau1 * _sum_abs(e[r]) + tau2 * _sum_sq(n[r])
+               + 0.5 * ptau * _sum_sq(t[r] - l[r] - e[r] - n[r] + f[r] / ptau)
+               for r in _row_blocks(t))
+
+
+def _sum_abs(a):
+    """Sum of the magnitudes of the entries of ``a``."""
+    return float(np.sum(np.abs(a)))
 
 
 class _LowRankSparseNoise:
@@ -89,15 +104,17 @@ class _LowRankSparseNoise:
         self.n = update_n(t, self.x, self.e, self.n, f, ptau, self.tau2, rho)
 
     def ascend(self):
-        residual = self.t - self.x - self.e - self.n
-        self.f = self.f + self.ptau * residual
-        # einsum, not a threaded BLAS dot that can stall on a large array
-        n, r = self.n.ravel(), residual.ravel()
-        return {
-            "E_l1": float(np.sum(np.abs(self.e))),
-            "N_fro": float(np.sqrt(np.einsum("i,i->", n, n))),
-            "residual_fro": float(np.sqrt(np.einsum("i,i->", r, r))),
-        }
+        """``F += ptau*(t - L - E - N)`` in place, block by block; returns
+        the trace columns."""
+        r_sq = e_l1 = 0.0
+        for r in _row_blocks(self.t):
+            residual = self.t[r] - self.x[r] - self.e[r] - self.n[r]
+            r_sq += _sum_sq(residual)
+            e_l1 += _sum_abs(self.e[r])
+            self.f[r] += self.ptau * residual
+            del residual  # not held while the next block is made
+        return {"E_l1": e_l1, "N_fro": float(np.sqrt(_sum_sq(self.n))),
+                "residual_fro": float(np.sqrt(r_sq))}
 
     def grow(self, growth):
         self.ptau *= growth
@@ -118,6 +135,8 @@ def decompose(observed, config=None):
         :mod:`tenrec.metrics` scores L against a ground truth.
 
     Raises:
+        ValueError: on a tensor of fewer than 2 modes, with a zero extent,
+            or with an entry that is not finite.
         FloatingPointError: on a floating-point overflow or invalid
             operation during the sweeps (see
             :func:`tenrec.completion.run_sweeps`).
@@ -128,6 +147,8 @@ def decompose(observed, config=None):
     t = np.ascontiguousarray(observed, dtype=float)
     if t.ndim < 2:
         raise ValueError("decomposition needs at least a 2-way tensor")
+    if 0 in t.shape:
+        raise ValueError(f"tensor of shape {t.shape} has a zero extent")
     if not np.all(np.isfinite(t)):
         raise ValueError("observed tensor must be finite")
     return run_sweeps(cfg, _LowRankSparseNoise(t, cfg))

@@ -990,6 +990,57 @@ class TestTruncatedProx:
         assert not np.isnan(sigma_old).any()
 
 
+class TestOverwriteArgument:
+    """``overwrite_y=True`` transforms an argument that starts a buffer with
+    room over that buffer, and returns the default's result bit for bit."""
+
+    @staticmethod
+    def assert_same(got, ref):
+        for a, b in zip(got, ref):
+            assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
+
+    @pytest.mark.parametrize("i3", [1, 2, 5, 6])
+    @pytest.mark.parametrize("i1, i2", [(28, 36), (36, 28), (48, 52)])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_matches_the_default_bitwise(self, i1, i2, i3, strict):
+        # a new buffer first, then each call's result as the next argument,
+        # as a solver's surrogate is; the full path (batched SVD, or the Gram
+        # route at R = 48), then the Ritz step from the returned basis
+        y, w, rho, eps = gapped_instance(i1, i2, i3, 2, seed=i1 + i3)
+        drift = np.random.default_rng(i3).standard_normal(y.shape)
+        arg, basis = penalty.prox_buffer(y.shape), None
+        for step in range(3):
+            y_step = y + 1e-3 * step * drift
+            ref = weighted_log_prox(y_step, w, rho, eps, strict=strict, basis=basis)
+            arg[...] = y_step
+            got = weighted_log_prox(arg, w, rho, eps, strict=strict, basis=basis,
+                                    overwrite_y=True)
+            assert np.shares_memory(got[0], arg)
+            self.assert_same(got, ref)
+            assert np.isnan(ref[2]).any() == (step > 0)
+            arg, basis = got[0], ref[3]
+
+    @pytest.mark.parametrize("kind", ["exact-size", "read-only", "non-contiguous", "offset"])
+    def test_argument_without_room_is_left_as_it_was(self, kind):
+        y, w, rho, eps = gapped_instance(28, 36, 6, 2, seed=3)
+        if kind == "exact-size":
+            arg = y.copy()
+        elif kind == "read-only":
+            arg = penalty.prox_buffer(y.shape)
+            arg[...] = y
+            arg.flags.writeable = False
+        elif kind == "non-contiguous":
+            arg = penalty.prox_buffer((28, 36, 12))[:, :, ::2]
+            arg[...] = y
+        else:  # C-contiguous and writeable, but not at the start of its buffer
+            arg = np.empty(4 * y.size)[y.size:2 * y.size].reshape(y.shape)
+            arg[...] = y
+        kept = arg.copy()
+        got = weighted_log_prox(arg, w, rho, eps, overwrite_y=True)
+        assert np.array_equal(arg, kept) and not np.shares_memory(got[0], arg)
+        self.assert_same(got, weighted_log_prox(y, w, rho, eps))
+
+
 class TestWeightUpdates:
     def test_documented_value(self):
         # gamma=2, rho=1, lam=1, w=1, sigma=e-1, eps=1 -> (2 + 1 - 1)/3

@@ -97,8 +97,9 @@ class TestUpdatePieces:
         e = rng.standard_normal((3, 3, 2))
         f = rng.standard_normal((3, 3, 2))
         ptau, rho = 0.8, 0.3
-        out = update_e(t, l, n, e, f, ptau, 0.0, rho)
+        # built before the call, which writes over e
         expected = (ptau * (t - l - n + f / ptau) + rho * e) / (ptau + rho)
+        out = update_e(t, l, n, e, f, ptau, 0.0, rho)
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_e_update_matches_elementwise_oracle(self):
@@ -106,20 +107,24 @@ class TestUpdatePieces:
         shape = (3, 4, 2)
         t, l, n, e, f = (rng.standard_normal(shape) for _ in range(5))
         ptau, tau1, rho = 0.6, 0.25, 0.15
-        out = update_e(t, l, n, e, f, ptau, tau1, rho)
         lam = tau1 / (ptau + rho)
+        # built before the call, which writes over e
+        expected = {}
         for idx in np.ndindex(*shape):
             arg = (ptau * (t[idx] - l[idx] - n[idx] + f[idx] / ptau) + rho * e[idx]) / (
                 ptau + rho
             )
-            assert out[idx] == pytest.approx(soft_threshold(arg, lam))
+            expected[idx] = soft_threshold(arg, lam)
+        out = update_e(t, l, n, e, f, ptau, tau1, rho)
+        for idx, want in expected.items():
+            assert out[idx] == pytest.approx(want)
 
     def test_e_update_minimises_its_subproblem(self):
         rng = np.random.default_rng(6)
         shape = (3, 3, 2)
         t, l, n, e, f = (rng.standard_normal(shape) for _ in range(5))
         ptau, tau1, rho = 0.6, 0.25, 0.15
-        out = update_e(t, l, n, e, f, ptau, tau1, rho)
+        out = update_e(t, l, n, e.copy(), f, ptau, tau1, rho)  # the call writes over its e
 
         def obj(x):
             return (
@@ -153,9 +158,18 @@ class TestUpdatePieces:
         shape = (4, 3, 2)
         t, l, e, n, f = (rng.standard_normal(shape) for _ in range(5))
         ptau, tau2, rho = 0.7, 2.0, 0.3
-        out = update_n(t, l, e, n, f, ptau, tau2, rho)
+        # built before the call, which writes over n
         expected = (ptau * (t - l - e) + f + rho * n) / (2 * tau2 + ptau + rho)
+        out = update_n(t, l, e, n, f, ptau, tau2, rho)
         assert np.allclose(out, expected, atol=1e-12)
+
+    def test_steps_return_the_buffer_they_overwrite(self):
+        # L is written over the pull, E and N over their previous values
+        rng = np.random.default_rng(10)
+        t, e, n, f, l, pull = (rng.standard_normal((5, 4, 3)) for _ in range(6))
+        assert update_l(t, e, n, f, l, pull, 0.5, 0.4, 0.2) is pull
+        assert update_e(t, pull, n, e, f, 0.4, 0.1, 0.2) is e
+        assert update_n(t, pull, e, n, f, 0.4, 2.0, 0.2) is n
 
 
 class TestSolve:
