@@ -7,18 +7,20 @@ variables once: the pair steps (per pair: singular-value weights,
 surrogate shrinkage, weight targets), the data step, the multiplier
 ascent, the trace row, and the geometric growth of the penalties.  Only
 the sweep reads the pairs: it hands the data block their pull
-(:func:`pair_pull`) and adds their part of the Lagrangian
-(:func:`lagrangian_value`).  For completion the data block is the
-estimate itself: observed entries are copied from the data, unobserved
-entries take a beta-weighted average of the surrogates.  Robust PCA
-(:mod:`tenrec.rpca`) runs the same sweep with its L/E/N block:
-completion is robust PCA with E = N = 0 plus a mask projection.
+(:func:`pair_pull`), which the data step reads row block by row block,
+and adds their part of the Lagrangian (:func:`lagrangian_value`).  For
+completion the data block is the estimate itself: observed entries are
+copied from the data, unobserved entries take a beta-weighted average of
+the surrogates.  Robust PCA (:mod:`tenrec.rpca`) runs the same sweep
+with its L/E/N block: completion is robust PCA with E = N = 0 plus a
+mask projection.
 
 The sweep's own elementwise steps hold no full-size temporary: each runs
 over row blocks (:func:`_row_blocks`), one block's temporaries alive at a
-time, and writes its result where the value it replaces is dead, and the
-prox transforms its argument over the surrogate's own buffer.  So a solve
-holds its state plus one transient.
+time, and writes its result where the value it replaces is dead; the
+data step writes the estimate over itself, and the prox transforms its
+argument over the surrogate's own buffer.  So a solve holds its state
+plus one transient.
 
 The model itself is stated by the test suite's ``palm_complete`` (and
 ``palm_decompose``), a dense transcription of the sweep that the tests
@@ -92,29 +94,46 @@ def update_m_pair(m, z_unf, q, w_new, mu, rho1, epsilon, strict=False, basis=Non
 
 
 def pair_pull(states, mu, shape):
-    """The pairs' pull on a data block's estimate of ``shape``:
-    ``(sum(beta * fold(mu*M - Q)), sum(beta*mu))``.  The sum starts from
-    the first pair's term, so one pair's pull is that term exactly.  The
-    pull is a new writeable array."""
-    pull = None
+    """The pairs' pull on a data block's estimate ``x`` of ``shape``:
+    ``(pull, sum(beta*mu))``, where ``pull(rows)`` gives a new block,
+    ``sum(beta * fold(mu*M - Q))`` on ``x[rows]``.  The sum runs over the
+    pairs in order from the first pair's term, so one pair's pull is that
+    term exactly.  A pair whose fold is a view (pair (0, 1) of a 3-way
+    estimate) is read from its M and Q block by block; any other pair
+    folds its term once here, and the leading such terms are summed here,
+    so no full-size pull exists when every fold is a view."""
+    def term(m, q, beta, rows):
+        t = mu * m[rows]
+        t -= q[rows]
+        t *= beta
+        return t
+
+    parts = []  # per term: its (M, Q, beta) folded as views, or a folded sum
     for st in states:
-        term = np.empty(st.m.shape)
-        for rows in _row_blocks(term):
-            np.multiply(mu, st.m[rows], out=term[rows])
-            term[rows] -= st.q[rows]
-            term[rows] *= st.beta
-        folded = fold_mode_pair(term, *st.pair, shape)
-        if pull is None:
-            # a fold that moves no data is a read-only view of term, which
-            # nothing else holds
-            folded.flags.writeable = True
-            pull = folded
+        if not _fold_moves_data(st.pair, shape):
+            parts.append((*(fold_mode_pair(a, *st.pair, shape) for a in (st.m, st.q)), st.beta))
+            continue
+        whole = _write_blocks(np.empty(st.m.shape), lambda r: term(st.m, st.q, st.beta, r))
+        folded = fold_mode_pair(whole, *st.pair, shape)
+        del whole  # not held while the next term is made
+        if len(parts) == 1 and isinstance(parts[0], np.ndarray):
+            parts[0] += folded
         else:
-            pull += folded
+            parts.append(folded)
+
+    def pull(rows):
+        blocks = (term(*p, rows) if isinstance(p, tuple) else p[rows] for p in parts)
+        total = next(blocks)
+        if not isinstance(parts[0], tuple):
+            total = total.copy()  # a block of a sum held here
+        for block in blocks:
+            total += block
+        return total
+
     return pull, sum(st.beta * mu for st in states)
 
 
-def update_z(observed, index, z_prev, pull, weight, rho):
+def update_z(observed, index, z, pull, weight, rho):
     """Closed-form estimate update.
 
     Observed entries are fixed to the data; unobserved entries average the
@@ -124,14 +143,21 @@ def update_z(observed, index, z_prev, pull, weight, rho):
     z_prev||^2`` over the unobserved entries.
 
     ``observed`` holds the observed values and ``index`` their flat C-order
-    indices.  The estimate is written over ``pull``, whose buffer is
-    returned.
+    indices, in increasing order.  The estimate is written over ``z`` row
+    block by row block; returns ``max |z - z_prev|`` of that pass.
     """
-    for rows in _row_blocks(pull):
-        pull[rows] += rho * z_prev[rows]
-        pull[rows] /= rho + weight
-    np.put(pull, index, observed)
-    return pull
+    width = z.size // len(z)
+
+    def block(rows):
+        new = pull(rows)
+        new += rho * z[rows]
+        new /= rho + weight
+        start = rows.start * width
+        lo, hi = index.searchsorted(start), index.searchsorted(rows.stop * width)
+        np.put(new, index[lo:hi] - start, observed[lo:hi])
+        return new
+
+    return _replace_blocks(z, block)
 
 
 def lagrangian_value(states, quads, gamma, epsilon):
@@ -166,7 +192,7 @@ class _MaskedEstimate:
         return 0.0  # the indicator of the observation constraint
 
     def step(self, pull, weight, rho):
-        self.x = update_z(self.values, self.index, self.x, pull, weight, rho)
+        return update_z(self.values, self.index, self.x, pull, weight, rho)
 
     def ascend(self):
         return {}
@@ -221,8 +247,9 @@ def run_sweeps(cfg, block):
     A sweep runs the pair steps, the data step, the ascent, the trace row
     and the penalty growth.  ``block`` is the solver's data block.  It
     holds the estimate ``x`` and provides ``step(pull, weight, rho)`` (its
-    primal update, given the pairs' pull on ``x`` from :func:`pair_pull`,
-    a new array that it may write over), ``lagrangian()`` (its own part
+    primal update, given the pairs' pull on ``x`` from :func:`pair_pull`;
+    it writes the new estimate over ``x`` and returns ``max |x - x_prev|``,
+    which the stop test reads), ``lagrangian()`` (its own part
     of the Lagrangian, to which the sweep adds the pairs' part,
     :func:`lagrangian_value`),
     ``ascend()`` (its own multiplier step; returns extra trace columns),
@@ -248,12 +275,9 @@ def run_sweeps(cfg, block):
     iterations = 0
     for it in range(1, cfg.max_iter + 1):
         iterations = it
-        x = block.x
         for st in states:
-            notes["strict_flips"] += _pair_step(st, x, mu, rho, cfg)
-        block.step(*pair_pull(states, mu, x.shape), rho)
-        diff = _max_abs_diff(block.x, x)
-        del x  # the sweep's start, which no step reads again
+            notes["strict_flips"] += _pair_step(st, block.x, mu, rho, cfg)
+        diff = block.step(*pair_pull(states, mu, block.x.shape), rho)
 
         quads = _ascend(states, block.x, mu)
         columns = block.ascend()
@@ -275,17 +299,6 @@ def run_sweeps(cfg, block):
 
     return RecoveryReport(tensors=block.tensors(), trace=trace, converged=converged,
                           iterations=iterations, notes=notes)
-
-
-def _max_abs_diff(a, b):
-    """``max |a - b|`` over two non-empty arrays of one shape, one block's
-    difference alive at a time."""
-    tops = []
-    for rows in _row_blocks(a):
-        d = a[rows] - b[rows]
-        tops.append(float(np.max(np.abs(d, out=d))))
-        del d  # not held while the next block is made
-    return max(tops)
 
 
 def _ascend(states, x, mu):
@@ -353,6 +366,29 @@ def _write_blocks(out, block):
     for rows in _row_blocks(out):
         out[rows] = block(rows)
     return out
+
+
+def _replace_blocks(x, block):
+    """Write ``block(rows)``, a new block, over ``x[rows]`` for each row
+    block of ``x``; returns ``max |new - old|`` over the pass."""
+    tops = []
+    for rows in _row_blocks(x):
+        new = block(rows)
+        d = new - x[rows]
+        tops.append(float(np.max(np.abs(d, out=d))))
+        x[rows] = new
+        del new, d  # not held while the next block is made
+    return max(tops)
+
+
+def _fold_moves_data(pair, shape):
+    """Whether :func:`~tenrec.algebra.fold_mode_pair` copies to fold
+    ``pair``'s unfolding onto ``shape``: it makes a view when the unfolding
+    stores the modes of extent above 1 in C order, and it stores them as
+    the pair, then the other modes from last to first."""
+    rest = [m for m in range(len(shape)) if m not in pair]
+    stored = [m for m in (*pair, *rest[::-1]) if shape[m] > 1]
+    return stored != [m for m in range(len(shape)) if shape[m] > 1]
 
 
 def _row_blocks(a):

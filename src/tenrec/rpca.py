@@ -9,10 +9,11 @@ penalties may grow geometrically between sweeps.
 The sweep is :func:`tenrec.completion.run_sweeps`; this module supplies
 its data block: the L, E and N steps, their part of the Lagrangian and
 the ascent on the residual multiplier F.  The sweep hands the L step the
-pairs' pull as two arrays and adds the pairs' part of the Lagrangian.
-Each step runs over row blocks, as the sweep's own do, and writes its
-value over the one it replaces: L over the pull, E and N over their last
-values, F in place.
+pairs' pull, which it reads block by block, and its weight, and adds the
+pairs' part of the Lagrangian.  Each step runs over row blocks, as the
+sweep's own do, and writes its value over the one it replaces: L, E and
+N over their last values, F in place; the L step returns how far L
+moved, the sweep's stop measure.
 
 The model itself is stated by the test suite's ``palm_decompose``, a
 dense transcription of the sweep that the tests hold this one to, sweep
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .completion import _row_blocks, _sum_sq, _write_blocks, run_sweeps
+from .completion import _replace_blocks, _row_blocks, _sum_sq, _write_blocks, run_sweeps
 from .config import SolverConfig
 
 
@@ -39,15 +40,16 @@ def soft_threshold(x, lam):
     return out
 
 
-def update_l(t, e, n, f, l_prev, pull, weight, ptau, rho):
+def update_l(t, e, n, f, l, pull, weight, ptau, rho):
     """Closed-form low-rank update.
 
     Averages the pairs' pull (``pull`` of total weight ``weight``, see
     :func:`tenrec.completion.pair_pull`) with the data residual and the
-    proximal anchor, and writes it over ``pull``, whose buffer is returned.
+    proximal anchor, and writes it over ``l`` row block by row block;
+    returns ``max |l - l_prev|`` of that pass.
     """
-    return _write_blocks(pull, lambda r: (ptau * (t[r] - e[r] - n[r]) + f[r] + rho * l_prev[r]
-                                          + pull[r]) / (ptau + rho + weight))
+    return _replace_blocks(l, lambda r: (ptau * (t[r] - e[r] - n[r]) + f[r] + rho * l[r]
+                                         + pull(r)) / (ptau + rho + weight))
 
 
 def update_e(t, l_new, n_prev, e_prev, f, ptau, tau1, rho):
@@ -99,9 +101,10 @@ class _LowRankSparseNoise:
 
     def step(self, pull, weight, rho):
         t, f, ptau = self.t, self.f, self.ptau
-        self.x = update_l(t, self.e, self.n, f, self.x, pull, weight, ptau, rho)
+        diff = update_l(t, self.e, self.n, f, self.x, pull, weight, ptau, rho)
         self.e = update_e(t, self.x, self.n, self.e, f, ptau, self.tau1, rho)
         self.n = update_n(t, self.x, self.e, self.n, f, ptau, self.tau2, rho)
+        return diff
 
     def ascend(self):
         """``F += ptau*(t - L - E - N)`` in place, block by block; returns

@@ -4,11 +4,12 @@
 model's PALM sweep on the full Fourier spectrum.  Each case runs a solver
 for ``SWEEPS`` sweeps at ``tol = 1e-300``, records every sweep's estimate
 from the data-step functions that a sweep calls once each
-(``completion.update_z``; ``rpca.update_l``, ``update_e`` and
-``update_n``), and holds it to the reference's iterate of that sweep,
-and every trace row's ``lagrangian`` to the reference's Lagrangian after
-that sweep's ascent.  The reference's own descent check is held to see
-the rises of a step that is made to overshoot.
+(``completion.update_z`` and ``rpca.update_l``, which write the estimate
+over their argument, and ``rpca.update_e`` and ``update_n``), and holds
+it to the reference's iterate of that sweep, and every trace row's
+``lagrangian`` to the reference's Lagrangian after that sweep's ascent.
+The reference's own descent check is held to see the rises of a step
+that is made to overshoot.
 """
 
 import types
@@ -41,14 +42,16 @@ def fourway_instance():
     return gt, mask, np.where(mask, gt, 0.0)
 
 
-def recording(monkeypatch, module, name, keep=np.array):
+def recording(monkeypatch, module, name, keep=np.array, written=None):
     """Wrap ``module.name`` so that each call keeps ``keep`` of what it
-    returns, a copy by default; gives the list of what was kept."""
+    returns, a copy by default, or, for a step that writes its result over
+    its positional argument ``written``, of that argument after the call;
+    gives the list of what was kept."""
     func, kept = getattr(module, name), []
 
     def recorded(*args, **kwargs):
         out = func(*args, **kwargs)
-        kept.append(keep(out))
+        kept.append(keep(out if written is None else args[written]))
         return out
 
     monkeypatch.setattr(module, name, recorded)
@@ -99,7 +102,7 @@ A1 = lrtc_config().updated(tol=1e-300, max_iter=SWEEPS)
         "8x8x6-strict-stops", "6x5x4x3-stops"])
 def test_complete_follows_the_model(monkeypatch, instance, cfg, sweeps):
     _, mask, observed = instance()
-    zs = recording(monkeypatch, completion, "update_z")
+    zs = recording(monkeypatch, completion, "update_z", written=2)
     report = complete(observed, mask, cfg)
     assert report.iterations == sweeps
     assert_follows_model(report, [{"Z": z} for z in zs],
@@ -114,7 +117,7 @@ def test_complete_follows_the_model_on_gram_and_ritz_routes(monkeypatch):
     assert min(observed.shape[:2]) >= penalty.GRAM_MIN_RANK
     routes = [recording(monkeypatch, penalty, name, keep=lambda out: out is not None)
               for name in ("_gram_triplets", "_ritz_triplets")]
-    zs = recording(monkeypatch, completion, "update_z")
+    zs = recording(monkeypatch, completion, "update_z", written=2)
     report = complete(observed, mask, A1)
     assert report.iterations == SWEEPS
     assert all(any(taken) for taken in routes)
@@ -130,7 +133,8 @@ def test_complete_follows_the_model_on_gram_and_ritz_routes(monkeypatch):
 def test_decompose_follows_the_model(monkeypatch, changes):
     _, observed = trpca_instance()
     cfg = trpca_config().updated(tol=1e-300, max_iter=SWEEPS, **changes)
-    parts = [recording(monkeypatch, rpca, f"update_{name}") for name in "len"]
+    parts = [recording(monkeypatch, rpca, f"update_{name}", written=4 if name == "l" else None)
+             for name in "len"]
     report = decompose(observed, cfg)
     assert report.iterations == SWEEPS
     assert_follows_model(report, [dict(zip("LEN", sweep)) for sweep in zip(*parts)],

@@ -43,11 +43,10 @@ class TestUpdatePieces:
         l = rng.standard_normal((4, 4, 3))
         t = l.copy()
         zero = np.zeros_like(l)
-        g = [unfold_mode_pair(l, 0, 1)]
+        g = [unfold_mode_pair(t, 0, 1)]
         r = [np.zeros_like(g[0])]
-        out = update_l(t, zero, zero, zero, l, *pull_of([(0, 1)], [1.0], g, r, 0.7, l.shape),
-                       0.4, 0.2)
-        assert np.allclose(out, l, atol=1e-12)
+        update_l(t, zero, zero, zero, l, *pull_of([(0, 1)], [1.0], g, r, 0.7, l.shape), 0.4, 0.2)
+        assert np.allclose(l, t, atol=1e-12)
 
     def test_l_update_single_pair_unit_scalars(self):
         # everything zero except the data: L = tau*T / (mu + tau + rho) = T/3
@@ -55,9 +54,9 @@ class TestUpdatePieces:
         zero = np.zeros_like(t)
         g = [np.zeros((3, 3, 2))]
         r = [np.zeros((3, 3, 2))]
-        out = update_l(t, zero, zero, zero, zero, *pull_of([(0, 1)], [1.0], g, r, 1.0, t.shape),
-                       1.0, 1.0)
-        assert np.allclose(out, t / 3.0, atol=1e-12)
+        l = np.zeros_like(t)  # written over, so not one of the zero arguments
+        update_l(t, zero, zero, zero, l, *pull_of([(0, 1)], [1.0], g, r, 1.0, t.shape), 1.0, 1.0)
+        assert np.allclose(l, t / 3.0, atol=1e-12)
 
     def test_l_update_matches_transcription(self):
         rng = np.random.default_rng(3)
@@ -72,7 +71,8 @@ class TestUpdatePieces:
         g = [rng.standard_normal(unfold_mode_pair(l, *p).shape) for p in pairs]
         r = [rng.standard_normal(unfold_mode_pair(l, *p).shape) for p in pairs]
         mu, ptau, rho = 0.7, 0.4, 0.1
-        out = update_l(t, e, n, f, l, *pull_of(pairs, betas, g, r, mu, shape), ptau, rho)
+        out = l.copy()
+        update_l(t, e, n, f, out, *pull_of(pairs, betas, g, r, mu, shape), ptau, rho)
 
         from tenrec.algebra import fold_mode_pair
 
@@ -163,13 +163,18 @@ class TestUpdatePieces:
         out = update_n(t, l, e, n, f, ptau, tau2, rho)
         assert np.allclose(out, expected, atol=1e-12)
 
-    def test_steps_return_the_buffer_they_overwrite(self):
-        # L is written over the pull, E and N over their previous values
+    def test_steps_write_over_their_previous_values(self):
+        # L is written over itself and the step returns how far it moved;
+        # E and N are written over their previous values, whose buffers
+        # the steps return
         rng = np.random.default_rng(10)
-        t, e, n, f, l, pull = (rng.standard_normal((5, 4, 3)) for _ in range(6))
-        assert update_l(t, e, n, f, l, pull, 0.5, 0.4, 0.2) is pull
-        assert update_e(t, pull, n, e, f, 0.4, 0.1, 0.2) is e
-        assert update_n(t, pull, e, n, f, 0.4, 2.0, 0.2) is n
+        t, e, n, f, l, g, r = (rng.standard_normal((5, 4, 3)) for _ in range(7))
+        l_prev = l.copy()
+        moved = update_l(t, e, n, f, l, *pull_of([(0, 1)], [1.0], [g], [r], 0.5, l.shape), 0.4,
+                         0.2)
+        assert moved == np.max(np.abs(l - l_prev)) > 0
+        assert update_e(t, l, n, e, f, 0.4, 0.1, 0.2) is e
+        assert update_n(t, l, e, n, f, 0.4, 2.0, 0.2) is n
 
 
 class TestSolve:

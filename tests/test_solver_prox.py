@@ -157,9 +157,10 @@ def test_traced_data_block_runs_once_per_sweep(monkeypatch, run, names):
 
 @pytest.mark.parametrize("run", [completion_run, decomposition_run])
 def test_pair_01_fold_is_a_view(monkeypatch, run):
-    # the prox returns C-contiguous surrogates, so folding pair (0, 1)
-    # back onto a 3-way estimate moves no data; from about 32k entries
-    # NumPy's elementwise passes keep a strided operand's layout
+    # the prox returns C-contiguous surrogates, so folding pair (0, 1)'s
+    # M and Q back onto a 3-way estimate moves no data, and the data step
+    # reads them in place; from about 32k entries NumPy's elementwise
+    # passes keep a strided operand's layout
     fold = tenrec.completion.fold_mode_pair
     views = []
 
@@ -171,5 +172,6 @@ def test_pair_01_fold_is_a_view(monkeypatch, run):
 
     monkeypatch.setattr(tenrec.completion, "fold_mode_pair", recording)
     report = run(max_iter=6, shape=(64, 64, 8))()
-    assert len(views) == report.iterations == 6
+    assert report.iterations == 6
+    assert len(views) == 2 * report.iterations
     assert all(views)
