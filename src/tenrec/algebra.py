@@ -11,7 +11,10 @@ real space with ``irfft``.
 
 N-way arrays enter through mode-pair unfolding: two chosen modes become
 the slice axes and the remaining modes are flattened into tubes with the
-earliest remaining mode varying fastest (column-major order).
+earliest remaining mode varying fastest (column-major order).  Unfolding
+and folding are a transpose and a column-major reshape, so each is a
+read-only view of its input where strides can express it (every fold, and
+every unfolding of a 3-way array), and a new array otherwise.
 """
 
 from __future__ import annotations
@@ -56,22 +59,22 @@ def unfold_mode_pair(t, mode1, mode2):
     Returns
     -------
     ndarray of shape (I_mode1, I_mode2, prod of remaining extents)
-        A read-only view of ``t`` when the unfolding needs no data
-        movement (pair (0, 1) of a C-contiguous 3-way array), otherwise a
-        new C-contiguous array.
+        A read-only view of ``t``, possibly strided, when strides can
+        express the unfolding (every pair of a 3-way array), otherwise a
+        new array.
     """
     t = np.asarray(t)
     _check_mode_pair(t.ndim, mode1, mode2)
     rest = [m for m in range(t.ndim) if m not in (mode1, mode2)]
     moved = np.transpose(t, (mode1, mode2, *rest))
-    return _view_or_copy(moved.reshape((t.shape[mode1], t.shape[mode2], -1), order="F"), t)
+    return _read_only_if_view(moved.reshape((t.shape[mode1], t.shape[mode2], -1), order="F"), t)
 
 
 def fold_mode_pair(t3, mode1, mode2, shape):
     """Invert :func:`unfold_mode_pair` back to the original shape.
 
-    Like the unfolding, returns a read-only view of ``t3`` when no data
-    has to move and a new C-contiguous array otherwise.
+    A fold only splits the tube axis and permutes axes, so it returns a
+    read-only view of ``t3``, possibly strided.
     """
     shape = tuple(int(s) for s in shape)
     _check_mode_pair(len(shape), mode1, mode2)
@@ -86,19 +89,14 @@ def fold_mode_pair(t3, mode1, mode2, shape):
         )
     moved = t3.reshape((expected[0], expected[1], *rest_extents), order="F")
     inverse = np.argsort((mode1, mode2, *rest))
-    return _view_or_copy(np.transpose(moved, inverse), t3)
+    return _read_only_if_view(np.transpose(moved, inverse), t3)
 
 
-def _view_or_copy(arr, source):
-    """``arr`` as a read-only view when it is a C-contiguous view of
-    ``source``, else as a C-contiguous copy.
-
-    A caller that writes into the result then fails instead of writing
-    into ``source``.
-    """
-    arr = np.ascontiguousarray(arr)
+def _read_only_if_view(arr, source):
+    """``arr``, made read-only when it is a view of ``source``: a caller
+    that writes into the result then fails instead of writing into
+    ``source``."""
     if np.may_share_memory(arr, source):
-        arr = arr.view()
         arr.flags.writeable = False
     return arr
 

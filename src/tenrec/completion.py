@@ -56,7 +56,7 @@ class PairState:
         self.pair = pair
         self.beta = beta
         self.m = m
-        self.q = np.zeros_like(m)
+        self.q = np.zeros(m.shape)
         self.count = _mirror_count(m.shape[2])
         self.w = np.ones((min(m.shape[0], m.shape[1]), self.count.size))
         self.lam_bar = np.ones_like(self.w)
@@ -75,11 +75,12 @@ def update_m_pair(m, z_unf, q, w_new, mu, rho1, epsilon, strict=False, basis=Non
     weights ``w_new`` (as :class:`PairState` holds them) with quadratic
     scale ``rho1``.  ``basis`` is the ``next_basis`` this pair's previous
     step returned, or None.  The argument is written over ``m`` when ``m``
-    is writeable, and into a new array when it is not (a read-only view of
-    the estimate, as a first sweep's surrogate can be) that has room for
-    the prox to transform it in place (``overwrite_y``).  The prox's last
-    output has that room too, so from the second sweep on each step takes
-    its surrogate's buffer over, and ``m`` is lost.
+    is writeable, and into a new array when it is not (a read-only view
+    of the estimate, as every pair's first-sweep surrogate of a 3-way
+    estimate is) that has room for the prox to transform it in place
+    (``overwrite_y``).  The prox's last output has that room too, so from
+    the second sweep on each step takes its surrogate's buffer over, and
+    ``m`` is lost.
 
     Returns (m_new, sigma_new, sigma_arg, next_basis), as
     :func:`~tenrec.penalty.weighted_log_prox` returns them.  After a
@@ -96,38 +97,26 @@ def update_m_pair(m, z_unf, q, w_new, mu, rho1, epsilon, strict=False, basis=Non
 def pair_pull(states, mu, shape):
     """The pairs' pull on a data block's estimate ``x`` of ``shape``:
     ``(pull, sum(beta*mu))``, where ``pull(rows)`` gives a new block,
-    ``sum(beta * fold(mu*M - Q))`` on ``x[rows]``.  The sum runs over the
-    pairs in order from the first pair's term, so one pair's pull is that
-    term exactly.  A pair whose fold is a view (pair (0, 1) of a 3-way
-    estimate) is read from its M and Q block by block; any other pair
-    folds its term once here, and the leading such terms are summed here,
-    so no full-size pull exists when every fold is a view."""
+    ``sum(beta * fold(mu*M - Q))`` on ``x[rows]``.  Every pair's M and Q
+    fold onto ``shape`` as read-only views, so the sum is made block by
+    block, over the pairs in order from the first pair's term (one pair's
+    pull is that term exactly), and no full-size pull exists."""
+    folds = [(fold_mode_pair(st.m, *st.pair, shape), fold_mode_pair(st.q, *st.pair, shape),
+              st.beta) for st in states]
+
     def term(m, q, beta, rows):
-        t = mu * m[rows]
+        # C-ordered whatever the fold's strides, so the data step's passes
+        # over the block run in memory order
+        t = np.multiply(mu, m[rows], order="C")
         t -= q[rows]
         t *= beta
         return t
 
-    parts = []  # per term: its (M, Q, beta) folded as views, or a folded sum
-    for st in states:
-        if not _fold_moves_data(st.pair, shape):
-            parts.append((*(fold_mode_pair(a, *st.pair, shape) for a in (st.m, st.q)), st.beta))
-            continue
-        whole = _write_blocks(np.empty(st.m.shape), lambda r: term(st.m, st.q, st.beta, r))
-        folded = fold_mode_pair(whole, *st.pair, shape)
-        del whole  # not held while the next term is made
-        if len(parts) == 1 and isinstance(parts[0], np.ndarray):
-            parts[0] += folded
-        else:
-            parts.append(folded)
-
     def pull(rows):
-        blocks = (term(*p, rows) if isinstance(p, tuple) else p[rows] for p in parts)
-        total = next(blocks)
-        if not isinstance(parts[0], tuple):
-            total = total.copy()  # a block of a sum held here
-        for block in blocks:
-            total += block
+        terms = (term(*fold, rows) for fold in folds)
+        total = next(terms)
+        for t in terms:
+            total += t
         return total
 
     return pull, sum(st.beta * mu for st in states)
@@ -379,16 +368,6 @@ def _replace_blocks(x, block):
         x[rows] = new
         del new, d  # not held while the next block is made
     return max(tops)
-
-
-def _fold_moves_data(pair, shape):
-    """Whether :func:`~tenrec.algebra.fold_mode_pair` copies to fold
-    ``pair``'s unfolding onto ``shape``: it makes a view when the unfolding
-    stores the modes of extent above 1 in C order, and it stores them as
-    the pair, then the other modes from last to first."""
-    rest = [m for m in range(len(shape)) if m not in pair]
-    stored = [m for m in (*pair, *rest[::-1]) if shape[m] > 1]
-    return stored != [m for m in range(len(shape)) if shape[m] > 1]
 
 
 def _row_blocks(a):

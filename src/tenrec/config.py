@@ -23,8 +23,8 @@ class SolverConfig:
     order, summing to one; ``None`` means uniform.  Pairs with zero weight
     are dropped from the model entirely.  ``growth`` rescales ``mu``, ``rho``
     (and the robust-PCA residual penalty) every sweep; set it to 1.0 to
-    freeze the penalties, e.g. when checking descent.  ``tau1_scale`` sets
-    the robust-PCA sparse and Gaussian weights, see :meth:`resolve_tau`.
+    freeze the penalties.  ``tau1_scale`` sets the robust-PCA sparse and
+    Gaussian weights, see :meth:`resolve_tau`.
     """
 
     gamma: float = 1e4

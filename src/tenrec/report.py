@@ -11,9 +11,9 @@ class RecoveryReport:
     """Outcome of one solver run.
 
     ``tensors`` maps result names to arrays ('Z' for completion; 'L', 'E',
-    'N' for robust PCA).  ``trace`` holds one dict per iteration; the keys
-    written to CSV are fixed per solver, extra keys (the per-step descent
-    checks) stay in memory.  A report holds no score: :mod:`tenrec.metrics`
+    'N' for robust PCA).  ``trace`` holds one dict per iteration, keyed by
+    the solver's CSV columns (``TRACE_COLUMNS_COMPLETION`` or
+    ``TRACE_COLUMNS_RPCA``).  A report holds no score: :mod:`tenrec.metrics`
     measures a recovery against its ground truth.
     """
 

@@ -30,19 +30,19 @@ def traced_names():
     return set(module.TRACED)
 
 
-def completion_run(strict=False, max_iter=300, shape=SHAPE):
+def completion_run(strict=False, max_iter=300, shape=SHAPE, beta=(1.0, 0.0, 0.0)):
     gt = gen_lowrank(shape, 2, 3)
     gt = gt / np.max(np.abs(gt))
     mask = gen_mask(shape, 0.5, 3).mask
-    cfg = SolverConfig(beta=(1.0, 0.0, 0.0), mu0=5.0, rho0=1e-3, growth=1.05, gamma=1e4,
+    cfg = SolverConfig(beta=beta, mu0=5.0, rho0=1e-3, growth=1.05, gamma=1e4,
                        epsilon=0.01, tol=1e-5, max_iter=max_iter, strict_prox=strict)
     return lambda: complete(np.where(mask, gt, 0.0), mask, cfg)
 
 
-def decomposition_run(strict=False, max_iter=500, shape=SHAPE):
+def decomposition_run(strict=False, max_iter=500, shape=SHAPE, beta=(1.0, 0.0, 0.0)):
     l_true = gen_lowrank(shape, 2, 4)
     t = add_mixed_noise(l_true, NoiseSpec(sp_fraction=0.05, gaussian_sigma=0.02, seed=4))
-    cfg = SolverConfig(beta=(1.0, 0.0, 0.0), mu0=2e-3, rho0=2.3e-6, growth=1.08, gamma=1e4,
+    cfg = SolverConfig(beta=beta, mu0=2e-3, rho0=2.3e-6, growth=1.08, gamma=1e4,
                        epsilon=0.21, penalty_tau=6e-5, tau1_scale=0.3, tol=2e-4,
                        max_iter=max_iter, strict_prox=strict)
     return lambda: decompose(t, cfg)
@@ -156,22 +156,21 @@ def test_traced_data_block_runs_once_per_sweep(monkeypatch, run, names):
 
 
 @pytest.mark.parametrize("run", [completion_run, decomposition_run])
-def test_pair_01_fold_is_a_view(monkeypatch, run):
-    # the prox returns C-contiguous surrogates, so folding pair (0, 1)'s
-    # M and Q back onto a 3-way estimate moves no data, and the data step
-    # reads them in place; from about 32k entries NumPy's elementwise
-    # passes keep a strided operand's layout
+def test_every_pair_fold_is_a_view(monkeypatch, run):
+    # every fold is a view, so each sweep folds every pair's M and Q back
+    # onto the 3-way estimate without moving data, and the data step reads
+    # them in place
     fold = tenrec.completion.fold_mode_pair
     views = []
 
     def recording(t3, mode1, mode2, shape):
         out = fold(t3, mode1, mode2, shape)
-        if (mode1, mode2) == (0, 1):
-            views.append(not out.flags.writeable and np.may_share_memory(out, t3))
+        views.append(((mode1, mode2), not out.flags.writeable and np.may_share_memory(out, t3)))
         return out
 
     monkeypatch.setattr(tenrec.completion, "fold_mode_pair", recording)
-    report = run(max_iter=6, shape=(64, 64, 8))()
+    report = run(max_iter=6, shape=(64, 64, 8), beta=None)()
     assert report.iterations == 6
-    assert len(views) == 2 * report.iterations
-    assert all(views)
+    assert len(views) == 2 * 3 * report.iterations
+    assert {pair for pair, _ in views} == {(0, 1), (0, 2), (1, 2)}
+    assert all(view for _, view in views)
