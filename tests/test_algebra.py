@@ -67,6 +67,16 @@ class TestUnfoldFold:
         t = np.random.default_rng(0).standard_normal((3, 4, 5))
         assert np.array_equal(unfold_mode_pair(t, 0, 1), t)
 
+    def test_pair_12_of_3way_is_read_only_view(self):
+        t = np.random.default_rng(0).standard_normal((3, 4, 5))
+        u = unfold_mode_pair(t, 0, 1)
+        assert np.shares_memory(u, t) and np.array_equal(u, t)
+        assert not u.flags.writeable and t.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0, 0] = 1.0
+        f = fold_mode_pair(u, 0, 1, t.shape)
+        assert np.shares_memory(f, t) and np.array_equal(f, t) and not f.flags.writeable
+
     def test_folds_and_3way_unfoldings_are_read_only_views(self):
         # every unfolding of a 3-way array, and every fold, is a read-only
         # (possibly strided) view that shares memory with its input

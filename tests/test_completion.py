@@ -239,6 +239,31 @@ class TestDataStep:
         first[...] = 0.0
         assert np.array_equal(pull(rows), expected)
 
+    @pytest.mark.parametrize("shape", [(5, 4, 3), (5, 4, 1), (5, 1, 3), (1, 4, 3),
+                                       (4, 3, 2, 2), (4, 1, 1, 2), (3, 1, 2, 1)])
+    def test_pull_reads_every_pair_through_views(self, shape):
+        # over all pairs, unit axes and 4-way shapes included: every pair's
+        # M and Q fold as read-only views, and the pull's blocks are the
+        # whole-array sum in the sweep's order, bit for bit
+        rng = np.random.default_rng(5)
+        x = np.zeros(shape)
+        states = [SimpleNamespace(pair=pair, beta=b,
+                                  m=rng.standard_normal(unfold_mode_pair(x, *pair).shape),
+                                  q=rng.standard_normal(unfold_mode_pair(x, *pair).shape))
+                  for pair, b in SolverConfig(beta=None).pair_weights(len(shape))]
+        whole = None
+        for st in states:
+            for t3 in (st.m, st.q):
+                f = fold_mode_pair(t3, *st.pair, shape)
+                assert np.shares_memory(f, t3) and not f.flags.writeable, st.pair
+            term = fold_mode_pair((self.MU * st.m - st.q) * st.beta, *st.pair, shape)
+            whole = term if whole is None else whole + term
+        pull, weight = pair_pull(states, self.MU, shape)
+        assert weight == sum(st.beta * self.MU for st in states)
+        blocks = [pull(rows) for rows in _row_blocks(x)]
+        assert all(b.flags.c_contiguous for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), whole)
+
 
 class TestSolve:
     def test_full_mask_returns_data_immediately(self):

@@ -156,6 +156,27 @@ def test_traced_data_block_runs_once_per_sweep(monkeypatch, run, names):
 
 
 @pytest.mark.parametrize("run", [completion_run, decomposition_run])
+def test_pair_01_fold_is_a_view(monkeypatch, run):
+    # with beta = (1, 0, 0) only pair (0, 1) is folded, twice a sweep, and
+    # both folds are read-only views of its M and Q; from about 32k entries
+    # NumPy's elementwise passes keep a strided operand's layout
+    fold = tenrec.completion.fold_mode_pair
+    views = []
+
+    def recording(t3, mode1, mode2, shape):
+        out = fold(t3, mode1, mode2, shape)
+        if (mode1, mode2) == (0, 1):
+            views.append(not out.flags.writeable and np.may_share_memory(out, t3))
+        return out
+
+    monkeypatch.setattr(tenrec.completion, "fold_mode_pair", recording)
+    report = run(max_iter=6, shape=(64, 64, 8))()
+    assert report.iterations == 6
+    assert len(views) == 2 * report.iterations
+    assert all(views)
+
+
+@pytest.mark.parametrize("run", [completion_run, decomposition_run])
 def test_every_pair_fold_is_a_view(monkeypatch, run):
     # every fold is a view, so each sweep folds every pair's M and Q back
     # onto the 3-way estimate without moving data, and the data step reads
