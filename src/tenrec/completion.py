@@ -9,11 +9,11 @@ ascent, the trace row, and the geometric growth of the penalties.  Only
 the sweep reads the pairs: it hands the data block their pull
 (:func:`pair_pull`), which the data step reads row block by row block,
 and adds their part of the Lagrangian (:func:`lagrangian_value`).  For
-completion the data block is the estimate itself: observed entries are
-copied from the data, unobserved entries take a beta-weighted average of
-the surrogates.  Robust PCA (:mod:`tenrec.rpca`) runs the same sweep
-with its L/E/N block: completion is robust PCA with E = N = 0 plus a
-mask projection.
+completion the data block is the estimate itself: observed entries keep
+the data, which the estimate alone holds, and unobserved entries take a
+beta-weighted average of the surrogates.  Robust PCA (:mod:`tenrec.rpca`)
+runs the same sweep with its L/E/N block: completion is robust PCA with
+E = N = 0 plus a mask projection.
 
 The sweep's own elementwise steps hold no full-size temporary: each runs
 over row blocks (:func:`_row_blocks`), one block's temporaries alive at a
@@ -122,18 +122,20 @@ def pair_pull(states, mu, shape):
     return pull, sum(st.beta * mu for st in states)
 
 
-def update_z(observed, index, z, pull, weight, rho):
+def update_z(index, z, pull, weight, rho):
     """Closed-form estimate update.
 
-    Observed entries are fixed to the data; unobserved entries average the
-    pairs' pull (see :func:`pair_pull`) with the previous iterate.  This is
-    the exact minimiser of the beta-weighted Lagrangian
+    Observed entries stay fixed to the data; unobserved entries average
+    the pairs' pull (see :func:`pair_pull`) with the previous iterate.
+    This is the exact minimiser of the beta-weighted Lagrangian
     (:func:`lagrangian_value`) plus the proximal term ``(rho/2)*||z -
     z_prev||^2`` over the unobserved entries.
 
-    ``observed`` holds the observed values and ``index`` their flat C-order
-    indices, in increasing order.  The estimate is written over ``z`` row
-    block by row block; returns ``max |z - z_prev|`` of that pass.
+    ``index`` holds the observed entries' flat C-order indices, in
+    increasing order, and ``z`` must hold the data there: each block's
+    observed entries are copied from the block of ``z`` they replace, so
+    they keep the data bit for bit.  The estimate is written over ``z``
+    row block by row block; returns ``max |z - z_prev|`` of that pass.
     """
     width = z.size // len(z)
 
@@ -143,7 +145,8 @@ def update_z(observed, index, z, pull, weight, rho):
         new /= rho + weight
         start = rows.start * width
         lo, hi = index.searchsorted(start), index.searchsorted(rows.stop * width)
-        np.put(new, index[lo:hi] - start, observed[lo:hi])
+        local = index[lo:hi] - start
+        np.put(new, local, z[rows].take(local))
         return new
 
     return _replace_blocks(z, block)
@@ -163,25 +166,28 @@ def lagrangian_value(states, quads, gamma, epsilon):
 
 
 class _MaskedEstimate:
-    """Completion's data block for :func:`run_sweeps`: the masked z step."""
+    """Completion's data block for :func:`run_sweeps`: the masked z step.
+
+    Its state is the estimate ``x`` and the observed entries' sorted flat
+    C-order ``index``; the observed values live in ``x`` alone, which
+    :func:`update_z` keeps at the data."""
 
     def __init__(self, observed, mask):
-        # The observed entries and their flat C-order indices, read once per
-        # solve in any memory order.
+        # read once per solve, in any memory order
         self.index = np.flatnonzero(mask)
         if self.index.size == 0:
             raise ValueError("mask observes no entry")
-        self.values = observed[mask]
-        if not np.all(np.isfinite(self.values)):
+        values = observed[mask]
+        if not np.all(np.isfinite(values)):
             raise ValueError("observed entries must be finite")
         self.x = np.zeros(observed.shape)
-        np.put(self.x, self.index, self.values)
+        np.put(self.x, self.index, values)
 
     def lagrangian(self):
         return 0.0  # the indicator of the observation constraint
 
     def step(self, pull, weight, rho):
-        return update_z(self.values, self.index, self.x, pull, weight, rho)
+        return update_z(self.index, self.x, pull, weight, rho)
 
     def ascend(self):
         return {}
@@ -203,7 +209,9 @@ def complete(observed, mask, config=None):
 
     Returns:
         RecoveryReport with the completed tensor under ``tensors['Z']``, which
-        :mod:`tenrec.metrics` scores against a ground truth.
+        :mod:`tenrec.metrics` scores against a ground truth.  Its observed
+        entries are the data, bit for bit: the solve keeps them in the
+        estimate alone, beside their flat indices, and no other copy.
 
     Raises:
         ValueError: on a mask or data it cannot use: a mask that is not
@@ -224,7 +232,7 @@ def complete(observed, mask, config=None):
     if 0 in observed.shape:
         raise ValueError(f"tensor of shape {observed.shape} has a zero extent")
     block = _MaskedEstimate(observed, mask)
-    del observed, mask  # the block keeps the observed entries only
+    del observed, mask  # the block's estimate holds the observed entries
     return run_sweeps(config or SolverConfig(), block)
 
 

@@ -442,9 +442,14 @@ def _ritz_triplets(a, q, thr):
     for _ in range(_power_steps(q, y, thr) - 1):
         y = a @ (at @ np.linalg.qr(y)[0].conj()).conj()
     q = np.linalg.qr(y)[0]
+    # each p-wide block is released once it is dead: a solve's peak can sit here
+    del y
     ub, s, vh = np.linalg.svd(q.conj().transpose(0, 2, 1) @ a, full_matrices=False)
     u = q @ ub
-    res = np.linalg.norm(a @ vh.conj().transpose(0, 2, 1) - u * s[:, None, :], axis=1)
+    del q
+    res = a @ vh.conj().transpose(0, 2, 1)
+    res -= u * s[:, None, :]
+    res = np.linalg.norm(res, axis=1)
     res[np.arange(p) >= _kept_end(s, thr)[:, None]] = 0.0
     if res.max() > RITZ_RTOL * s[:, 0].max():
         return None
@@ -455,6 +460,7 @@ def _ritz_triplets(a, q, thr):
         # ||(R R^H)^m||_F^(1/m) for m = 1, 2 (||.||_F by rows, not a BLAS dot).
         resid = a[i] - (u[i] * s[i]) @ vh[i]
         gram = resid @ resid.conj().T
+        del resid
         for m in (1, 2):
             fro = np.sqrt(np.vecdot(gram, gram).real.sum())
             tail_sq[i] = fro ** (1 / m) * (1 + 1e-10) + margin[i]

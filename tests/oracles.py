@@ -57,6 +57,17 @@ def cp_completion_instance(seed):
     return gt, mask, np.where(mask, gt, 0.0)
 
 
+def fourway_instance():
+    """The 6x5x4x3 CP-rank-2 tensor of ROADMAP item 1's table at unit peak,
+    half observed: (ground truth, mask, observed)."""
+    rng = np.random.default_rng(0)
+    shape = (6, 5, 4, 3)
+    gt = np.einsum("ir,jr,kr,lr->ijkl", *(rng.standard_normal((n, 2)) for n in shape))
+    gt = gt / np.max(np.abs(gt))
+    mask = gen_mask(shape, 0.5, 7).mask
+    return gt, mask, np.where(mask, gt, 0.0)
+
+
 # -- t-SVD toolkit -----------------------------------------------------------
 
 

@@ -32,8 +32,9 @@ from tenrec import (
 from tenrec.algebra import mode_pairs
 from tenrec.cli import main
 
-from oracles import (cp_completion_instance, cp_tensor, descent_rises, full_spectrum_sv,
-                     lgamma_norm, mlcp_weight_minimizer, palm_complete, palm_decompose, t_svd)
+from oracles import (cp_completion_instance, cp_tensor, descent_rises, fourway_instance,
+                     full_spectrum_sv, lgamma_norm, mlcp_weight_minimizer, palm_complete,
+                     palm_decompose, t_svd)
 from test_completion import SMALL_CFG, estimate_error, small_instance
 from test_rpca import RAW_CFG
 
@@ -365,6 +366,22 @@ def test_robust_pca_never_reports_false_convergence(case):
     )
     report = decompose(observed, cfg)
     assert not report.converged or estimate_error(report, l_true) < 0.5
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "false convergence (ROADMAP item 1): every surrogate shrinks to zero in sweep 1, z "
+    "stays at the masked data and inf_norm_diff = 0.0 meets tol: A1 with beta = "
+    "(0, 0.5, 0.5) stops at rel_error 0.832, the 6x5x4x3 CP-rank-2 tensor with "
+    "beta = None at 0.670.  Item 1's hollow-stop rule alone clears the second; the "
+    "first then stops after 267 sweeps at 1.066, in pairs where A1's tensor is not "
+    "low-rank (item 16)"))
+@pytest.mark.parametrize("instance, beta", [(lrtc_instance, (0.0, 0.5, 0.5)),
+                                            (fourway_instance, None)],
+                         ids=["a1-beta-0-0.5-0.5", "6x5x4x3-uniform-beta"])
+def test_completion_never_reports_false_convergence(instance, beta):
+    gt, mask, observed = instance()
+    report = complete(observed, mask, lrtc_config().updated(beta=beta))
+    assert not report.converged or estimate_error(report, gt) < 0.5
 
 
 def _read_rows(path, drop="seconds"):

@@ -19,9 +19,9 @@ import pytest
 
 import oracles
 from tenrec import (NoiseSpec, add_mixed_noise, completion, complete, decompose, gen_lowrank,
-                    gen_mask, penalty, rpca)
+                    penalty, rpca)
 
-from oracles import descent_rises, palm_complete, palm_decompose
+from oracles import descent_rises, fourway_instance, palm_complete, palm_decompose
 from test_acceptance import lrtc_config, lrtc_instance, trpca_config, trpca_instance
 from test_completion import SMALL_CFG, small_instance
 
@@ -29,17 +29,6 @@ SWEEPS = 40
 # Largest difference from the reference, relative to the reference's
 # largest magnitude in that sweep.
 RTOL = 1e-12
-
-
-def fourway_instance():
-    """The 6x5x4x3 CP-rank-2 tensor of ROADMAP item 1's table at unit peak,
-    half observed: (ground truth, mask, observed)."""
-    rng = np.random.default_rng(0)
-    shape = (6, 5, 4, 3)
-    gt = np.einsum("ir,jr,kr,lr->ijkl", *(rng.standard_normal((n, 2)) for n in shape))
-    gt = gt / np.max(np.abs(gt))
-    mask = gen_mask(shape, 0.5, 7).mask
-    return gt, mask, np.where(mask, gt, 0.0)
 
 
 def recording(monkeypatch, module, name, keep=np.array, written=None):
@@ -102,7 +91,7 @@ A1 = lrtc_config().updated(tol=1e-300, max_iter=SWEEPS)
         "8x8x6-strict-stops", "6x5x4x3-stops"])
 def test_complete_follows_the_model(monkeypatch, instance, cfg, sweeps):
     _, mask, observed = instance()
-    zs = recording(monkeypatch, completion, "update_z", written=2)
+    zs = recording(monkeypatch, completion, "update_z", written=1)
     report = complete(observed, mask, cfg)
     assert report.iterations == sweeps
     assert_follows_model(report, [{"Z": z} for z in zs],
@@ -117,7 +106,7 @@ def test_complete_follows_the_model_on_gram_and_ritz_routes(monkeypatch):
     assert min(observed.shape[:2]) >= penalty.GRAM_MIN_RANK
     routes = [recording(monkeypatch, penalty, name, keep=lambda out: out is not None)
               for name in ("_gram_triplets", "_ritz_triplets")]
-    zs = recording(monkeypatch, completion, "update_z", written=2)
+    zs = recording(monkeypatch, completion, "update_z", written=1)
     report = complete(observed, mask, A1)
     assert report.iterations == SWEEPS
     assert all(any(taken) for taken in routes)
