@@ -16,11 +16,11 @@ runs the same sweep with its L/E/N block: completion is robust PCA with
 E = N = 0 plus a mask projection.
 
 The sweep's own elementwise steps hold no full-size temporary: each runs
-over row blocks (:func:`_row_blocks`), one block's temporaries alive at a
-time, and writes its result where the value it replaces is dead; the
-data step writes the estimate over itself, and the prox transforms its
-argument over the surrogate's own buffer.  So a solve holds its state
-plus one transient.
+over row blocks (:func:`~tenrec.penalty._row_blocks`), one block's
+temporaries alive at a time, and writes its result where the value it
+replaces is dead; the data step writes the estimate over itself, and the
+prox transforms its argument over the surrogate's own buffer, from the
+first sweep on.  So a solve holds its state plus one transient.
 
 The model itself is stated by the test suite's ``palm_complete`` (and
 ``palm_decompose``), a dense transcription of the sweep that the tests
@@ -36,8 +36,8 @@ import numpy as np
 
 from .algebra import _mirror_count, fold_mode_pair, fourier_singular_values, unfold_mode_pair
 from .config import SolverConfig
-from .penalty import (IRFFT_BLOCK_BYTES, prox_buffer, shrink_singular_values,
-                      update_lambda_bar, update_weights, weighted_log_prox)
+from .penalty import (_row_blocks, prox_buffer, shrink_singular_values, update_lambda_bar,
+                      update_weights, weighted_log_prox)
 from .report import RecoveryReport
 
 # rho1 = GAMMA1 * mu is the surrogate step's proximal scalar.  PALM needs
@@ -50,20 +50,27 @@ class PairState:
     ``q``, weights ``w``, their target ``lam_bar`` and singular values
     ``sigma`` (R x (I3 // 2 + 1): per half-spectrum slice, which a sum over
     the spectrum counts ``count`` times), and the warm start ``basis`` of
-    the shrinkage (``None`` until the prox returns one)."""
+    the shrinkage (``None`` until the prox returns one).
 
-    def __init__(self, pair, beta, m):
+    ``m`` starts as a copy of ``x_unf``, the pair's unfolding of the
+    estimate, in a :func:`~tenrec.penalty.prox_buffer`, so every shrinkage
+    step, the first one too, writes its argument over its surrogate and
+    transforms it there.  The copy is made after ``sigma`` is factored and
+    before ``q`` exists, so neither is held while the slices are."""
+
+    def __init__(self, pair, beta, x_unf):
         self.pair = pair
         self.beta = beta
-        self.m = m
-        self.q = np.zeros(m.shape)
-        self.count = _mirror_count(m.shape[2])
-        self.w = np.ones((min(m.shape[0], m.shape[1]), self.count.size))
+        self.count = _mirror_count(x_unf.shape[2])
+        self.w = np.ones((min(x_unf.shape[0], x_unf.shape[1]), self.count.size))
         self.lam_bar = np.ones_like(self.w)
-        # Fourier-slice singular values of m, non-increasing per column;
+        # Fourier-slice singular values of the unfolding, non-increasing per column;
         # carried between sweeps so only the shrinkage step has to factor
         # slices.
-        self.sigma = fourier_singular_values(m)
+        self.sigma = fourier_singular_values(x_unf)
+        self.m = prox_buffer(x_unf.shape)
+        self.m[...] = x_unf
+        self.q = np.zeros(x_unf.shape)
         self.basis = None
 
 
@@ -74,13 +81,10 @@ def update_m_pair(m, z_unf, q, w_new, mu, rho1, epsilon, strict=False, basis=Non
     point; its Fourier-slice singular values are shrunk under the fixed
     weights ``w_new`` (as :class:`PairState` holds them) with quadratic
     scale ``rho1``.  ``basis`` is the ``next_basis`` this pair's previous
-    step returned, or None.  The argument is written over ``m`` when ``m``
-    is writeable, and into a new array when it is not (a read-only view
-    of the estimate, as every pair's first-sweep surrogate of a 3-way
-    estimate is) that has room for the prox to transform it in place
-    (``overwrite_y``).  The prox's last output has that room too, so from
-    the second sweep on each step takes its surrogate's buffer over, and
-    ``m`` is lost.
+    step returned, or None.  The argument is written over ``m``, which
+    must be writeable, row block by row block, and the prox transforms it
+    in place (``overwrite_y``) when ``m`` starts a buffer with room for
+    that, as a :class:`PairState`'s surrogate always does: ``m`` is lost.
 
     Returns (m_new, sigma_new, sigma_arg, next_basis), as
     :func:`~tenrec.penalty.weighted_log_prox` returns them.  After a
@@ -89,8 +93,14 @@ def update_m_pair(m, z_unf, q, w_new, mu, rho1, epsilon, strict=False, basis=Non
     NaN never counts as one.  ``next_basis`` is the warm start of the
     pair's next step.
     """
-    arg = _prox_argument(m, z_unf, q, mu, rho1)
-    return weighted_log_prox(arg, w_new, rho1, epsilon, strict=strict, basis=basis,
+    for rows in _row_blocks(m):
+        t = mu * z_unf[rows]
+        t += q[rows]
+        t -= mu * m[rows]
+        t /= rho1
+        m[rows] += t
+        del t  # not held while the next block is made
+    return weighted_log_prox(m, w_new, rho1, epsilon, strict=strict, basis=basis,
                              overwrite_y=True)
 
 
@@ -183,17 +193,13 @@ class _MaskedEstimate:
         self.x = np.zeros(observed.shape)
         np.put(self.x, self.index, values)
 
-    def lagrangian(self):
-        return 0.0  # the indicator of the observation constraint
-
     def step(self, pull, weight, rho):
         return update_z(self.index, self.x, pull, weight, rho)
 
-    def ascend(self):
-        return {}
-
-    def grow(self, growth):
-        pass
+    def ascend(self, growth):
+        # no multiplier or penalty of its own; the observation constraint's
+        # indicator adds 0 to the Lagrangian
+        return 0.0, {}
 
     def tensors(self):
         return {"Z": self.x}
@@ -243,15 +249,15 @@ def run_sweeps(cfg, block):
 
     A sweep runs the pair steps, the data step, the ascent, the trace row
     and the penalty growth.  ``block`` is the solver's data block.  It
-    holds the estimate ``x`` and provides ``step(pull, weight, rho)`` (its
-    primal update, given the pairs' pull on ``x`` from :func:`pair_pull`;
-    it writes the new estimate over ``x`` and returns ``max |x - x_prev|``,
-    which the stop test reads), ``lagrangian()`` (its own part
-    of the Lagrangian, to which the sweep adds the pairs' part,
-    :func:`lagrangian_value`),
-    ``ascend()`` (its own multiplier step; returns extra trace columns),
-    ``grow(growth)`` and ``tensors()``.  Only the sweep reads the pairs'
-    states and ``mu``.
+    has four members: the estimate ``x``; ``step(pull, weight, rho)``, its
+    primal update given the pairs' pull on ``x`` from :func:`pair_pull`,
+    which writes the new estimate over ``x`` and returns ``max |x -
+    x_prev|``, which the stop test reads; ``ascend(growth)``, its own
+    multiplier step, which returns ``(its part of the Lagrangian at the
+    new multiplier, extra trace columns)`` from that pass and then grows
+    its own penalty by ``growth``; and ``tensors()``.  The sweep adds the
+    pairs' part of the Lagrangian (:func:`lagrangian_value`).  Only the
+    sweep reads the pairs' states and ``mu``.
 
     Raises:
         FloatingPointError: where a floating-point overflow, division by
@@ -277,19 +283,17 @@ def run_sweeps(cfg, block):
         diff = block.step(*pair_pull(states, mu, block.x.shape), rho)
 
         quads = _ascend(states, block.x, mu)
-        columns = block.ascend()
+        own, columns = block.ascend(cfg.growth)
         trace.append({
             "iter": it,
             "inf_norm_diff": diff,
-            "lagrangian": block.lagrangian() + lagrangian_value(
-                states, quads, cfg.gamma, cfg.epsilon),
+            "lagrangian": own + lagrangian_value(states, quads, cfg.gamma, cfg.epsilon),
             "seconds": time.perf_counter() - started,
             **columns,
         })
 
         mu *= cfg.growth
         rho *= cfg.growth
-        block.grow(cfg.growth)
         if diff <= cfg.tol:
             converged = True
             break
@@ -336,20 +340,6 @@ def _pair_step(st, x, mu, rho, cfg):
     return int(np.sum(st.count * (default_vals != st.sigma)))
 
 
-def _prox_argument(m, z_unf, q, mu, rho1):
-    """:func:`update_m_pair`'s argument, over ``m`` when it is writeable,
-    else in a buffer that the prox can transform it over."""
-    arg = m if m.flags.writeable else prox_buffer(m.shape)
-    for rows in _row_blocks(m):
-        t = mu * z_unf[rows]
-        t += q[rows]
-        t -= mu * m[rows]
-        t /= rho1
-        np.add(m[rows], t, out=arg[rows])
-        del t  # not held while the next block is made
-    return arg
-
-
 def _sum_sq(a):
     """Sum of the squares of a C-contiguous array, by einsum, not a threaded
     BLAS dot that can stall on a large array."""
@@ -376,11 +366,3 @@ def _replace_blocks(x, block):
         x[rows] = new
         del new, d  # not held while the next block is made
     return max(tops)
-
-
-def _row_blocks(a):
-    """Slices of ``a``'s first axis, each of about ``IRFFT_BLOCK_BYTES`` of
-    ``a``, the whole of a small one; an elementwise pass over them holds
-    no temporary larger than a block."""
-    step = max(1, IRFFT_BLOCK_BYTES * len(a) // max(a.nbytes, 1))
-    return [slice(i, i + step) for i in range(0, len(a), step)]

@@ -251,10 +251,19 @@ RITZ_RTOL = 1e-13
 # on 2 cores, the 11 slices of a 30 x 30 x 20 argument took 3.6 ms against
 # 2.7 ms, of 48 x 48 x 20 8.6 against 9.0, of 100 x 100 x 20 39 against 54.
 GRAM_MIN_RANK = 48
-# The inverse transform writes the real result over the slices in row
-# blocks of about this many bytes; NumPy copies each block's input first,
-# because the two overlap.
+# The size of a row block (:func:`_row_blocks`): the transforms write
+# between the slices and the real array in blocks of about this many bytes
+# (NumPy copies each block's input first, because the two overlap), and the
+# solvers' elementwise passes run over blocks of it.
 IRFFT_BLOCK_BYTES = 1 << 18
+
+
+def _row_blocks(a):
+    """Slices of ``a``'s first axis, each of about ``IRFFT_BLOCK_BYTES`` of
+    ``a``, the whole of a small one; an elementwise pass over them holds
+    no temporary larger than a block."""
+    step = max(1, IRFFT_BLOCK_BYTES * len(a) // max(a.nbytes, 1))
+    return [slice(i, i + step) for i in range(0, len(a), step)]
 
 
 def _rounding_band(a_sq, i1, i2):
@@ -377,9 +386,8 @@ def _rfft_into_rows(y, rows):
     (``I1 x half x I2``), which may start where ``y`` does: a row of the
     slices is longer than a row of ``y``, so transforming blocks of rows
     last first never overwrites a row of ``y`` not yet read."""
-    step = max(1, IRFFT_BLOCK_BYTES // rows[0].nbytes)
-    for i in reversed(range(0, len(rows), step)):
-        np.fft.rfft(y[i:i + step], axis=2, out=rows[i:i + step].transpose(0, 2, 1))
+    for r in reversed(_row_blocks(rows)):
+        np.fft.rfft(y[r], axis=2, out=rows[r].transpose(0, 2, 1))
 
 
 def _irfft_over_slices(rows, buf, i3):
@@ -393,10 +401,8 @@ def _irfft_over_slices(rows, buf, i3):
     """
     i1, half, i2 = rows.shape
     out = buf[:i1 * i2 * i3].reshape(i1, i2, i3)
-    step = max(1, IRFFT_BLOCK_BYTES // rows[0].nbytes)
-    for i in range(0, i1, step):
-        np.fft.irfft(rows[i:i + step].transpose(1, 0, 2), n=i3, axis=0,
-                     out=out[i:i + step].transpose(2, 0, 1))
+    for r in _row_blocks(rows):
+        np.fft.irfft(rows[r].transpose(1, 0, 2), n=i3, axis=0, out=out[r].transpose(2, 0, 1))
     return out
 
 

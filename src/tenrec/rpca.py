@@ -7,13 +7,14 @@ ridge step.  All three terms live in one augmented Lagrangian whose
 penalties may grow geometrically between sweeps.
 
 The sweep is :func:`tenrec.completion.run_sweeps`; this module supplies
-its data block: the L, E and N steps, their part of the Lagrangian and
-the ascent on the residual multiplier F.  The sweep hands the L step the
-pairs' pull, which it reads block by block, and its weight, and adds the
-pairs' part of the Lagrangian.  Each step runs over row blocks, as the
-sweep's own do, and writes its value over the one it replaces: L, E and
-N over their last values, F in place; the L step returns how far L
-moved, the sweep's stop measure.
+its data block: the L, E and N steps and the ascent on the residual
+multiplier F, whose one pass also sums the block's part of the Lagrangian
+and then grows its penalty.  The sweep hands the L step the pairs' pull,
+which it reads block by block, and its weight, and adds the pairs' part
+of the Lagrangian.  Each step runs over row blocks, as the sweep's own
+do, and writes its value over the one it replaces: L, E and N over their
+last values, F in place; the L step returns how far L moved, the sweep's
+stop measure.
 
 The model itself is stated by the test suite's ``palm_decompose``, a
 dense transcription of the sweep that the tests hold this one to, sweep
@@ -24,8 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .completion import _replace_blocks, _row_blocks, _sum_sq, _write_blocks, run_sweeps
+from .completion import _replace_blocks, _sum_sq, _write_blocks, run_sweeps
 from .config import SolverConfig
+from .penalty import _row_blocks
 
 
 def soft_threshold(x, lam):
@@ -71,12 +73,12 @@ def update_n(t, l_new, e_new, n_prev, f, ptau, tau2, rho):
                                             + rho * n_prev[r]) / (2.0 * tau2 + ptau + rho))
 
 
-def _lagrangian(t, l, e, n, f, ptau, tau1, tau2):
-    """The data block's part of the augmented Lagrangian: the sparse and
-    Gaussian penalties and the residual quadratic, summed block by block."""
-    return sum(tau1 * _sum_abs(e[r]) + tau2 * _sum_sq(n[r])
-               + 0.5 * ptau * _sum_sq(t[r] - l[r] - e[r] - n[r] + f[r] / ptau)
-               for r in _row_blocks(t))
+def _lagrangian(e_l1, n_sq, quad, ptau, tau1, tau2):
+    """The data block's part of the augmented Lagrangian, ``tau1*||E||_1 +
+    tau2*||N||_F^2 + (ptau/2)*||T - L - E - N + F/ptau||_F^2``, from the
+    three sums that :meth:`_LowRankSparseNoise.ascend` takes: ``e_l1 =
+    ||E||_1``, ``n_sq = ||N||_F^2`` and ``quad``, the squared norm."""
+    return tau1 * e_l1 + tau2 * n_sq + 0.5 * ptau * quad
 
 
 def _sum_abs(a):
@@ -96,9 +98,6 @@ class _LowRankSparseNoise:
         self.n = np.zeros_like(t)
         self.f = np.zeros_like(t)
 
-    def lagrangian(self):
-        return _lagrangian(self.t, self.x, self.e, self.n, self.f, self.ptau, self.tau1, self.tau2)
-
     def step(self, pull, weight, rho):
         t, f, ptau = self.t, self.f, self.ptau
         diff = update_l(t, self.e, self.n, f, self.x, pull, weight, ptau, rho)
@@ -106,21 +105,25 @@ class _LowRankSparseNoise:
         self.n = update_n(t, self.x, self.e, self.n, f, ptau, self.tau2, rho)
         return diff
 
-    def ascend(self):
-        """``F += ptau*(t - L - E - N)`` in place, block by block; returns
-        the trace columns."""
-        r_sq = e_l1 = 0.0
+    def ascend(self, growth):
+        """``F += ptau*(t - L - E - N)`` in place, block by block, then
+        ``ptau *= growth``.  The same pass sums the block's part of the
+        Lagrangian at the new F (:func:`_lagrangian`, under the old
+        ``ptau``) and the trace columns; returns both."""
+        r_sq = e_l1 = n_sq = quad = 0.0
         for r in _row_blocks(self.t):
             residual = self.t[r] - self.x[r] - self.e[r] - self.n[r]
             r_sq += _sum_sq(residual)
             e_l1 += _sum_abs(self.e[r])
+            n_sq += _sum_sq(self.n[r])
             self.f[r] += self.ptau * residual
+            residual += self.f[r] / self.ptau
+            quad += _sum_sq(residual)
             del residual  # not held while the next block is made
-        return {"E_l1": e_l1, "N_fro": float(np.sqrt(_sum_sq(self.n))),
-                "residual_fro": float(np.sqrt(r_sq))}
-
-    def grow(self, growth):
+        own = _lagrangian(e_l1, n_sq, quad, self.ptau, self.tau1, self.tau2)
         self.ptau *= growth
+        return own, {"E_l1": e_l1, "N_fro": float(np.sqrt(n_sq)),
+                     "residual_fro": float(np.sqrt(r_sq))}
 
     def tensors(self):
         return {"L": self.x, "E": self.e, "N": self.n}

@@ -8,9 +8,9 @@ import pytest
 from tenrec import (NoiseSpec, SolverConfig, add_mixed_noise, build_config, complete, decompose,
                     gen_lowrank, gen_mask, load_config_file)
 from tenrec.algebra import fold_mode_pair, fourier_singular_values, mode_pairs, unfold_mode_pair
-from tenrec.completion import _row_blocks, pair_pull, update_m_pair, update_z
+from tenrec.completion import pair_pull, update_m_pair, update_z
 from tenrec.metrics import rel_error
-from tenrec.penalty import update_lambda_bar, weighted_log_prox
+from tenrec.penalty import _row_blocks, update_lambda_bar, weighted_log_prox
 from tenrec.rpca import update_l
 
 from oracles import prox_lgamma_norm
@@ -394,7 +394,8 @@ class TestWorkingSet:
     itself, so a solve holds its state plus one transient.  Completion's
     state keeps the observed values in the estimate alone, beside their
     flat indices, and the prox's Ritz step releases each block once it is
-    dead."""
+    dead.  Each test prints its peak beside its pin, one ``working set:``
+    line, which CI's job summary collects from the log."""
 
     @staticmethod
     def config(name):
@@ -409,18 +410,25 @@ class TestWorkingSet:
         assert report.iterations == max_iter
         return peak / observed.nbytes
 
+    @staticmethod
+    def pin(case, peak, bound):
+        print(f"working set: {case} {peak:.2f} tensors (pin <= {bound})")
+        assert peak <= bound
+
     def test_large_complete_solve(self):
         # the benchmark's large-complete instance at seed 1: 4.18 tensors,
         # in the prox's Ritz step; 4.78 with a copy of the observed values
         # beside the estimate and the Ritz step's dead blocks held, 5.00
         # when the data step built the pairs' pull as a tensor
-        assert self.peak_tensors(gen_lowrank((100, 100, 20), 5, 1), 0.3, 1, 30) <= 4.3
+        self.pin("complete 100x100x20",
+                 self.peak_tensors(gen_lowrank((100, 100, 20), 5, 1), 0.3, 1, 30), 4.3)
 
     def test_a1_sized_solve(self):
         # one block is the whole tensor, and no block outlives its step:
         # 6.40-6.45 tensors, by what the process ran before; 6.70-6.74 with
         # a copy of the observed values and the Ritz step's dead blocks
-        assert self.peak_tensors(gen_lowrank((30, 30, 20), 3, 42), 0.3, 42, 40) <= 6.55
+        self.pin("complete 30x30x20",
+                 self.peak_tensors(gen_lowrank((30, 30, 20), 3, 42), 0.3, 42, 40), 6.55)
 
     def test_a1_sized_solve_over_all_pairs(self):
         # every pair unfolds z and folds its M and Q as strided views, and
@@ -428,15 +436,17 @@ class TestWorkingSet:
         # process ran before (NumPy's caches of small allocations);
         # 12.12-12.32 with a copy of the observed values and the Ritz
         # step's dead blocks; one more tensor per pair would add 1
-        assert self.peak_tensors(gen_lowrank((30, 30, 20), 3, 42), 0.3, 42, 40,
-                                 beta=None) <= 12.1
+        self.pin("complete 30x30x20 beta=None",
+                 self.peak_tensors(gen_lowrank((30, 30, 20), 3, 42), 0.3, 42, 40, beta=None),
+                 12.1)
 
     def test_large_solve_over_all_pairs(self):
         # large-complete's seed-1 instance over all three pairs: 9.09
         # tensors, in a pair step; 9.39 with a copy of the observed values
         # and the Ritz step's dead blocks
-        assert self.peak_tensors(gen_lowrank((100, 100, 20), 5, 1), 0.3, 1, 10,
-                                 beta=None) <= 9.15
+        self.pin("complete 100x100x20 beta=None",
+                 self.peak_tensors(gen_lowrank((100, 100, 20), 5, 1), 0.3, 1, 10, beta=None),
+                 9.15)
 
     def test_robust_pca_solve(self):
         # a 100x100x20 A2-style instance: 6.77 tensors; 7.00 with the Ritz
@@ -447,7 +457,7 @@ class TestWorkingSet:
         cfg = self.config("trpca").updated(max_iter=20)
         peak, report = peak_bytes(lambda: decompose(t, cfg))
         assert report.iterations == 20
-        assert peak / t.nbytes <= 6.9
+        self.pin("decompose 100x100x20", peak / t.nbytes, 6.9)
 
 
 def memory_orders(x):

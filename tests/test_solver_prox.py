@@ -18,6 +18,8 @@ import tenrec.completion
 from tenrec import NoiseSpec, SolverConfig, add_mixed_noise, complete, decompose, gen_lowrank, gen_mask
 from tenrec.penalty import weighted_log_prox
 
+from oracles import fourway_instance
+
 SHAPE = (40, 40, 8)
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -125,6 +127,40 @@ def test_strict_run_matches_full_factorization(monkeypatch, run):
         for key in ref:
             if key != "seconds":
                 assert got[key] == pytest.approx(ref[key], rel=1e-9, abs=1e-12)
+
+
+def fourway_run(max_iter):
+    gt, mask, observed = fourway_instance()
+    cfg = SolverConfig(beta=None, mu0=5.0, rho0=1e-3, growth=1.05, gamma=1e4,
+                       epsilon=0.01, tol=1e-5, max_iter=max_iter)
+    return lambda: complete(observed, mask, cfg)
+
+
+@pytest.mark.parametrize("run, pairs", [
+    (lambda: completion_run(max_iter=4, shape=(32, 32, 8)), 1),
+    (lambda: completion_run(max_iter=4, shape=(32, 32, 8), beta=None), 3),
+    (lambda: fourway_run(max_iter=4), 6),
+], ids=["beta-1-0-0", "3-way-uniform-beta", "4-way-uniform-beta"])
+def test_every_surrogate_step_starts_in_its_own_buffer(monkeypatch, run, pairs):
+    # from sweep 1 on, each shrinkage step writes its argument over a
+    # writeable surrogate that shares no memory with the estimate
+    run_sweeps, update = tenrec.completion.run_sweeps, tenrec.completion.update_m_pair
+    estimates, own = [], []
+
+    def recording_sweeps(cfg, block):
+        estimates.append(block.x)
+        return run_sweeps(cfg, block)
+
+    def recording_update(m, *args, **kwargs):
+        own.append(m.flags.writeable and not np.shares_memory(m, estimates[0]))
+        return update(m, *args, **kwargs)
+
+    monkeypatch.setattr(tenrec.completion, "run_sweeps", recording_sweeps)
+    monkeypatch.setattr(tenrec.completion, "update_m_pair", recording_update)
+    report = run()()
+    assert len(estimates) == 1
+    assert len(own) == pairs * report.iterations > 0
+    assert all(own)
 
 
 def test_every_traced_name_exists():
