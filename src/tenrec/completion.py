@@ -132,7 +132,7 @@ def pair_pull(states, mu, shape):
     return pull, sum(st.beta * mu for st in states)
 
 
-def update_z(index, z, pull, weight, rho):
+def update_z(offsets, z, pull, weight, rho):
     """Closed-form estimate update.
 
     Observed entries stay fixed to the data; unobserved entries average
@@ -141,21 +141,20 @@ def update_z(index, z, pull, weight, rho):
     (:func:`lagrangian_value`) plus the proximal term ``(rho/2)*||z -
     z_prev||^2`` over the unobserved entries.
 
-    ``index`` holds the observed entries' flat C-order indices, in
-    increasing order, and ``z`` must hold the data there: each block's
-    observed entries are copied from the block of ``z`` they replace, so
-    they keep the data bit for bit.  The estimate is written over ``z``
-    row block by row block; returns ``max |z - z_prev|`` of that pass.
+    ``offsets`` holds the observed entries per row block of ``z``, as
+    :func:`_observed_offsets` makes them, and ``z`` must hold the data
+    there: each block's observed entries are copied from the block of
+    ``z`` they replace, so they keep the data bit for bit.  The estimate
+    is written over ``z`` row block by row block; returns ``max |z -
+    z_prev|`` of that pass.
     """
-    width = z.size // len(z)
+    blocks = iter(offsets)
 
     def block(rows):
         new = pull(rows)
         new += rho * z[rows]
         new /= rho + weight
-        start = rows.start * width
-        lo, hi = index.searchsorted(start), index.searchsorted(rows.stop * width)
-        local = index[lo:hi] - start
+        local = next(blocks).astype(np.intp)
         np.put(new, local, z[rows].take(local))
         return new
 
@@ -175,26 +174,39 @@ def lagrangian_value(states, quads, gamma, epsilon):
     return total
 
 
+def _observed_offsets(mask):
+    """The observed entries of ``mask``, one array per row block of an
+    estimate of its shape (:func:`~tenrec.penalty._row_blocks`): their
+    C-order offsets inside the block, increasing, in the smallest unsigned
+    type that holds the block's last offset.  That is 2 bytes per entry
+    unless a single row holds more than 65 536 entries.  Made block by
+    block, so no index of the whole mask exists."""
+    # the row blocks of a float estimate, read off a view that holds no data
+    blocks = (mask[rows] for rows in _row_blocks(np.broadcast_to(0.0, mask.shape)))
+    return [np.flatnonzero(b).astype(np.min_scalar_type(b.size - 1)) for b in blocks]
+
+
 class _MaskedEstimate:
     """Completion's data block for :func:`run_sweeps`: the masked z step.
 
-    Its state is the estimate ``x`` and the observed entries' sorted flat
-    C-order ``index``; the observed values live in ``x`` alone, which
-    :func:`update_z` keeps at the data."""
+    Its state is the estimate ``x`` and the observed entries' ``offsets``
+    per row block (:func:`_observed_offsets`); the observed values live in
+    ``x`` alone, which :func:`update_z` keeps at the data."""
 
     def __init__(self, observed, mask):
-        # read once per solve, in any memory order
-        self.index = np.flatnonzero(mask)
-        if self.index.size == 0:
+        # read once per solve, in any memory order, one row block at a time
+        self.offsets = _observed_offsets(mask)
+        if not any(local.size for local in self.offsets):
             raise ValueError("mask observes no entry")
-        values = observed[mask]
-        if not np.all(np.isfinite(values)):
-            raise ValueError("observed entries must be finite")
         self.x = np.zeros(observed.shape)
-        np.put(self.x, self.index, values)
+        for rows, local in zip(_row_blocks(self.x), self.offsets):
+            values = observed[rows][mask[rows]]
+            if not np.all(np.isfinite(values)):
+                raise ValueError("observed entries must be finite")
+            np.put(self.x[rows], local, values)
 
     def step(self, pull, weight, rho):
-        return update_z(self.index, self.x, pull, weight, rho)
+        return update_z(self.offsets, self.x, pull, weight, rho)
 
     def ascend(self, growth):
         # no multiplier or penalty of its own; the observation constraint's
@@ -217,13 +229,14 @@ def complete(observed, mask, config=None):
         RecoveryReport with the completed tensor under ``tensors['Z']``, which
         :mod:`tenrec.metrics` scores against a ground truth.  Its observed
         entries are the data, bit for bit: the solve keeps them in the
-        estimate alone, beside their flat indices, and no other copy.
+        estimate alone, beside their offsets per row block, and no other
+        copy.
 
     Raises:
         ValueError: on a mask or data it cannot use: a mask that is not
             boolean, of another shape, or that observes no entry, a
-            tensor with a zero extent, or an observed entry that is not
-            finite.
+            tensor of fewer than 2 modes or with a zero extent, or an
+            observed entry that is not finite.
         FloatingPointError: on a floating-point overflow or invalid
             operation during the sweeps (see :func:`run_sweeps`).
     """

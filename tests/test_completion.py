@@ -8,7 +8,8 @@ import pytest
 from tenrec import (NoiseSpec, SolverConfig, add_mixed_noise, build_config, complete, decompose,
                     gen_lowrank, gen_mask, load_config_file)
 from tenrec.algebra import fold_mode_pair, fourier_singular_values, mode_pairs, unfold_mode_pair
-from tenrec.completion import pair_pull, update_m_pair, update_z
+from tenrec.completion import (_MaskedEstimate, _observed_offsets, pair_pull, update_m_pair,
+                               update_z)
 from tenrec.metrics import rel_error
 from tenrec.penalty import _row_blocks, update_lambda_bar, weighted_log_prox
 from tenrec.rpca import update_l
@@ -98,7 +99,7 @@ class TestUpdatePieces:
         pairs = [(0, 1)]
         m = [unfold_mode_pair(obs, 0, 1)]
         q = [np.zeros_like(m[0])]
-        update_z(np.flatnonzero(mask), z, *pull_of(pairs, [1.0], m, q, 0.9, z.shape), 0.1)
+        update_z(_observed_offsets(mask), z, *pull_of(pairs, [1.0], m, q, 0.9, z.shape), 0.1)
         assert np.allclose(z, obs, atol=1e-12)
 
     def test_z_update_large_rho_limit(self):
@@ -109,7 +110,7 @@ class TestUpdatePieces:
         z_prev = z.copy()
         m = [rng.standard_normal((12, 12, 6))]
         q = [rng.standard_normal((12, 12, 6))]
-        update_z(np.flatnonzero(mask), z, *pull_of([(0, 1)], [1.0], m, q, 1.0, z.shape), 1e12)
+        update_z(_observed_offsets(mask), z, *pull_of([(0, 1)], [1.0], m, q, 1.0, z.shape), 1e12)
         assert np.allclose(z[~mask], z_prev[~mask], atol=1e-9)
         assert np.array_equal(z[mask], obs[mask])
 
@@ -126,7 +127,7 @@ class TestUpdatePieces:
         betas = [0.5, 0.3, 0.2]
         mu, rho = 0.7, 0.2
         z_new = z.copy()
-        update_z(np.flatnonzero(mask), z_new, *pull_of(pairs, betas, m, q, mu, shape), rho)
+        update_z(_observed_offsets(mask), z_new, *pull_of(pairs, betas, m, q, mu, shape), rho)
 
         num = rho * z.copy()
         den = rho
@@ -151,7 +152,7 @@ class TestUpdatePieces:
         q = [rng.standard_normal(unfold_mode_pair(z, *p).shape) for p in pairs]
         mu, rho = 0.7, 0.2
         z_new = z.copy()
-        update_z(np.flatnonzero(mask), z_new, *pull_of(pairs, betas, m, q, mu, shape), rho)
+        update_z(_observed_offsets(mask), z_new, *pull_of(pairs, betas, m, q, mu, shape), rho)
 
         def obj(x):
             value = 0.5 * rho * np.sum((x - z) ** 2)
@@ -210,7 +211,7 @@ class TestDataStep:
         expected = (pull + self.RHO * z) / (self.RHO + weight)
         np.put(expected, np.flatnonzero(mask), data[mask])
         z_prev = z.copy()
-        moved = update_z(np.flatnonzero(mask), z, *pair_pull(states, self.MU, self.SHAPE),
+        moved = update_z(_observed_offsets(mask), z, *pair_pull(states, self.MU, self.SHAPE),
                          self.RHO)
         assert np.array_equal(z, expected)
         assert moved == np.max(np.abs(z - z_prev))
@@ -263,6 +264,69 @@ class TestDataStep:
         blocks = [pull(rows) for rows in _row_blocks(x)]
         assert all(b.flags.c_contiguous for b in blocks)
         assert np.array_equal(np.concatenate(blocks), whole)
+
+
+def edge_mask():
+    """An 80x30x20 mask observed on both sides of its first row-block edge."""
+    mask = np.random.default_rng(21).random((80, 30, 20)) < 0.3
+    edge = _row_blocks(np.zeros(mask.shape))[1].start
+    mask[edge - 1, -1, -1] = mask[edge, 0, 0] = True
+    return mask
+
+
+def one_entry_mask():
+    mask = np.zeros((80, 30, 20), dtype=bool)
+    mask[60, 7, 3] = True
+    return mask
+
+
+class TestObservedOffsets:
+    """Completion holds its observed set as offsets inside each row block of
+    the estimate, in the smallest unsigned type that the block's size asks
+    for, not as one flat int64 index."""
+
+    @pytest.mark.parametrize("mask, dtype", [
+        (edge_mask(), np.uint16),
+        (np.random.default_rng(3).random((20, 15)) < 0.4, np.uint16),
+        (np.random.default_rng(4).random((6, 5, 4, 3)) < 0.4, np.uint16),
+        # one-row blocks of 90 000 entries
+        (np.random.default_rng(5).random((2, 300, 300)) < 0.3, np.uint32),
+        (np.ones((80, 30, 20), dtype=bool), np.uint16),
+        (one_entry_mask(), np.uint16),
+    ])
+    def test_offsets_rebuild_the_flat_index(self, mask, dtype):
+        offsets = _observed_offsets(mask)
+        blocks = _row_blocks(np.zeros(mask.shape))
+        width = mask[0].size
+        assert len(offsets) == len(blocks)
+        assert all(local.dtype == dtype for local in offsets)
+        flat = [local.astype(np.int64) + rows.start * width
+                for local, rows in zip(offsets, blocks)]
+        assert np.array_equal(np.concatenate(flat), np.flatnonzero(mask))
+
+    def test_state_holds_two_bytes_per_observed_entry(self):
+        # large-complete's seed-1 instance; a flat int64 index holds 8
+        shape = (100, 100, 20)
+        mask = gen_mask(shape, 0.3, 1).mask
+        estimate = _MaskedEstimate(np.where(mask, gen_lowrank(shape, 5, 1), 0.0), mask)
+        held = 0
+        for name, value in vars(estimate).items():
+            if name != "x":
+                held += sum(a.nbytes for a in (value if isinstance(value, list) else [value]))
+        assert held <= 2 * np.count_nonzero(mask)
+
+    def test_data_is_read_block_by_block(self):
+        # only observed entries are read, in every block; a non-finite one
+        # in the last block is refused, after an empty mask is
+        mask = edge_mask()
+        data = np.where(mask, 1.0, np.inf)
+        report = complete(data, mask, SMALL_CFG.updated(max_iter=0))
+        assert np.array_equal(report.tensors["Z"], np.where(mask, data, 0.0))
+        data[-1][mask[-1]] = np.nan
+        with pytest.raises(ValueError, match="^observed entries must be finite$"):
+            complete(data, mask, SMALL_CFG)
+        with pytest.raises(ValueError, match="^mask observes no entry$"):
+            complete(data, np.zeros_like(mask), SMALL_CFG)
 
 
 class TestSolve:
@@ -393,9 +457,9 @@ class TestWorkingSet:
     step reads the pairs' pull block by block and writes the estimate over
     itself, so a solve holds its state plus one transient.  Completion's
     state keeps the observed values in the estimate alone, beside their
-    flat indices, and the prox's Ritz step releases each block once it is
-    dead.  Each test prints its peak beside its pin, one ``working set:``
-    line, which CI's job summary collects from the log."""
+    2-byte offsets per row block, and the prox's Ritz step releases each
+    block once it is dead.  Each test prints its peak beside its pin, one
+    ``working set:`` line, which CI's job summary collects from the log."""
 
     @staticmethod
     def config(name):
@@ -416,37 +480,40 @@ class TestWorkingSet:
         assert peak <= bound
 
     def test_large_complete_solve(self):
-        # the benchmark's large-complete instance at seed 1: 4.18 tensors,
-        # in the prox's Ritz step; 4.78 with a copy of the observed values
-        # beside the estimate and the Ritz step's dead blocks held, 5.00
-        # when the data step built the pairs' pull as a tensor
+        # the benchmark's large-complete instance at seed 1: 3.95 tensors,
+        # in the prox's Ritz step; 4.18 with a flat int64 index of the
+        # observed entries, 4.78 with a copy of the observed values beside
+        # the estimate and the Ritz step's dead blocks held, 5.00 when the
+        # data step built the pairs' pull as a tensor
         self.pin("complete 100x100x20",
-                 self.peak_tensors(gen_lowrank((100, 100, 20), 5, 1), 0.3, 1, 30), 4.3)
+                 self.peak_tensors(gen_lowrank((100, 100, 20), 5, 1), 0.3, 1, 30), 4.05)
 
     def test_a1_sized_solve(self):
         # one block is the whole tensor, and no block outlives its step:
-        # 6.40-6.45 tensors, by what the process ran before; 6.70-6.74 with
-        # a copy of the observed values and the Ritz step's dead blocks
+        # 6.18-6.21 tensors, by what the process ran before; 6.40-6.46 with
+        # a flat int64 index, 6.70-6.74 with a copy of the observed values
+        # and the Ritz step's dead blocks
         self.pin("complete 30x30x20",
-                 self.peak_tensors(gen_lowrank((30, 30, 20), 3, 42), 0.3, 42, 40), 6.55)
+                 self.peak_tensors(gen_lowrank((30, 30, 20), 3, 42), 0.3, 42, 40), 6.3)
 
     def test_a1_sized_solve_over_all_pairs(self):
         # every pair unfolds z and folds its M and Q as strided views, and
-        # the peak comes in a pair step: 11.82-12.01 tensors, by what the
+        # the peak comes in a pair step: 11.59-11.75 tensors, by what the
         # process ran before (NumPy's caches of small allocations);
-        # 12.12-12.32 with a copy of the observed values and the Ritz
-        # step's dead blocks; one more tensor per pair would add 1
+        # 11.82-12.01 with a flat int64 index, 12.12-12.32 with a copy of
+        # the observed values and the Ritz step's dead blocks; one more
+        # tensor per pair would add 1
         self.pin("complete 30x30x20 beta=None",
                  self.peak_tensors(gen_lowrank((30, 30, 20), 3, 42), 0.3, 42, 40, beta=None),
-                 12.1)
+                 11.8)
 
     def test_large_solve_over_all_pairs(self):
-        # large-complete's seed-1 instance over all three pairs: 9.09
-        # tensors, in a pair step; 9.39 with a copy of the observed values
-        # and the Ritz step's dead blocks
+        # large-complete's seed-1 instance over all three pairs: 8.86-8.87
+        # tensors, in a pair step; 9.09 with a flat int64 index, 9.39 with
+        # a copy of the observed values and the Ritz step's dead blocks
         self.pin("complete 100x100x20 beta=None",
                  self.peak_tensors(gen_lowrank((100, 100, 20), 5, 1), 0.3, 1, 10, beta=None),
-                 9.15)
+                 8.95)
 
     def test_robust_pca_solve(self):
         # a 100x100x20 A2-style instance: 6.77 tensors; 7.00 with the Ritz
@@ -474,11 +541,11 @@ class TestMemoryOrder:
 
         layouts = []
 
-        def recording(index, z_prev, *args):
+        def recording(offsets, z_prev, *args):
             # the layout at each call: z is written over itself, so every
             # call sees the same array
             layouts.append(z_prev.flags.c_contiguous)
-            return update_z(index, z_prev, *args)
+            return update_z(offsets, z_prev, *args)
 
         monkeypatch.setattr(completion_mod, "update_z", recording)
         gt, mask, obs = small_instance(seed=3)
